@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import sympy as sp
 
-from cavitycorr.evolution import EvolutionMode, EvolutionParams, evolve
+from cavitycorr.evolution import EvolutionParams, evolve
 from cavitycorr.fock import PassOrder, sequential_pass
 from cavitycorr.verify import sample_xstate
 
@@ -148,7 +148,7 @@ def numeric_check(coeff, samples=200, seed=7):
                       abs(rho_t[3, 3].real - oracle.p44),
                       abs(rho_t[1, 2] - oracle.c23))
             worst[order] = max(worst[order], dev)
-        closed = evolve(state, EvolutionParams(n, gt), EvolutionMode.CORRECTED)
+        closed = evolve(state, EvolutionParams(n, gt))
         dev = max(abs(rho_t[0, 0].real - closed.p11),
                   abs(rho_t[1, 1].real - closed.p22),
                   abs(rho_t[2, 2].real - closed.p33),

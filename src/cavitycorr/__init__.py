@@ -3,10 +3,10 @@ Fock-state cavity: closed-form X-state evolution with an exact oracle,
 concurrence, quantum discord, and collapse-revival analysis."""
 
 from .evolution import (
-    EvolutionMode,
     EvolutionParams,
     PublishedFormReport,
     evolve,
+    evolve_grid,
     published_form_report,
     trig_coeffs,
 )
@@ -38,20 +38,23 @@ from .sweep import (
     DiscordMethod,
     EventKind,
     RevivalEvent,
+    SweepBatch,
     SweepConfig,
+    correlation_batch,
     correlation_record,
     detect_collapse_revival,
     envelope,
     first_onset,
+    sweep_batches,
     time_series,
 )
 from .verify import VerificationReport, run_verification, sample_xstate
-from .xstate import XState, make_xstate, werner_state, xstate_eigenvalues
+from .xstate import XBatch, XState, make_xbatch, make_xstate, werner_state, xstate_eigenvalues
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvolutionMode", "EvolutionParams", "PublishedFormReport", "evolve",
+    "EvolutionParams", "PublishedFormReport", "evolve", "evolve_grid",
     "published_form_report", "trig_coeffs",
     "JointFieldState", "PassOrder", "embed", "jc_unitary", "jc_unitary_apply",
     "sequential_pass", "trace_out_field",
@@ -60,8 +63,10 @@ __all__ = [
     "conditional_entropy_measured", "discord_bruteforce", "discord_closed",
     "entropy_a", "entropy_b", "entropy_joint", "mutual_information",
     "CorrelationRecord", "DiscordMethod", "EventKind", "RevivalEvent",
-    "SweepConfig", "correlation_record", "detect_collapse_revival", "envelope",
-    "first_onset", "time_series",
+    "SweepBatch", "SweepConfig", "correlation_batch", "correlation_record",
+    "detect_collapse_revival", "envelope", "first_onset", "sweep_batches",
+    "time_series",
     "VerificationReport", "run_verification", "sample_xstate",
-    "XState", "make_xstate", "werner_state", "xstate_eigenvalues",
+    "XBatch", "XState", "make_xbatch", "make_xstate", "werner_state",
+    "xstate_eigenvalues",
 ]

@@ -6,16 +6,19 @@ failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
-from .evolution import EvolutionMode
+import numpy as np
+
 from .sweep import (
     CorrelationRecord,
     DiscordMethod,
+    SweepBatch,
     SweepConfig,
     detect_collapse_revival,
     envelope,
-    time_series,
+    sweep_batches,
 )
 from .verify import run_verification
 from .xstate import make_xstate
@@ -24,23 +27,38 @@ CSV_HEADER = ("gt,n,r,p11,p22,p33,p44,re_c23,im_c23,"
               "concurrence,discord,classical_corr,mutual_info")
 EVENT_HEADER = "kind,gt_start,gt_end,peak_value"
 
-_MODES = {"corrected": EvolutionMode.CORRECTED, "paper": EvolutionMode.PUBLISHED}
 _METHODS = {"closed": DiscordMethod.CLOSED_FORM, "brute": DiscordMethod.BRUTE_FORCE}
 
 
 def _fmt(v: float) -> str:
-    # 12 significant digits; normalize -0.0 so output is byte-stable
-    return f"{v + 0.0 if v != 0.0 else 0.0:.12g}"
+    # 12 significant digits; adding 0.0 turns -0.0 into 0.0, so output is byte-stable
+    return "%.12g" % (v + 0.0)
+
+
+def _format_rows(columns, n: int, r: float) -> str:
+    """CSV rows, newline-terminated, from the 11 float columns besides n and r.
+
+    ``columns`` holds gt, p11..p44, re and im of c23 and the four measures,
+    each a sequence of equal length.  One %-format call renders them all.
+    """
+    table = np.column_stack(columns) + 0.0
+    row = "%.12g," + f"{int(n)},{_fmt(r)}" + ",%.12g" * 10 + "\n"
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def format_batch(batch: SweepBatch, n: int, r: float) -> str:
+    s = batch.states
+    return _format_rows([batch.gt, s.p11, s.p22, s.p33, s.p44, s.re_c23, s.im_c23,
+                         batch.concurrence, batch.discord,
+                         batch.classical_correlation, batch.mutual_information], n, r)
 
 
 def format_record(record: CorrelationRecord, n: int, r: float) -> str:
     s = record.state
-    fields = [_fmt(record.gt), str(int(n)), _fmt(r),
-              _fmt(s.p11), _fmt(s.p22), _fmt(s.p33), _fmt(s.p44),
-              _fmt(s.c23.real), _fmt(s.c23.imag),
-              _fmt(record.concurrence), _fmt(record.discord),
-              _fmt(record.classical_correlation), _fmt(record.mutual_information)]
-    return ",".join(fields)
+    return _format_rows([[v] for v in (
+        record.gt, s.p11, s.p22, s.p33, s.p44, s.c23.real, s.c23.imag,
+        record.concurrence, record.discord, record.classical_correlation,
+        record.mutual_information)], n, r)[:-1]
 
 
 def parse_record(line: str, method: DiscordMethod = DiscordMethod.CLOSED_FORM
@@ -82,9 +100,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("--steps", type=int, required=True, help="number of grid steps")
     ev.add_argument("--discord", choices=sorted(_METHODS), default="closed",
                     help="discord evaluation route (default: closed)")
-    ev.add_argument("--mode", choices=sorted(_MODES), default="corrected",
-                    help="evolution coefficient set; 'paper' selects the legacy "
-                         "published set (known inconsistent, diagnostics only)")
     ev.add_argument("--out", help="output path (default: stdout)")
 
     vf = sub.add_parser("verify", help="cross-check closed forms against oracles")
@@ -108,14 +123,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_lines(lines, out_path):
-    text = "\n".join(lines) + "\n"
+def _write(texts, out_path) -> int:
+    """Write each text of ``texts`` as soon as it is made, to stdout or ``out_path``."""
     if out_path is None:
-        sys.stdout.write(text)
+        for text in texts:
+            sys.stdout.write(text)
         return 0
     try:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            for text in texts:
+                fh.write(text)
     except OSError as exc:
         print(f"cavitycorr: cannot write {out_path}: {exc}", file=sys.stderr)
         return 3
@@ -124,10 +141,12 @@ def _write_lines(lines, out_path):
 
 def cmd_evolve(args) -> int:
     cfg = SweepConfig(n=args.n, r=args.r, gt_max=args.gt_max, steps=args.steps,
-                      discord_method=_METHODS[args.discord], mode=_MODES[args.mode])
-    records = time_series(cfg)
-    lines = [CSV_HEADER] + [format_record(rec, cfg.n, cfg.r) for rec in records]
-    return _write_lines(lines, args.out)
+                      discord_method=_METHODS[args.discord])
+    rows = (format_batch(batch, cfg.n, cfg.r) for batch in sweep_batches(cfg))
+    # the first chunk is made before anything is written, so a bad input
+    # leaves no partial output
+    first = CSV_HEADER + "\n" + next(rows)
+    return _write(itertools.chain([first], rows), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -141,15 +160,16 @@ def cmd_verify(args) -> int:
 
 def cmd_envelope(args) -> int:
     cfg = SweepConfig(n=args.n, r=args.r, gt_max=args.gt_max, steps=args.steps)
-    records = time_series(cfg)
-    series = [(rec.gt, getattr(rec, args.measure)) for rec in records]
-    env = envelope(series, args.window)
+    gts, vals = [], []
+    for batch in sweep_batches(cfg):
+        gts.append(batch.gt)
+        vals.append(getattr(batch, args.measure))
+    env = envelope(np.column_stack([np.concatenate(gts), np.concatenate(vals)]),
+                   args.window)
     events = detect_collapse_revival(env, args.threshold, args.min_duration)
-    lines = [EVENT_HEADER]
-    for e in events:
-        lines.append(",".join([e.kind.value, _fmt(e.gt_start), _fmt(e.gt_end),
-                               _fmt(e.peak_value)]))
-    return _write_lines(lines, args.out)
+    lines = [EVENT_HEADER] + [",".join([e.kind.value, _fmt(e.gt_start), _fmt(e.gt_end),
+                                        _fmt(e.peak_value)]) for e in events]
+    return _write(["\n".join(lines) + "\n"], args.out)
 
 
 def main(argv=None) -> int:

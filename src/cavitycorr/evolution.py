@@ -2,29 +2,42 @@
 
 Each matrix element of the two-atom state after the two sequential
 passes is a trig polynomial in the Rabi angle, with coefficients indexed
-by the initial photon number.  Two coefficient sets are provided:
+by the initial photon number.  The coefficient set is the one derived from
+the exact sequential model (see ``docs/evolution_coefficients.md``); it
+preserves trace and positivity and matches the Fock-space oracle to
+machine precision.  A legacy published variant differs in two
+coefficients; :func:`published_form_report` evaluates it and reports how
+it breaks the state invariants.
 
-* ``CORRECTED`` -- the set derived from the exact sequential model (see
-  ``docs/evolution_coefficients.md``); it preserves trace and positivity
-  and matches the Fock-space oracle to machine precision.
-* ``PUBLISHED`` -- a legacy variant that differs in two coefficients.  It
-  drifts the trace and breaks Hermiticity for states with a nonzero
-  coherence, and is retained only so the defect can be demonstrated;
-  use :func:`published_form_report` for its diagnostics.
+The update is written once and evaluates either one Rabi angle
+(:func:`evolve`) or a whole grid of them in one call (:func:`evolve_grid`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .xstate import XState, make_xstate
+from . import elementwise as ew
+from .xstate import XBatch, XState, make_xbatch, make_xstate
 
 # Drift beyond this marks the published coefficient set as inconsistent
 # for a given input; well above round-off, well below the defect size.
 DIAGNOSTIC_TOL = 1e-9
+# Above this, float64 no longer resolves n, n + 1 and n + 2 apart, so the
+# square-root frequencies of the update would coincide.
+MAX_PHOTONS = 2**53
+
+
+def check_photon_number(n) -> None:
+    """Reject anything but an integer photon number in [0, 2**53]."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"photon number n must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"photon number n must be nonnegative, got {n}")
+    if n > MAX_PHOTONS:
+        raise ValueError(f"photon number n must be at most 2**53, got {n}")
 
 
 @dataclass(frozen=True)
@@ -35,24 +48,17 @@ class EvolutionParams:
     gt: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ValueError(f"photon number n must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"photon number n must be nonnegative, got {self.n}")
+        check_photon_number(self.n)
         if not math.isfinite(self.gt):
             raise ValueError(f"Rabi angle gt must be finite, got {self.gt!r}")
 
 
-class EvolutionMode(Enum):
-    CORRECTED = "corrected"
-    PUBLISHED = "published"
-
-
-def trig_coeffs(m: int, gt: float) -> tuple[float, float]:
+def trig_coeffs(m: int, gt):
     """(cos(sqrt(m)*gt), sin(sqrt(m)*gt)) with the m = -1 convention (1, 0).
 
-    The m = -1 case only ever appears multiplied by sin(sqrt(0)*gt)^2 = 0,
-    so any finite convention is inert; (1, 0) keeps the formulas total.
+    ``gt`` may be a float or an array.  The m = -1 case only ever appears
+    multiplied by sin(sqrt(0)*gt)^2 = 0, so any finite convention is inert;
+    (1, 0) keeps the formulas total.
     """
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ValueError(f"index m must be an integer, got {m!r}")
@@ -61,62 +67,70 @@ def trig_coeffs(m: int, gt: float) -> tuple[float, float]:
     if m == -1:
         return (1.0, 0.0)
     angle = math.sqrt(m) * gt
-    return (math.cos(angle), math.sin(angle))
+    return (ew.cos(angle), ew.sin(angle))
 
 
-def _update(state: XState, params: EvolutionParams, published: bool):
-    """Raw element update; returns populations, c23 row, c32 row."""
-    n, gt = params.n, params.gt
+def _update(state: XState, n: int, gt):
+    """Raw elements (p11, p22, p33, p44, re c23, im c23) after both passes.
+
+    ``gt`` is a float or an array; the elements then are floats or arrays
+    of its shape.  Each array element is bit-identical to the float result
+    at that angle (see :mod:`cavitycorr.elementwise`).
+    """
     cm, sm = trig_coeffs(n - 1, gt)
     c0, s0 = trig_coeffs(n, gt)
     c1, s1 = trig_coeffs(n + 1, gt)
     c2, s2 = trig_coeffs(n + 2, gt)
+    c1_2, c1_4 = ew.power(c1, 2), ew.power(c1, 4)
+    c0_2, c0_4 = ew.power(c0, 2), ew.power(c0, 4)
+    s0_2, s0_4 = ew.power(s0, 2), ew.power(s0, 4)
+    s1_2, s1_4 = ew.power(s1, 2), ew.power(s1, 4)
+    cm_2, sm_2 = ew.power(cm, 2), ew.power(sm, 2)
+    c2_2, s2_2 = ew.power(c2, 2), ew.power(s2, 2)
     p11, p22, p33, p44 = state.populations()
-    c23 = state.c23
-    x = 2.0 * c23.real  # c23 + conj(c23)
+    re, im = state.c23.real, state.c23.imag
+    x = 2.0 * re  # c23 + conj(c23)
 
-    q11 = (p11 * c1**4 + p22 * s0**2 * c1**2 + p33 * s0**2 * c0**2
-           + p44 * s0**2 * sm**2 + x * s0**2 * c1 * c0)
-    q22 = (p11 * s1**2 * c1**2 + p22 * c0**2 * c1**2 + p33 * s0**4
-           + p44 * s0**2 * cm**2 - x * s0**2 * c1 * c0)
-    q33 = (p11 * s1**2 * c2**2 + p22 * s1**4 + p33 * c1**2 * c0**2
-           + p44 * s0**2 * c0**2 - x * s1**2 * c1 * c0)
-    # The published set carries s0^2 here instead of s1^2, which breaks
-    # trace preservation whenever Re(c23) != 0.
-    w44 = s0**2 if published else s1**2
-    q44 = (p11 * s1**2 * s2**2 + p22 * s1**2 * c1**2 + p33 * s1**2 * c0**2
-           + p44 * c0**4 + x * w44 * c1 * c0)
-    q23 = (p11 * s1**2 * c1 * c2 - p22 * s1**2 * c1 * c0 - p33 * s0**2 * c1 * c0
-           + p44 * s0**2 * c0 * cm + c23 * c1**2 * c0**2
-           + np.conj(c23) * s1**2 * s0**2)
-    # Lower-coherence row; the published set carries s2^2 on the p22 term
-    # instead of s1^2, so it is not the conjugate of the row above.
-    w32 = s2**2 if published else s1**2
-    q32 = (p11 * s1**2 * c1 * c2 - p22 * w32 * c1 * c0 - p33 * s0**2 * c1 * c0
-           + p44 * s0**2 * c0 * cm + c23 * s1**2 * s0**2
-           + np.conj(c23) * c1**2 * c0**2)
-    return (q11, q22, q33, q44), q23, q32
+    q11 = (p11 * c1_4 + p22 * s0_2 * c1_2 + p33 * s0_2 * c0_2
+           + p44 * s0_2 * sm_2 + x * s0_2 * c1 * c0)
+    q22 = (p11 * s1_2 * c1_2 + p22 * c0_2 * c1_2 + p33 * s0_4
+           + p44 * s0_2 * cm_2 - x * s0_2 * c1 * c0)
+    q33 = (p11 * s1_2 * c2_2 + p22 * s1_4 + p33 * c1_2 * c0_2
+           + p44 * s0_2 * c0_2 - x * s1_2 * c1 * c0)
+    q44 = (p11 * s1_2 * s2_2 + p22 * s1_2 * c1_2 + p33 * s1_2 * c0_2
+           + p44 * c0_4 + x * s1_2 * c1 * c0)
+    # q23 = real part + c23 * c1^2 c0^2 + conj(c23) * s1^2 s0^2, split
+    # into real and imaginary parts
+    q23 = (p11 * s1_2 * c1 * c2 - p22 * s1_2 * c1 * c0 - p33 * s0_2 * c1 * c0
+           + p44 * s0_2 * c0 * cm)
+    re_q23 = q23 + re * c1_2 * c0_2 + re * s1_2 * s0_2
+    im_q23 = im * c1_2 * c0_2 - im * s1_2 * s0_2
+    return q11, q22, q33, q44, re_q23, im_q23
 
 
-def evolve(state: XState, params: EvolutionParams,
-           mode: EvolutionMode = EvolutionMode.CORRECTED) -> XState:
-    """X state after both atoms have crossed the cavity once each.
+def evolve_grid(state: XState, n: int, gt) -> XBatch:
+    """The states after both passes at every Rabi angle of the 1-d ``gt``.
 
-    In ``CORRECTED`` mode the result is validated and is a proper state for
-    every valid input.  In ``PUBLISHED`` mode the raw element values are
-    returned unchecked, since that coefficient set violates the state
-    invariants for inputs with Re(c23) != 0.
+    All angles are evolved and validated at once; the result is a proper
+    state for every valid input.
     """
-    published = mode is EvolutionMode.PUBLISHED
-    pops, q23, _ = _update(state, params, published)
-    if published:
-        return XState(*pops, q23)
-    return make_xstate(*pops, q23)
+    check_photon_number(n)
+    gt = np.asarray(gt, dtype=float)
+    if not np.isfinite(gt).all():
+        raise ValueError(f"Rabi angle gt must be finite, got {float(gt[~np.isfinite(gt)][0])!r}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        return make_xbatch(*_update(state, n, gt))
+
+
+def evolve(state: XState, params: EvolutionParams) -> XState:
+    """X state after both atoms have crossed the cavity once each."""
+    q11, q22, q33, q44, re_q23, im_q23 = _update(state, params.n, params.gt)
+    return make_xstate(q11, q22, q33, q44, complex(re_q23, im_q23))
 
 
 @dataclass(frozen=True)
 class PublishedFormReport:
-    """Raw published-mode output plus how badly it violates state invariants."""
+    """Raw output of the published coefficient set and its invariant violations."""
 
     state: XState            # unchecked; upper coherence taken from the c23 row
     trace_drift: float       # |trace - 1|
@@ -134,12 +148,25 @@ class PublishedFormReport:
 
 
 def published_form_report(state: XState, params: EvolutionParams) -> PublishedFormReport:
-    """Evaluate the published coefficient set and report its inconsistencies."""
-    pops, q23, q32 = _update(state, params, published=True)
+    """Evaluate the legacy published coefficient set and report its inconsistencies.
+
+    The published set differs from the corrected one in two coefficients:
+    it carries s0^2 instead of s1^2 on the coherence term of the p44 row,
+    which breaks trace preservation whenever Re(c23) != 0, and s2^2
+    instead of s1^2 on the p22 term of the lower-coherence row, so that
+    row is not the conjugate of the upper one.
+    """
+    q11, q22, q33, q44, re_q23, im_q23 = _update(state, params.n, params.gt)
+    c0, s0 = trig_coeffs(params.n, params.gt)
+    c1, s1 = trig_coeffs(params.n + 1, params.gt)
+    _, s2 = trig_coeffs(params.n + 2, params.gt)
+    q44 += 2.0 * state.c23.real * (s0**2 - s1**2) * c1 * c0
+    pops = (q11, q22, q33, q44)
+    q23 = complex(re_q23, im_q23)
     return PublishedFormReport(
         state=XState(*pops, q23),
         trace_drift=abs(sum(pops) - 1.0),
-        hermiticity_drift=abs(q32 - np.conj(q23)),
+        hermiticity_drift=abs(state.p22 * (s1**2 - s2**2) * c1 * c0),
         min_population=min(pops),
-        coherence_excess=max(0.0, abs(q23) ** 2 - pops[1] * pops[2]),
+        coherence_excess=max(0.0, abs(q23) ** 2 - q22 * q33),
     )

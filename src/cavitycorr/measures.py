@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .xstate import XState, xstate_eigenvalues
+from . import elementwise as ew
+from .xstate import XBatch, XState, spectrum
 
 # Outcomes rarer than this contribute nothing to the conditional entropy.
 PROB_FLOOR = 1e-14
@@ -30,17 +31,23 @@ ANGLE_TOL = 1e-6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def binary_entropy(x: float, atol: float = 1e-12) -> float:
-    """-x*log2(x) - (1-x)*log2(1-x), tolerating round-off just outside [0, 1]."""
-    x = float(x)
-    if not -atol <= x <= 1.0 + atol:
-        raise ValueError(f"binary entropy argument must lie in [0, 1], got {x!r}")
-    x = min(max(x, 0.0), 1.0)
-    out = 0.0
-    for v in (x, 1.0 - x):
-        if v > 0.0:
-            out -= v * math.log2(v)
-    return out
+def binary_entropy(x, atol: float = 1e-12) -> float | np.ndarray:
+    """-x*log2(x) - (1-x)*log2(1-x), tolerating round-off just outside [0, 1].
+
+    Elementwise for an array ``x``.
+    """
+    if not isinstance(x, np.ndarray):
+        x = float(x)
+    ew.raise_first([((x != x) | (x < -atol) | (x > 1.0 + atol), lambda i:
+                     f"binary entropy argument must lie in [0, 1], got {ew.at(x, i)!r}")])
+    x = ew.minimum(ew.maximum(x, 0.0), 1.0)
+    return 0.0 - _xlog2x(x) - _xlog2x(1.0 - x)
+
+
+def _xlog2x(v, log2=ew.log2):
+    """v*log2(v), with 0*log2(0) = 0."""
+    live = v > 0.0
+    return ew.where(live, v * log2(ew.where(live, v, 1.0)), 0.0)
 
 
 def _h(x):
@@ -52,30 +59,78 @@ def _h(x):
     return out
 
 
-def concurrence(state: XState) -> float:
+# Every closed form below takes an XState and returns a float, or an
+# XBatch and returns an array with one element per state.
+
+def concurrence(state: XState | XBatch) -> float | np.ndarray:
     """Entanglement monotone; for X states 2*max(0, |c23| - sqrt(p11*p44))."""
-    return 2.0 * max(0.0, abs(state.c23) - math.sqrt(state.p11 * state.p44))
+    return 2.0 * ew.maximum(0.0, state.abs_c23() - ew.sqrt(state.p11 * state.p44))
 
 
-def entropy_joint(state: XState) -> float:
+def entropy_joint(state: XState | XBatch) -> float | np.ndarray:
     """von Neumann entropy of the two-atom state, from the closed-form spectrum."""
-    lams = xstate_eigenvalues(state)
-    lams = lams[lams > 0.0]
-    return float(-(lams * np.log2(lams)).sum())
+    terms = [_xlog2x(lam, ew.simd_log2) for lam in spectrum(state)]
+    # left to right, as numpy sums a short array; zero terms drop out exactly
+    return -(((terms[0] + terms[1]) + terms[2]) + terms[3])
 
 
-def entropy_a(state: XState) -> float:
+def entropy_a(state: XState | XBatch) -> float | np.ndarray:
     """Entropy of atom A's marginal (its excited-state weight is p11 + p22)."""
     return binary_entropy(state.p11 + state.p22)
 
 
-def entropy_b(state: XState) -> float:
+def entropy_b(state: XState | XBatch) -> float | np.ndarray:
     """Entropy of atom B's marginal (its excited-state weight is p11 + p33)."""
     return binary_entropy(state.p11 + state.p33)
 
 
-def mutual_information(state: XState) -> float:
-    return entropy_a(state) + entropy_b(state) - entropy_joint(state)
+def mutual_information_from(s_a, s_b, s_ab):
+    """Mutual information from the marginal and joint entropies."""
+    return s_a + s_b - s_ab
+
+
+def mutual_information(state: XState | XBatch) -> float | np.ndarray:
+    return mutual_information_from(entropy_a(state), entropy_b(state), entropy_joint(state))
+
+
+def closed_min_conditional_entropy(state: XState | XBatch) -> float | np.ndarray:
+    """Closed-form candidate minimum of the measured conditional entropy.
+
+    Minimum of the equatorial-measurement value and the z-measurement
+    value; for X states one of the two is optimal up to the 0.0021
+    worst-case error.
+    """
+    p11, p22, p33, p44 = state.p11, state.p22, state.p33, state.p44
+    pol = ew.sqrt(ew.power(2.0 * p11 + 2.0 * p22 - 1.0, 2)
+                  + 4.0 * ew.power(state.abs_c23(), 2))
+    equatorial = binary_entropy(ew.minimum((1.0 + pol) / 2.0, 1.0))
+
+    def z_branch(weight, gap):
+        # weight * h((1 + gap/weight) / 2); outcomes below the floor add 0
+        live = weight > PROB_FLOOR
+        w = ew.where(live, weight, 1.0)
+        return ew.where(live, w * binary_entropy(ew.minimum((1.0 + gap / w) / 2.0, 1.0)), 0.0)
+
+    z_value = (0.0 + z_branch(p22 + p44, abs(p22 - p44))
+               + z_branch(p11 + p33, abs(p11 - p33)))
+    return ew.minimum(equatorial, z_value)
+
+
+def discord_closed_from(s_b, s_ab, m):
+    """Closed-form discord S_B - S_AB + m, clamped to [0, 1 + 1e-9]."""
+    return ew.minimum(ew.maximum(s_b - s_ab + m, 0.0), 1.0 + 1e-9)
+
+
+def discord_brute_from(s_b, s_ab, m):
+    """Brute-force discord S_B - S_AB + m, with round-off in [-1e-9, 0) set to 0."""
+    d = s_b - s_ab + m
+    return ew.where((d >= -1e-9) & (d < 0.0), 0.0, d)
+
+
+def discord_closed(state: XState | XBatch) -> float | np.ndarray:
+    """Closed-form quantum discord for X states."""
+    return discord_closed_from(entropy_b(state), entropy_joint(state),
+                               closed_min_conditional_entropy(state))
 
 
 @dataclass(frozen=True)
@@ -207,33 +262,4 @@ def classical_correlation_bruteforce(state: XState, grid_points: int = 128
 def discord_bruteforce(state: XState, grid_points: int = 128) -> float:
     """Quantum discord from the brute-force measurement minimization."""
     m, _ = _min_conditional_entropy(state, grid_points)
-    d = entropy_b(state) - entropy_joint(state) + m
-    if -1e-9 <= d < 0.0:
-        d = 0.0
-    return d
-
-
-def closed_min_conditional_entropy(state: XState) -> float:
-    """Closed-form candidate minimum of the measured conditional entropy.
-
-    Minimum of the equatorial-measurement value and the z-measurement
-    value; for X states one of the two is optimal up to the 0.0021
-    worst-case error.
-    """
-    p11, p22, p33, p44 = state.populations()
-    pol = math.sqrt((2.0 * p11 + 2.0 * p22 - 1.0) ** 2 + 4.0 * abs(state.c23) ** 2)
-    equatorial = binary_entropy(min((1.0 + pol) / 2.0, 1.0))
-    z_value = 0.0
-    w_gnd = p22 + p44
-    w_exc = p11 + p33
-    if w_gnd > PROB_FLOOR:
-        z_value += w_gnd * binary_entropy(min((1.0 + abs(p22 - p44) / w_gnd) / 2.0, 1.0))
-    if w_exc > PROB_FLOOR:
-        z_value += w_exc * binary_entropy(min((1.0 + abs(p11 - p33) / w_exc) / 2.0, 1.0))
-    return min(equatorial, z_value)
-
-
-def discord_closed(state: XState) -> float:
-    """Closed-form quantum discord for X states."""
-    d = entropy_b(state) - entropy_joint(state) + closed_min_conditional_entropy(state)
-    return min(max(d, 0.0), 1.0 + 1e-9)
+    return discord_brute_from(entropy_b(state), entropy_joint(state), m)

@@ -8,23 +8,55 @@ from enum import Enum
 
 import numpy as np
 
-from .evolution import EvolutionMode, EvolutionParams, evolve
+from . import elementwise as ew
+from .evolution import check_photon_number, evolve_grid
 from .measures import (
     closed_min_conditional_entropy,
     concurrence,
-    discord_closed,
+    discord_brute_from,
+    discord_closed_from,
     entropy_a,
     entropy_b,
     entropy_joint,
-    mutual_information,
+    mutual_information_from,
     _min_conditional_entropy,
 )
-from .xstate import XState, werner_state
+from .xstate import XBatch, XState, werner_state
+
+# Grid points evaluated together by sweep_batches.  Large enough that the
+# per-call overhead of the array code vanishes, small enough that a chunk's
+# arrays and CSV text stay a small fraction of the process's memory.
+SWEEP_CHUNK = 1024
 
 
 class DiscordMethod(Enum):
     CLOSED_FORM = "closed"
     BRUTE_FORCE = "brute"
+
+
+def _check_correlations(concurrence, discord, classical_correlation,
+                        mutual_information) -> None:
+    """Invariants of the measures of one grid point (floats) or of a batch (arrays).
+
+    Raises ``ValueError`` for the first failing point, naming its first
+    failing check.
+    """
+    vals = (concurrence, discord, classical_correlation, mutual_information)
+
+    def point(i):
+        return tuple(ew.at(v, i) for v in vals)
+
+    ew.raise_first([
+        (ew.nonfinite(concurrence) | ew.nonfinite(discord)
+         | ew.nonfinite(classical_correlation) | ew.nonfinite(mutual_information),
+         lambda i: f"correlation values must be finite, got {point(i)}"),
+        ((concurrence < -1e-9) | (discord < -1e-9) | (classical_correlation < -1e-9)
+         | (mutual_information < -1e-9),
+         lambda i: f"correlation values must be >= -1e-9, got {point(i)}"),
+        (discord > mutual_information + 1e-9,
+         lambda i: f"discord {ew.at(discord, i)!r} exceeds mutual information "
+                   f"{ew.at(mutual_information, i)!r} beyond 1e-9"),
+    ])
 
 
 @dataclass(frozen=True)
@@ -40,17 +72,43 @@ class CorrelationRecord:
     discord_method: DiscordMethod
 
     def __post_init__(self):
-        vals = (self.concurrence, self.discord,
-                self.classical_correlation, self.mutual_information)
-        if any(not math.isfinite(v) for v in vals):
-            raise ValueError(f"correlation values must be finite, got {vals}")
-        if any(v < -1e-9 for v in vals):
-            raise ValueError(f"correlation values must be >= -1e-9, got {vals}")
-        if self.discord > self.mutual_information + 1e-9:
-            raise ValueError(
-                f"discord {self.discord!r} exceeds mutual information "
-                f"{self.mutual_information!r} beyond 1e-9"
-            )
+        _check_correlations(self.concurrence, self.discord,
+                            self.classical_correlation, self.mutual_information)
+
+
+@dataclass(frozen=True)
+class SweepBatch:
+    """Correlation measures of consecutive grid points, as parallel arrays.
+
+    Validated as a whole on construction.  Indexing and iteration give one
+    :class:`CorrelationRecord` per grid point.
+    """
+
+    gt: np.ndarray
+    states: XBatch
+    concurrence: np.ndarray
+    discord: np.ndarray
+    classical_correlation: np.ndarray
+    mutual_information: np.ndarray
+    discord_method: DiscordMethod
+
+    def __post_init__(self):
+        _check_correlations(self.concurrence, self.discord,
+                            self.classical_correlation, self.mutual_information)
+
+    def __len__(self) -> int:
+        return len(self.gt)
+
+    def __getitem__(self, i: int) -> CorrelationRecord:
+        return CorrelationRecord(
+            gt=float(self.gt[i]), state=self.states[i],
+            concurrence=float(self.concurrence[i]), discord=float(self.discord[i]),
+            classical_correlation=float(self.classical_correlation[i]),
+            mutual_information=float(self.mutual_information[i]),
+            discord_method=self.discord_method)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -60,7 +118,6 @@ class SweepConfig:
     gt_max: float
     steps: int
     discord_method: DiscordMethod = DiscordMethod.CLOSED_FORM
-    mode: EvolutionMode = EvolutionMode.CORRECTED
     grid_points: int = 128
 
     def __post_init__(self):
@@ -68,10 +125,12 @@ class SweepConfig:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if not math.isfinite(self.gt_max) or self.gt_max <= 0.0:
             raise ValueError(f"gt_max must be finite and positive, got {self.gt_max!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
+        check_photon_number(self.n)
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {self.r!r}")
+        # Checked up front, so that no grid point fails after output has begun.
+        if not math.isfinite(self.gt_max * self.steps * math.sqrt(self.n + 2)):
+            raise ValueError(f"gt_max {self.gt_max!r} is too large: the Rabi angles overflow")
 
 
 class EventKind(Enum):
@@ -92,65 +151,79 @@ class RevivalEvent:
                              f"[{self.gt_start!r}, {self.gt_end!r}]")
 
 
+def correlation_batch(gt, states: XBatch,
+                      method: DiscordMethod = DiscordMethod.CLOSED_FORM,
+                      grid_points: int = 128) -> SweepBatch:
+    """Evaluate every correlation measure of each state of a batch, once.
+
+    Both discord routes derive discord and classical correlation from the
+    same minimized conditional entropy, so their sum equals the mutual
+    information identically.  The brute-force route minimizes point by
+    point; the entropies still come from the batch.
+    """
+    s_a, s_b, s_ab = entropy_a(states), entropy_b(states), entropy_joint(states)
+    if method is DiscordMethod.BRUTE_FORCE:
+        m = np.array([_min_conditional_entropy(states[i], grid_points)[0]
+                      for i in range(len(states))])
+        disc = discord_brute_from(s_b, s_ab, m)
+    else:
+        m = closed_min_conditional_entropy(states)
+        disc = discord_closed_from(s_b, s_ab, m)
+    return SweepBatch(gt=np.asarray(gt, dtype=float), states=states,
+                      concurrence=concurrence(states), discord=disc,
+                      classical_correlation=s_a - m,
+                      mutual_information=mutual_information_from(s_a, s_b, s_ab),
+                      discord_method=method)
+
+
 def correlation_record(gt: float, state: XState,
                        method: DiscordMethod = DiscordMethod.CLOSED_FORM,
                        grid_points: int = 128) -> CorrelationRecord:
-    """Evaluate every correlation measure of one state.
+    """Every correlation measure of one state: the one-point :func:`correlation_batch`."""
+    return correlation_batch([gt], XBatch.of(state), method, grid_points)[0]
 
-    Both routes derive discord and classical correlation from the same
-    minimized conditional entropy, so their sum equals the mutual
-    information identically.
+
+def sweep_batches(cfg: SweepConfig, chunk: int = SWEEP_CHUNK):
+    """Batches of at most ``chunk`` consecutive grid points gt_i = i*gt_max/steps.
+
+    Together they cover i = 0..steps in order.  Each point's values do not
+    depend on the chunk size.
     """
-    if method is DiscordMethod.BRUTE_FORCE:
-        m, _ = _min_conditional_entropy(state, grid_points)
-        disc = entropy_b(state) - entropy_joint(state) + m
-        if -1e-9 <= disc < 0.0:
-            disc = 0.0
-    else:
-        m = closed_min_conditional_entropy(state)
-        disc = discord_closed(state)
-    return CorrelationRecord(
-        gt=gt,
-        state=state,
-        concurrence=concurrence(state),
-        discord=disc,
-        classical_correlation=entropy_a(state) - m,
-        mutual_information=mutual_information(state),
-        discord_method=method,
-    )
-
-
-def time_series(cfg: SweepConfig) -> list[CorrelationRecord]:
-    """One record per grid point gt_i = i*gt_max/steps, i = 0..steps."""
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk!r}")
     initial = werner_state(cfg.r)
-    records = []
-    for i in range(cfg.steps + 1):
-        gt = i * cfg.gt_max / cfg.steps
-        state = evolve(initial, EvolutionParams(cfg.n, gt), cfg.mode)
-        records.append(correlation_record(gt, state, cfg.discord_method,
-                                          cfg.grid_points))
-    return records
+    for start in range(0, cfg.steps + 1, chunk):
+        gt = np.arange(start, min(start + chunk, cfg.steps + 1)) * cfg.gt_max / cfg.steps
+        yield correlation_batch(gt, evolve_grid(initial, cfg.n, gt),
+                                cfg.discord_method, cfg.grid_points)
+
+
+def time_series(cfg: SweepConfig) -> SweepBatch:
+    """The whole grid gt_i = i*gt_max/steps, i = 0..steps, as one batch."""
+    return next(sweep_batches(cfg, cfg.steps + 1))
 
 
 def envelope(series, window: float) -> list[tuple[float, float]]:
     """Sliding-window maximum centered at each grid point.
 
-    ``series`` is a sorted sequence of (gt, value) pairs; windows are
-    truncated at the ends of the series.
+    ``series`` is a sorted sequence of (gt, value) pairs or an (N, 2)
+    array; windows are truncated at the ends of the series.
     """
     if len(series) == 0:
         raise ValueError("envelope of an empty series is undefined")
-    gts = np.asarray([p[0] for p in series], dtype=float)
-    vals = np.asarray([p[1] for p in series], dtype=float)
-    if window <= 0.0:
+    gts, vals = np.asarray(series, dtype=float).T
+    if not window > 0.0:
         raise ValueError(f"window must be positive, got {window!r}")
     if window >= gts[-1] - gts[0]:
         raise ValueError(f"window {window!r} must be smaller than the gt span")
     half = window / 2.0
     lo = np.searchsorted(gts, gts - half, side="left")
     hi = np.searchsorted(gts, gts + half, side="right")
-    out = [float(vals[a:b].max()) for a, b in zip(lo, hi)]
-    return list(zip(gts.tolist(), out))
+    # Each window [lo, hi) holds its own point, so lo < hi, and reduceat over
+    # the interleaved bounds puts each window's maximum at the even positions.
+    bounds = np.column_stack([lo, hi]).ravel()
+    out = np.maximum.reduceat(np.append(vals, -np.inf), bounds)[::2]
+    return list(zip(gts.tolist(), out.tolist()))
 
 
 def detect_collapse_revival(env, collapse_threshold: float,
@@ -164,8 +237,9 @@ def detect_collapse_revival(env, collapse_threshold: float,
     last) is a revival; a series with no qualifying collapse yields no
     events at all.
     """
-    if collapse_threshold <= 0.0 or min_duration <= 0.0:
-        raise ValueError("collapse_threshold and min_duration must be positive")
+    if not (0.0 < collapse_threshold < math.inf and 0.0 < min_duration < math.inf):
+        raise ValueError("collapse_threshold and min_duration must be positive and finite, "
+                         f"got {collapse_threshold!r} and {min_duration!r}")
     gts = np.asarray([p[0] for p in env], dtype=float)
     vals = np.asarray([p[1] for p in env], dtype=float)
     below = vals < collapse_threshold

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import EvolutionMode, EvolutionParams, evolve
+from .evolution import EvolutionParams, evolve
 from .fock import sequential_pass
 from .measures import (
     discord_closed,
@@ -53,9 +53,24 @@ class VerificationReport:
     max_identity_gap: float = 0.0
     failures: list[str] = field(default_factory=list)
 
+    # One verdict per check line; ``passed`` is their conjunction.  A NaN
+    # deviation never enters the maxima, so it shows in neither.
+    @property
+    def evolve_ok(self) -> bool:
+        return self.max_evolve_dev <= self.tol_evolve
+
+    @property
+    def discord_ok(self) -> bool:
+        return self.max_discord_dev <= self.tol_discord
+
+    @property
+    def states_ok(self) -> bool:
+        return (self.max_trace_drift <= 1e-12 and self.min_population >= -1e-12
+                and self.max_coherence_excess <= 1e-12)
+
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.evolve_ok and self.discord_ok and self.states_ok
 
     def render(self) -> str:
         def fmt(v):
@@ -69,19 +84,17 @@ class VerificationReport:
             f"n_max={self.n_max} gt_max={fmt(self.gt_max)} "
             f"tol_evolve={fmt(self.tol_evolve)} tol_discord={fmt(self.tol_discord)}",
             f"evolve   max |closed form - oracle| = {fmt(self.max_evolve_dev)}"
-            f"  [tol {fmt(self.tol_evolve)}]  "
-            f"{verdict(self.max_evolve_dev <= self.tol_evolve)}",
+            f"  [tol {fmt(self.tol_evolve)}]  {verdict(self.evolve_ok)}",
             f"discord  max |closed - brute|      = {fmt(self.max_discord_dev)}"
-            f"  [tol {fmt(self.tol_discord)}]  "
-            f"{verdict(self.max_discord_dev <= self.tol_discord)}",
+            f"  [tol {fmt(self.tol_discord)}]  {verdict(self.discord_ok)}",
             f"states   max trace drift = {fmt(self.max_trace_drift)}"
             f"  min population = {fmt(self.min_population)}"
             f"  max coherence excess = {fmt(self.max_coherence_excess)}  "
-            f"{verdict(self.max_trace_drift <= 1e-12 and self.min_population >= -1e-12 and self.max_coherence_excess <= 1e-12)}",
+            f"{verdict(self.states_ok)}",
             f"identity max |D + C' - I| = {fmt(self.max_identity_gap)}",
         ]
         lines.extend(self.failures)
-        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
+        lines.append(f"overall: {verdict(self.passed)}")
         return "\n".join(lines) + "\n"
 
 
@@ -100,6 +113,9 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
         raise ValueError(f"samples must be >= 1, got {samples}")
     if n_max < 0 or not math.isfinite(gt_max) or gt_max <= 0.0:
         raise ValueError("n_max must be >= 0 and gt_max positive and finite")
+    for name, tol in (("tol_evolve", tol_evolve), ("tol_discord", tol_discord)):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     report = VerificationReport(samples, seed, n_max, gt_max,
                                 tol_evolve, tol_discord)
@@ -116,7 +132,7 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
         gt = float(rng.uniform(0.0, gt_max))
         params = EvolutionParams(n, gt)
 
-        closed = evolve(state, params, EvolutionMode.CORRECTED)
+        closed = evolve(state, params)
         oracle = sequential_pass(state, params)
         dev = _state_deviation(closed, oracle)
         if dev > report.max_evolve_dev:

@@ -9,11 +9,11 @@ conjugate, so Hermiticity holds by construction.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import elementwise as ew
 
 # Round-off budget for the trace / positivity checks.  The closed-form
 # updates are short trig polynomials, so double precision keeps violations
@@ -26,8 +26,8 @@ class XState:
     """Validated X-form two-qubit state.
 
     Use :func:`make_xstate` to construct one; direct construction skips
-    every invariant check (the published-coefficient evolution mode relies
-    on this to represent its known-inconsistent output).
+    every invariant check (the published-coefficient diagnostics rely on
+    this to represent their known-inconsistent output).
     """
 
     p11: float
@@ -42,6 +42,9 @@ class XState:
     def trace(self) -> float:
         return self.p11 + self.p22 + self.p33 + self.p44
 
+    def abs_c23(self) -> float:
+        return abs(self.c23)
+
     def as_matrix(self) -> np.ndarray:
         """Dense 4x4 complex matrix in the |11>,|10>,|01>,|00> basis."""
         rho = np.zeros((4, 4), dtype=complex)
@@ -54,6 +57,68 @@ class XState:
         return rho
 
 
+@dataclass(frozen=True)
+class XBatch:
+    """X states as parallel 1-d arrays (struct of arrays), one index per state.
+
+    Use :func:`make_xbatch` to build a validated batch, or
+    :meth:`XBatch.of` to wrap one already-built :class:`XState`.  The
+    closed forms accept an :class:`XBatch` wherever they accept an
+    :class:`XState`, and then return arrays.
+    """
+
+    p11: np.ndarray
+    p22: np.ndarray
+    p33: np.ndarray
+    p44: np.ndarray
+    re_c23: np.ndarray
+    im_c23: np.ndarray
+
+    @classmethod
+    def of(cls, state: XState) -> "XBatch":
+        """One-element batch holding ``state`` as it is, without re-validation."""
+        c23 = complex(state.c23)
+        return cls(*(np.array([v], dtype=float) for v in (
+            state.p11, state.p22, state.p33, state.p44, c23.real, c23.imag)))
+
+    def __len__(self) -> int:
+        return len(self.p11)
+
+    def __getitem__(self, i: int) -> XState:
+        return XState(float(self.p11[i]), float(self.p22[i]), float(self.p33[i]),
+                      float(self.p44[i]), complex(self.re_c23[i], self.im_c23[i]))
+
+    def abs_c23(self) -> np.ndarray:
+        return np.hypot(self.re_c23, self.im_c23)
+
+
+def _validated(p11, p22, p33, p44, re_c23, im_c23, atol):
+    """The checks and clamping of :func:`make_xstate`, for floats or arrays."""
+    names = ("p11", "p22", "p33", "p44")
+    pops = (p11, p22, p33, p44)
+    trace = ((p11 + p22) + p33) + p44
+    clamped = [ew.where(p < 0.0, 0.0, p) for p in pops]
+    abs2 = ew.power(ew.hypot(re_c23, im_c23), 2)
+    inner = clamped[1] * clamped[2]
+    checks = [(ew.nonfinite(p), lambda i, name=name, p=p:
+               f"{name} must be finite, got {ew.at(p, i)!r}")
+              for name, p in zip(names, pops)]
+    checks.append((ew.nonfinite(re_c23) | ew.nonfinite(im_c23), lambda i:
+                   f"c23 must be finite, got {complex(ew.at(re_c23, i), ew.at(im_c23, i))!r}"))
+    checks.append((abs(trace - 1.0) > atol, lambda i:
+                   f"trace must be 1 within {atol:g}, got trace = {ew.at(trace, i)!r}"))
+    checks += [(p < -atol, lambda i, name=name, p=p:
+                f"{name} must be nonnegative within {atol:g}, got {ew.at(p, i)!r}")
+               for name, p in zip(names, pops)]
+    # Positivity of the central 2x2 block; the outer block is diagonal
+    # because the |11><00| coherence is identically zero here.
+    checks.append((abs2 - inner > atol, lambda i: (
+        f"|c23|^2 must not exceed p22*p33 within {atol:g}: "
+        f"|c23|^2 = {ew.at(abs2, i)!r}, p22*p33 = {ew.at(inner, i)!r}")))
+    ew.raise_first(checks)
+    return clamped
+
+
 def make_xstate(p11: float, p22: float, p33: float, p44: float,
                 c23: complex, atol: float = ATOL) -> XState:
     """Validate and build an :class:`XState`.
@@ -62,33 +127,23 @@ def make_xstate(p11: float, p22: float, p33: float, p44: float,
     trace is never renormalized.  Raises ``ValueError`` naming the violated
     constraint otherwise.
     """
-    pops = (float(p11), float(p22), float(p33), float(p44))
     c23 = complex(c23)
-    for name, p in zip(("p11", "p22", "p33", "p44"), pops):
-        if not math.isfinite(p):
-            raise ValueError(f"{name} must be finite, got {p!r}")
-    if not cmath.isfinite(c23):
-        raise ValueError(f"c23 must be finite, got {c23!r}")
+    pops = _validated(float(p11), float(p22), float(p33), float(p44),
+                      c23.real, c23.imag, atol)
+    return XState(*pops, c23)
 
-    trace = sum(pops)
-    if abs(trace - 1.0) > atol:
-        raise ValueError(f"trace must be 1 within {atol:g}, got trace = {trace!r}")
-    clamped = []
-    for name, p in zip(("p11", "p22", "p33", "p44"), pops):
-        if p < -atol:
-            raise ValueError(f"{name} must be nonnegative within {atol:g}, got {p!r}")
-        clamped.append(0.0 if p < 0.0 else p)
-    p11, p22, p33, p44 = clamped
 
-    # Positivity of the central 2x2 block; the outer block is diagonal
-    # because the |11><00| coherence is identically zero here.
-    excess = abs(c23) ** 2 - p22 * p33
-    if excess > atol:
-        raise ValueError(
-            f"|c23|^2 must not exceed p22*p33 within {atol:g}: "
-            f"|c23|^2 = {abs(c23)**2!r}, p22*p33 = {p22 * p33!r}"
-        )
-    return XState(p11, p22, p33, p44, c23)
+def make_xbatch(p11, p22, p33, p44, re_c23, im_c23, atol: float = ATOL) -> XBatch:
+    """Validate and build an :class:`XBatch` from equal-length 1-d float arrays.
+
+    Every state gets the checks and clamping of :func:`make_xstate`, as
+    whole-array tests.  If any state fails, the ``ValueError`` names the
+    first failing check of the first failing state, with the message
+    :func:`make_xstate` gives for it.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        pops = _validated(p11, p22, p33, p44, re_c23, im_c23, atol)
+    return XBatch(*pops, re_c23, im_c23)
 
 
 def werner_state(r: float) -> XState:
@@ -107,22 +162,23 @@ def werner_state(r: float) -> XState:
     return make_xstate(outer, inner, inner, outer, r * 0.5)
 
 
-def xstate_eigenvalues(state: XState) -> np.ndarray:
-    """Eigenvalues of the X-form matrix, in closed form.
+def spectrum(state: XState | XBatch) -> list:
+    """Eigenvalues ``[l0, l1, l2, l3]`` of an X state or of each state of a batch.
 
-    Returns ``[l0, l1, l2, l3]`` where the first pair comes from the
-    diagonal outer block and the second from the central 2x2 block, each
-    ordered larger first.  Tiny negatives from round-off are clamped to 0.
+    The first pair comes from the diagonal outer block and the second from
+    the central 2x2 block, each ordered larger first.  Tiny negatives from
+    round-off are clamped to 0.
     """
-    p11, p22, p33, p44 = state.populations()
+    p11, p22, p33, p44 = state.p11, state.p22, state.p33, state.p44
     outer_sum = p11 + p44
     outer_gap = abs(p11 - p44)
     inner_sum = p22 + p33
-    inner_gap = math.sqrt((p22 - p33) ** 2 + 4.0 * abs(state.c23) ** 2)
-    lams = np.array([
-        0.5 * (outer_sum + outer_gap),
-        0.5 * (outer_sum - outer_gap),
-        0.5 * (inner_sum + inner_gap),
-        0.5 * (inner_sum - inner_gap),
-    ])
-    return np.where((lams < 0.0) & (lams >= -ATOL), 0.0, lams)
+    inner_gap = ew.sqrt(ew.power(p22 - p33, 2) + 4.0 * ew.power(state.abs_c23(), 2))
+    lams = [0.5 * (outer_sum + outer_gap), 0.5 * (outer_sum - outer_gap),
+            0.5 * (inner_sum + inner_gap), 0.5 * (inner_sum - inner_gap)]
+    return [ew.where((lam < 0.0) & (lam >= -ATOL), 0.0, lam) for lam in lams]
+
+
+def xstate_eigenvalues(state: XState) -> np.ndarray:
+    """Eigenvalues of the X-form matrix, in closed form; see :func:`spectrum`."""
+    return np.array(spectrum(state))

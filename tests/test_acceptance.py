@@ -10,7 +10,6 @@ import pytest
 
 from cavitycorr import (
     DiscordMethod,
-    EvolutionMode,
     EvolutionParams,
     SweepConfig,
     concurrence,
@@ -73,7 +72,7 @@ def test_criterion_2_misprint_detection():
         report = published_form_report(state, params)
         if report.trace_drift > 1e-9:
             flagged += 1
-        corrected = evolve(state, params, EvolutionMode.CORRECTED)
+        corrected = evolve(state, params)
         corrected_ok &= abs(corrected.trace() - 1.0) <= 1e-12
     assert flagged > 0, "published coefficients never drifted the trace"
     assert corrected_ok, "corrected mode drifted the trace"

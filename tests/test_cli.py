@@ -1,4 +1,8 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, strategies as st
 
 from cavitycorr.cli import CSV_HEADER, format_record, main, parse_record
 from cavitycorr.sweep import DiscordMethod, SweepConfig, time_series
@@ -154,3 +158,89 @@ class TestParsing:
             0, 1 / 3)
         r_field = line.split(",")[2]
         assert r_field == "0.333333333333"
+
+
+class TestGateHoles:
+    def test_nan_tolerances_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--samples", "3", "--seed", "1",
+                             "--tol-evolve", "nan", "--tol-discord", "nan")
+        assert code == 1
+        assert out == ""
+        assert "tol_evolve must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("flag,value", [("--tol-discord", "-1e-3"),
+                                            ("--tol-evolve", "inf")])
+    def test_negative_or_infinite_tolerance_rejected(self, capsys, flag, value):
+        code, _, err = run(capsys, "verify", "--samples", "3", "--seed", "1",
+                           f"{flag}={value}")
+        assert code == 1
+        assert "must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("flag", ["--window", "--threshold", "--min-duration"])
+    def test_nan_envelope_parameters_rejected(self, capsys, flag):
+        code, out, err = run(capsys, "envelope", "--n", "5", "--r", "0",
+                             "--gt-max", "60", "--steps", "600",
+                             "--measure", "discord", flag, "nan")
+        assert code == 1
+        assert out == ""
+        assert "must be positive" in err and "zero-size" not in err
+
+    def test_mode_flag_removed(self, capsys):
+        code, _, err = run(capsys, "evolve", "--n", "0", "--r", "0.5",
+                           "--gt-max", "1", "--steps", "2", "--mode", "paper")
+        assert code == 1
+        assert "--mode" in err
+
+    def test_overflowing_grid_writes_nothing(self, capsys):
+        code, out, err = run(capsys, "evolve", "--n", "5", "--r", "0",
+                             "--gt-max", "1e308", "--steps", "6")
+        assert code == 1
+        assert out == ""
+        assert "overflow" in err
+
+
+_FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-1e-300",
+                           "1e-300", "0.5", "1", "2.5", "1e300", "1.7e308"])
+# Counts stay small: the dense oracle behind verify allocates O(n^2) memory.
+_SMALL_INTS = st.sampled_from(["-5", "-1", "0", "1", "2", "3", "7"])
+_LARGE_INTS = st.sampled_from(["-5", "0", "1", "12", "2147483648",
+                               "9007199254740993", "1" + "0" * 40, "1" + "0" * 400])
+
+
+def _assert_clean_exit(command, **flags):
+    # --flag=value, so that argparse reads values such as -1e-300 as values
+    argv = [command] + [f"--{name.replace('_', '-')}={value}"
+                        for name, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        # verify's documented verification failure, e.g. at tolerance 0
+        assert command == "verify" and out.getvalue().endswith("overall: FAIL\n"), argv
+    else:
+        assert code in (0, 1, 3), (argv, code)
+    if code == 1:
+        assert err.getvalue().strip(), argv
+
+
+@given(n=_LARGE_INTS, r=_FLOATS, gt_max=_FLOATS, steps=_SMALL_INTS)
+def test_evolve_flags_never_crash(n, r, gt_max, steps):
+    _assert_clean_exit("evolve", n=n, r=r, gt_max=gt_max, steps=steps)
+
+
+@given(n=_LARGE_INTS, r=_FLOATS, gt_max=_FLOATS, steps=_SMALL_INTS,
+       window=_FLOATS, threshold=_FLOATS, min_duration=_FLOATS)
+def test_envelope_flags_never_crash(n, r, gt_max, steps, window, threshold,
+                                    min_duration):
+    _assert_clean_exit("envelope", n=n, r=r, gt_max=gt_max, steps=steps,
+                       measure="discord", window=window, threshold=threshold,
+                       min_duration=min_duration)
+
+
+@given(samples=_SMALL_INTS, seed=_LARGE_INTS, n_max=_SMALL_INTS, gt_max=_FLOATS,
+       tol_evolve=_FLOATS, tol_discord=_FLOATS)
+def test_verify_flags_never_crash(samples, seed, n_max, gt_max, tol_evolve,
+                                  tol_discord):
+    _assert_clean_exit("verify", samples=samples, seed=seed, n_max=n_max,
+                       gt_max=gt_max, tol_evolve=tol_evolve, tol_discord=tol_discord)

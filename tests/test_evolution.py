@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cavitycorr import (
-    EvolutionMode,
     EvolutionParams,
     evolve,
+    evolve_grid,
     make_xstate,
     published_form_report,
     sequential_pass,
@@ -122,8 +122,8 @@ class TestPublishedMode:
             s = make_xstate(*w, 0)
             params = EvolutionParams(int(rng.integers(0, 9)),
                                      float(rng.uniform(0.0, 15.0)))
-            dev = max_deviation(evolve(s, params, EvolutionMode.PUBLISHED),
-                                evolve(s, params, EvolutionMode.CORRECTED))
+            dev = max_deviation(published_form_report(s, params).state,
+                                evolve(s, params))
             assert dev < 1e-12
 
     def test_flag_fires_on_werner(self):
@@ -147,7 +147,7 @@ class TestPublishedMode:
         params = EvolutionParams(1, 1.0)
         report = published_form_report(state, params)
         assert report.trace_drift > 1e-9
-        corrected = evolve(state, params, EvolutionMode.CORRECTED)
+        corrected = evolve(state, params)
         assert abs(corrected.trace() - 1.0) <= 1e-12
 
     def test_hermiticity_drift_reported(self):
@@ -155,3 +155,20 @@ class TestPublishedMode:
         report = published_form_report(make_xstate(0.0, 1.0, 0.0, 0.0, 0),
                                        EvolutionParams(2, 1.1))
         assert report.hermiticity_drift > 1e-9
+
+
+class TestEvolveGrid:
+    def test_matches_scalar_evolve_bit_for_bit(self):
+        state = make_xstate(0.1, 0.2, 0.4, 0.3, 0.05 - 0.21j)
+        gts = np.linspace(0.0, 37.0, 101)
+        batch = evolve_grid(state, 6, gts)
+        for i, gt in enumerate(gts):
+            assert batch[i] == evolve(state, EvolutionParams(6, float(gt)))
+
+    def test_rejects_nonfinite_angles_and_bad_n(self):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_grid(werner_state(0.3), 2, [0.0, math.nan])
+        with pytest.raises(ValueError, match="nonnegative"):
+            evolve_grid(werner_state(0.3), -1, [0.0])
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            EvolutionParams(2**53 + 1, 1.0)

@@ -7,11 +7,14 @@ from cavitycorr import (
     CorrelationRecord,
     DiscordMethod,
     EventKind,
+    SweepBatch,
     SweepConfig,
+    correlation_record,
     detect_collapse_revival,
     envelope,
     first_onset,
     make_xstate,
+    sweep_batches,
     time_series,
 )
 
@@ -203,3 +206,41 @@ class TestFirstOnset:
         c_on = first_onset(conc, 1e-3)
         assert d_on is not None and c_on is not None
         assert d_on < c_on
+
+
+class TestSweepBatch:
+    def test_batch_validation_matches_record_validation(self):
+        cfg = SweepConfig(n=2, r=0.5, gt_max=3.0, steps=4)
+        batch = time_series(cfg)
+        bad = np.array(batch.discord)
+        bad[3] = batch.mutual_information[3] + 0.1
+        with pytest.raises(ValueError) as from_batch:
+            SweepBatch(batch.gt, batch.states, batch.concurrence, bad,
+                       batch.classical_correlation, batch.mutual_information,
+                       batch.discord_method)
+        with pytest.raises(ValueError) as from_record:
+            CorrelationRecord(gt=batch[3].gt, state=batch[3].state,
+                              concurrence=batch[3].concurrence, discord=float(bad[3]),
+                              classical_correlation=batch[3].classical_correlation,
+                              mutual_information=batch[3].mutual_information,
+                              discord_method=batch.discord_method)
+        assert str(from_batch.value) == str(from_record.value)
+        assert "exceeds mutual information" in str(from_batch.value)
+
+    def test_records_match_single_point_evaluation(self):
+        batch = time_series(SweepConfig(n=3, r=0.7, gt_max=9.0, steps=9))
+        for rec in batch:
+            assert correlation_record(rec.gt, rec.state) == rec
+
+    def test_chunks_tile_the_grid(self):
+        cfg = SweepConfig(n=1, r=0.2, gt_max=2.0, steps=10)
+        sizes = [len(b) for b in sweep_batches(cfg, 4)]
+        assert sizes == [4, 4, 3]
+        with pytest.raises(ValueError):
+            next(sweep_batches(cfg, 0))
+
+    def test_overflowing_grid_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            SweepConfig(n=0, r=0.0, gt_max=1e308, steps=10)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            SweepConfig(n=2**53 + 1, r=0.0, gt_max=1.0, steps=10)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cavitycorr import make_xstate, werner_state, xstate_eigenvalues
+from cavitycorr import XBatch, make_xbatch, make_xstate, werner_state, xstate_eigenvalues
+from cavitycorr.xstate import spectrum
 
 from conftest import xstates
 
@@ -101,3 +102,42 @@ class TestEigenvalues:
         # closed form agrees with a dense eigensolver
         dense = np.linalg.eigvalsh(s.as_matrix())
         assert np.allclose(np.sort(lams), np.sort(dense), atol=1e-12)
+
+
+class TestMakeXbatch:
+    # (p11, p22, p33, p44, c23) cases that make_xstate rejects, each for a
+    # different check
+    BAD = [(math.nan, 0.5, 0.5, 0.0, 0), (0.25, 0.25, 0.25, 0.25, complex(0, math.inf)),
+           (0.3, 0.3, 0.3, 0.3, 0), (-1e-11, 0.5 + 1e-11, 0.5, 0, 0),
+           (0.25, 0.25, 0.25, 0.25, 0.3)]
+
+    @staticmethod
+    def batch(states, atol=1e-12):
+        cols = list(zip(*states))
+        c23 = np.array(cols[4], dtype=complex)
+        return make_xbatch(*(np.array(c, dtype=float) for c in cols[:4]),
+                           c23.real, c23.imag, atol)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_same_message_as_make_xstate(self, bad):
+        good = (0.25, 0.25, 0.25, 0.25, 0.1j)
+        with pytest.raises(ValueError) as scalar:
+            make_xstate(*bad)
+        with pytest.raises(ValueError) as batch:
+            self.batch([good, bad, good])
+        assert str(batch.value) == str(scalar.value)
+
+    def test_first_failing_state_is_reported(self):
+        # the trace failure comes first in the batch, the NaN later
+        with pytest.raises(ValueError, match="trace"):
+            self.batch([(0.25, 0.25, 0.25, 0.25, 0), self.BAD[2], self.BAD[0]])
+
+    def test_clamps_like_make_xstate(self):
+        states = [(-5e-13, 0.5 + 5e-13, 0.5, 0, 0), (0.1, 0.2, 0.4, 0.3, 0.05 - 0.21j)]
+        batch = self.batch(states)
+        assert [batch[i] for i in range(len(batch))] == [make_xstate(*s) for s in states]
+
+    @given(xstates())
+    def test_one_state_round_trip(self, s):
+        assert XBatch.of(s)[0] == s
+        assert xstate_eigenvalues(s).tolist() == [float(v[0]) for v in spectrum(XBatch.of(s))]
