@@ -8,11 +8,20 @@ discord comes in two routes that cross-validate each other:
   equatorial plane).  For X states this is known to be exact up to a
   worst-case absolute error of 0.0021;
 * a brute-force minimization of the measured conditional entropy over all
-  rank-1 projective measurements on atom B, on a deterministic angular
-  grid followed by coordinate-wise golden-section refinement.
+  rank-1 projective measurements on atom B.  For X states that entropy
+  depends only on the polar angle theta of B's basis, so the search is
+  one-dimensional: a deterministic theta grid, then three re-centred
+  golden-section rounds around the best grid point.
 
 The brute force is the ground truth; the closed form must stay within the
 bound above (plus grid slack) or verification fails.
+
+The brute-force search runs in lockstep over a batch of states: the grid
+is one (states x grid points) array with a row-wise argmin, and each
+golden-section step updates every state's bracket as the one-state search
+would and evaluates one new point per state.  A state whose bracket is
+already narrower than ``ANGLE_TOL`` stops moving, so its result is
+bit-identical alone and inside any batch.
 """
 from __future__ import annotations
 
@@ -29,6 +38,9 @@ PROB_FLOOR = 1e-14
 # Angular tolerance of the golden-section refinement stage.
 ANGLE_TOL = 1e-6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Grid values evaluated per call in the brute-force grid stage: 32 states of
+# a 128-point grid, so its temporaries stay near 64 KB whatever the batch.
+_GRID_VALUES = 32 * 128
 
 
 def binary_entropy(x, atol: float = 1e-12) -> float | np.ndarray:
@@ -53,10 +65,7 @@ def _xlog2x(v, log2=ew.log2):
 def _h(x):
     """Vectorized binary entropy, inputs assumed in [0, 1] up to round-off."""
     x = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(x)
-    for v in (x, 1.0 - x):
-        out -= np.where(v > 0.0, v * np.log2(np.where(v > 0.0, v, 1.0)), 0.0)
-    return out
+    return 0.0 - _xlog2x(x, ew.simd_log2) - _xlog2x(1.0 - x, ew.simd_log2)
 
 
 # Every closed form below takes an XState and returns a float, or an
@@ -180,83 +189,108 @@ def conditional_entropy_measured(state: XState, basis: MeasurementBasis) -> floa
     return total
 
 
-def _measured_entropy(state: XState, theta):
-    """Vectorized conditional entropy over theta.
+def _measured_entropy(states: XState | XBatch, theta):
+    """Measured conditional entropy at the polar angles ``theta`` of B's basis.
 
-    For X states the measured conditional entropy does not depend on phi:
-    the only coherence is between |10> and |01>, so the measurement phase
-    enters the conditional states of A only through the magnitude
-    sin(theta)cos(theta)|c23|.  The phi argument of the public minimizer
-    is therefore inert here but kept on the grid for the general contract.
+    For one state ``theta`` may have any shape; for a batch its first axis
+    runs over the states.  The azimuth phi of the basis drops out: the only
+    coherence links |10> and |01>, so the measurement phase enters the
+    conditional states of A only through the magnitude
+    sin(theta)cos(theta)|c23|.
     """
     theta = np.asarray(theta, dtype=float)
-    p11, p22, p33, p44 = state.populations()
-    sin2 = np.sin(theta) ** 2
-    cos2 = np.cos(theta) ** 2
-    off = np.sin(theta) * np.cos(theta) * abs(state.c23)
+    # one state's scalars, or each state's values along theta's first axis
+    pad = (slice(None),) + (None,) * (theta.ndim - 1)
+    p11, p22, p33, p44, abs_c23 = (
+        v[pad] if isinstance(v, np.ndarray) else v
+        for v in (states.p11, states.p22, states.p33, states.p44, states.abs_c23()))
+    sin, cos = np.sin(theta), np.cos(theta)
+    sin2, cos2 = sin ** 2, cos ** 2
+    off = sin * cos * abs_c23
+    # both outcomes at once, along a new first axis: B found excited, then ground
+    w_exc, w_gnd = np.stack([sin2, cos2]), np.stack([cos2, sin2])
+    s11 = w_exc * p11 + w_gnd * p22
+    s00 = w_exc * p33 + w_gnd * p44
+    p_k = s11 + s00
+    gap = np.sqrt((s11 - s00) ** 2 + 4.0 * off ** 2)
+    top = np.where(p_k > PROB_FLOOR, (p_k + gap) / np.maximum(2.0 * p_k, PROB_FLOOR), 0.0)
+    out = np.where(p_k > PROB_FLOOR, p_k * _h(top), 0.0)
+    return out[0] + out[1]
 
-    def branch(w_exc, w_gnd):
-        s11 = w_exc * p11 + w_gnd * p22
-        s00 = w_exc * p33 + w_gnd * p44
-        p_k = s11 + s00
-        gap = np.sqrt((s11 - s00) ** 2 + 4.0 * off ** 2)
-        top = np.where(p_k > PROB_FLOOR, (p_k + gap) / np.maximum(2.0 * p_k, PROB_FLOOR), 0.0)
-        return np.where(p_k > PROB_FLOOR, p_k * _h(top), 0.0)
 
-    return branch(sin2, cos2) + branch(cos2, sin2)
+def _golden_min(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic golden-section minima of ``fun`` on [lo, hi], elementwise.
 
-
-def _golden_min(fun, lo: float, hi: float) -> tuple[float, float]:
-    """Deterministic golden-section minimum of a scalar function on [lo, hi]."""
+    ``fun`` maps an array of points to the values there.  Every element
+    takes the steps the one-element search would take; an element whose
+    bracket has shrunk below ``ANGLE_TOL`` stops moving while the others go on.
+    """
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > ANGLE_TOL:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return (c, fc) if fc <= fd else (d, fd)
+    live = b - a > ANGLE_TOL
+    while live.any():
+        left = live & (fc <= fd)
+        right = live & ~(fc <= fd)
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        step = _INVPHI * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = fun(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        live = b - a > ANGLE_TOL
+    left = fc <= fd
+    return np.where(left, c, d), np.where(left, fc, fd)
 
 
-def _min_conditional_entropy(state: XState, grid_points: int = 128) -> tuple[float, MeasurementBasis]:
-    """Grid search plus re-centered golden-section refinement in theta.
+def _grid_min(batch: XBatch, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's grid angle of least measured entropy, and that entropy.
 
-    The phi axis is exactly flat for these states (see _measured_entropy),
-    so refining it would be a no-op; the grid still spans both angles and
-    ties break deterministically toward the smallest theta, then the
-    smallest phi, so the result does not depend on evaluation order.
+    Ties go to the smallest angle.
+    """
+    vals = _measured_entropy(batch, np.broadcast_to(thetas, (len(batch), len(thetas))))
+    i = np.argmin(vals, axis=1)
+    return thetas[i], vals[np.arange(len(batch)), i]
+
+
+def _min_conditional_entropy(states: XState | XBatch, grid_points: int = 128
+                             ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Minimum of the measured conditional entropy over B's measurement angle.
+
+    Returns ``(minimum, theta)``: floats for an :class:`XState`, arrays
+    with one element per state for an :class:`XBatch`.  Each state's
+    ``grid_points``-point theta grid is one row of a 2-d array, evaluated
+    a block of rows at a time; the row-wise argmin (ties to the smallest
+    theta) is then refined by three re-centred golden-section rounds, run
+    in lockstep over the batch.  A state's result does not depend on the
+    batch it is in.
     """
     if grid_points < 64:
         raise ValueError(f"need at least 64 grid points per angle, got {grid_points}")
+    batch = XBatch.of(states) if isinstance(states, XState) else states
     thetas = np.linspace(0.0, math.pi / 2, grid_points)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
-    vals = np.broadcast_to(_measured_entropy(state, thetas)[:, None],
-                           (grid_points, grid_points))
-    flat = int(np.argmin(vals))  # row-major: smallest theta wins ties, then phi
-    i, j = divmod(flat, grid_points)
-    theta, phi = float(thetas[i]), float(phis[j])
-    best = float(vals[i, j])
+    rows = max(1, _GRID_VALUES // grid_points)
+    theta, best = (np.concatenate(parts) for parts in zip(*(
+        _grid_min(batch[r:r + rows], thetas) for r in range(0, len(batch), rows))))
 
     dth = (math.pi / 2) / (grid_points - 1)
     for _ in range(3):
-        t, ft = _golden_min(lambda t: float(_measured_entropy(state, t)),
-                            max(0.0, theta - dth), min(math.pi / 2, theta + dth))
-        if ft < best:
-            theta, best = t, ft
-    return best, MeasurementBasis(theta, phi)
+        t, ft = _golden_min(lambda t: _measured_entropy(batch, t),
+                            np.maximum(0.0, theta - dth), np.minimum(math.pi / 2, theta + dth))
+        better = ft < best
+        theta, best = np.where(better, t, theta), np.where(better, ft, best)
+    if isinstance(states, XState):
+        return float(best[0]), float(theta[0])
+    return best, theta
 
 
 def classical_correlation_bruteforce(state: XState, grid_points: int = 128
                                      ) -> tuple[float, MeasurementBasis]:
     """Marginal entropy of A minus the minimized measured conditional entropy."""
-    m, basis = _min_conditional_entropy(state, grid_points)
-    return entropy_a(state) - m, basis
+    m, theta = _min_conditional_entropy(state, grid_points)
+    return entropy_a(state) - m, MeasurementBasis(theta, 0.0)
 
 
 def discord_bruteforce(state: XState, grid_points: int = 128) -> float:

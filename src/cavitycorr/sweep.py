@@ -158,13 +158,12 @@ def correlation_batch(gt, states: XBatch,
 
     Both discord routes derive discord and classical correlation from the
     same minimized conditional entropy, so their sum equals the mutual
-    information identically.  The brute-force route minimizes point by
-    point; the entropies still come from the batch.
+    information identically.  The brute-force route minimizes the whole
+    batch in one lockstep search.
     """
     s_a, s_b, s_ab = entropy_a(states), entropy_b(states), entropy_joint(states)
     if method is DiscordMethod.BRUTE_FORCE:
-        m = np.array([_min_conditional_entropy(states[i], grid_points)[0]
-                      for i in range(len(states))])
+        m, _ = _min_conditional_entropy(states, grid_points)
         disc = discord_brute_from(s_b, s_ab, m)
     else:
         m = closed_min_conditional_entropy(states)

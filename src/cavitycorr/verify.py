@@ -9,6 +9,7 @@ import numpy as np
 from .evolution import EvolutionParams, evolve
 from .fock import sequential_pass
 from .measures import (
+    discord_brute_from,
     discord_closed,
     entropy_a,
     entropy_b,
@@ -16,7 +17,8 @@ from .measures import (
     mutual_information,
     _min_conditional_entropy,
 )
-from .xstate import XState, make_xstate
+from .sweep import SWEEP_CHUNK
+from .xstate import XBatch, XState, make_xstate
 
 
 def sample_xstate(rng: np.random.Generator) -> XState:
@@ -30,6 +32,22 @@ def sample_xstate(rng: np.random.Generator) -> XState:
     radius = math.sqrt(w[1] * w[2]) * math.sqrt(rng.random())
     c23 = radius * np.exp(2j * math.pi * rng.random())
     return make_xstate(w[0], w[1], w[2], w[3], c23)
+
+
+def _seeded_samples(rng, samples, n_max, gt_max, chunk, grid_points):
+    """Yield (index, state, n, gt, minimized conditional entropy) per sample.
+
+    Draws state, n and gt sample after sample, in that order; the
+    conditional entropies of ``chunk`` samples are minimized in one call.
+    """
+    for start in range(0, samples, chunk):
+        drawn = [(sample_xstate(rng), int(rng.integers(0, n_max + 1)),
+                  float(rng.uniform(0.0, gt_max)))
+                 for _ in range(min(chunk, samples - start))]
+        minima, _ = _min_conditional_entropy(XBatch.stack([d[0] for d in drawn]),
+                                             grid_points)
+        for k, ((state, n, gt), m) in enumerate(zip(drawn, minima.tolist()), start):
+            yield k, state, n, gt, m
 
 
 def _state_deviation(a: XState, b: XState) -> float:
@@ -101,16 +119,20 @@ class VerificationReport:
 def run_verification(samples: int, seed: int, n_max: int = 12,
                      gt_max: float = 20.0, tol_evolve: float = 1e-10,
                      tol_discord: float = 0.0026,
-                     grid_points: int = 128) -> VerificationReport:
+                     grid_points: int = 128,
+                     chunk: int = SWEEP_CHUNK) -> VerificationReport:
     """Draw seeded random states and parameters, cross-check every route.
 
     Checks, per sample: the corrected closed-form evolution against the
     exact sequential model; closed-form discord against the brute-force
     minimization; preservation of the state invariants by the evolved
-    state; and the identity D + C' = I.
+    state; and the identity D + C' = I.  Samples are drawn and minimized
+    ``chunk`` at a time; the report does not depend on ``chunk``.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk!r}")
     if n_max < 0 or not math.isfinite(gt_max) or gt_max <= 0.0:
         raise ValueError("n_max must be >= 0 and gt_max positive and finite")
     for name, tol in (("tol_evolve", tol_evolve), ("tol_discord", tol_discord)):
@@ -126,10 +148,8 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
                 f"{state.p44:.12g}, {state.c23.real:.12g}{state.c23.imag:+.12g}j)"
                 f"{extra}")
 
-    for k in range(samples):
-        state = sample_xstate(rng)
-        n = int(rng.integers(0, n_max + 1))
-        gt = float(rng.uniform(0.0, gt_max))
+    for k, state, n, gt, m in _seeded_samples(rng, samples, n_max, gt_max,
+                                              chunk, grid_points):
         params = EvolutionParams(n, gt)
 
         closed = evolve(state, params)
@@ -155,10 +175,7 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
                 f"coherence excess {excess:.12g}) at n={n} gt={gt:.12g} "
                 + describe(state))
 
-        m, _ = _min_conditional_entropy(state, grid_points)
-        brute = entropy_b(state) - entropy_joint(state) + m
-        if -1e-9 <= brute < 0.0:
-            brute = 0.0
+        brute = discord_brute_from(entropy_b(state), entropy_joint(state), m)
         closed_d = discord_closed(state)
         ddev = abs(closed_d - brute)
         if ddev > report.max_discord_dev:

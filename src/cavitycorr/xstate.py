@@ -77,14 +77,23 @@ class XBatch:
     @classmethod
     def of(cls, state: XState) -> "XBatch":
         """One-element batch holding ``state`` as it is, without re-validation."""
-        c23 = complex(state.c23)
-        return cls(*(np.array([v], dtype=float) for v in (
-            state.p11, state.p22, state.p33, state.p44, c23.real, c23.imag)))
+        return cls.stack([state])
+
+    @classmethod
+    def stack(cls, states) -> "XBatch":
+        """Batch holding the already-built ``states`` in order, without re-validation."""
+        rows = [(s.p11, s.p22, s.p33, s.p44, complex(s.c23).real, complex(s.c23).imag)
+                for s in states]
+        return cls(*(np.array(col, dtype=float) for col in zip(*rows)))
 
     def __len__(self) -> int:
         return len(self.p11)
 
-    def __getitem__(self, i: int) -> XState:
+    def __getitem__(self, i: int | slice) -> "XState | XBatch":
+        """State ``i``, or the sub-batch of the states in slice ``i``."""
+        if isinstance(i, slice):
+            return XBatch(self.p11[i], self.p22[i], self.p33[i], self.p44[i],
+                          self.re_c23[i], self.im_c23[i])
         return XState(float(self.p11[i]), float(self.p22[i]), float(self.p33[i]),
                       float(self.p44[i]), complex(self.re_c23[i], self.im_c23[i]))
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from cavitycorr.cli import CSV_HEADER, format_record, main, parse_record
 from cavitycorr.sweep import DiscordMethod, SweepConfig, time_series
+from cavitycorr.verify import run_verification
 
 
 def run(capsys, *argv):
@@ -116,6 +117,19 @@ class TestVerify:
         assert code == 2
         assert "overall: FAIL" in out
         assert "FAIL sample" in out
+
+
+class TestVerifyChunks:
+    def test_report_independent_of_chunk_size(self):
+        # tolerance 0 makes FAIL lines, so their order is compared too
+        reports = [run_verification(samples=40, seed=11, tol_evolve=0.0, **kw).render()
+                   for kw in ({}, {"chunk": 7})]
+        assert "FAIL sample" in reports[0]
+        assert reports[0] == reports[1]
+
+    def test_chunk_must_be_positive(self):
+        with pytest.raises(ValueError, match="chunk"):
+            run_verification(samples=3, seed=1, chunk=0)
 
 
 class TestEnvelope:

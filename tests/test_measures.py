@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cavitycorr import (
     MeasurementBasis,
@@ -19,7 +19,8 @@ from cavitycorr import (
     mutual_information,
     werner_state,
 )
-from cavitycorr.measures import _measured_entropy, _min_conditional_entropy
+from cavitycorr.xstate import XBatch
+from cavitycorr.measures import _golden_min, _measured_entropy, _min_conditional_entropy
 from cavitycorr.verify import sample_xstate
 
 from conftest import seeded_rng, xstates
@@ -199,6 +200,58 @@ class TestBruteForce:
             coarse, _ = _min_conditional_entropy(s, 128)
             fine, _ = _min_conditional_entropy(s, 256)
             assert abs(coarse - fine) < 1e-5
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestBatchedMinimizer:
+    @settings(max_examples=40)
+    @given(states=st.lists(xstates(), min_size=1, max_size=9),
+           chunk=st.integers(1, 10), grid_points=st.sampled_from([64, 128, 4096]))
+    def test_each_state_bit_identical_alone_and_in_any_batch(self, states, chunk,
+                                                             grid_points):
+        # 4096 grid points put one state per grid block, so block edges fall inside
+        batch = XBatch.stack(states)
+        whole = _min_conditional_entropy(batch, grid_points)
+        parts = [_min_conditional_entropy(batch[r:r + chunk], grid_points)
+                 for r in range(0, len(batch), chunk)]
+        chunked = [np.concatenate(column) for column in zip(*parts)]
+        alone = [_min_conditional_entropy(s, grid_points) for s in states]
+        for values in (chunked, list(zip(*alone))):
+            assert (_bits(values[0]) == _bits(whole[0])).all()
+            assert (_bits(values[1]) == _bits(whole[1])).all()
+
+    def test_golden_elements_stop_independently(self):
+        # brackets of different widths need different step counts
+        lo = np.array([0.0, 0.0, 0.3, 1.0])
+        hi = np.array([1e-3, 0.5, 0.31, 1.0 + 1e-7])
+        centers = np.array([3e-4, 0.2, 0.3051, 1.0])
+
+        def fun_for(c):
+            return lambda t: (t - c) ** 2 + np.cos(t)
+
+        t, ft = _golden_min(fun_for(centers), lo, hi)
+        for i in range(len(lo)):
+            ti, fi = _golden_min(fun_for(centers[i:i + 1]), lo[i:i + 1], hi[i:i + 1])
+            assert _bits(ti) == _bits(t[i]) and _bits(fi) == _bits(ft[i])
+
+    def test_scalar_entry_points_use_the_batch_result(self):
+        s = sample_xstate(seeded_rng(29))
+        m, theta = _min_conditional_entropy(s)
+        assert isinstance(m, float) and isinstance(theta, float)
+        value, basis = classical_correlation_bruteforce(s)
+        assert basis == MeasurementBasis(theta, 0.0)
+        assert value == entropy_a(s) - m
+
+    def test_minimum_matches_projector_path_at_returned_basis(self):
+        rng = seeded_rng(30)
+        states = [sample_xstate(rng) for _ in range(200)]
+        minima, thetas = _min_conditional_entropy(XBatch.stack(states))
+        for s, m, theta in zip(states, minima, thetas):
+            direct = conditional_entropy_measured(s, MeasurementBasis(float(theta), 0.0))
+            assert abs(direct - m) <= 1e-12
 
 
 class TestDiscordClosed:

@@ -141,3 +141,14 @@ class TestMakeXbatch:
     def test_one_state_round_trip(self, s):
         assert XBatch.of(s)[0] == s
         assert xstate_eigenvalues(s).tolist() == [float(v[0]) for v in spectrum(XBatch.of(s))]
+
+
+class TestXBatchStack:
+    @given(st.lists(xstates(), min_size=1, max_size=6), st.integers(0, 6), st.integers(0, 6))
+    def test_stack_index_and_slice(self, states, lo, hi):
+        batch = XBatch.stack(states)
+        assert [batch[i] for i in range(len(batch))] == states
+        assert XBatch.of(states[0])[0] == states[0]
+        part = batch[lo:hi]
+        assert isinstance(part, XBatch)
+        assert [part[i] for i in range(len(part))] == states[lo:hi]
