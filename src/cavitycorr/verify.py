@@ -34,12 +34,14 @@ def sample_xstate(rng: np.random.Generator) -> XState:
     return make_xstate(w[0], w[1], w[2], w[3], c23)
 
 
-def _seeded_samples(rng, samples, n_max, gt_max, chunk, grid_points):
+def _seeded_samples(rng, samples, n_max, gt_max, grid_points):
     """Yield (index, state, n, gt, minimized conditional entropy) per sample.
 
     Draws state, n and gt sample after sample, in that order; the
-    conditional entropies of ``chunk`` samples are minimized in one call.
+    conditional entropies of ``SWEEP_CHUNK`` samples are minimized in one
+    call.
     """
+    chunk = SWEEP_CHUNK
     for start in range(0, samples, chunk):
         drawn = [(sample_xstate(rng), int(rng.integers(0, n_max + 1)),
                   float(rng.uniform(0.0, gt_max)))
@@ -119,20 +121,17 @@ class VerificationReport:
 def run_verification(samples: int, seed: int, n_max: int = 12,
                      gt_max: float = 20.0, tol_evolve: float = 1e-10,
                      tol_discord: float = 0.0026,
-                     grid_points: int = 128,
-                     chunk: int = SWEEP_CHUNK) -> VerificationReport:
+                     grid_points: int = 128) -> VerificationReport:
     """Draw seeded random states and parameters, cross-check every route.
 
     Checks, per sample: the corrected closed-form evolution against the
     exact sequential model; closed-form discord against the brute-force
     minimization; preservation of the state invariants by the evolved
     state; and the identity D + C' = I.  Samples are drawn and minimized
-    ``chunk`` at a time; the report does not depend on ``chunk``.
+    ``SWEEP_CHUNK`` at a time; the report does not depend on that size.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk!r}")
     if n_max < 0 or not math.isfinite(gt_max) or gt_max <= 0.0:
         raise ValueError("n_max must be >= 0 and gt_max positive and finite")
     for name, tol in (("tol_evolve", tol_evolve), ("tol_discord", tol_discord)):
@@ -149,7 +148,7 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
                 f"{extra}")
 
     for k, state, n, gt, m in _seeded_samples(rng, samples, n_max, gt_max,
-                                              chunk, grid_points):
+                                              grid_points):
         params = EvolutionParams(n, gt)
 
         closed = evolve(state, params)

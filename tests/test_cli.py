@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from cavitycorr.cli import CSV_HEADER, format_record, main, parse_record
 from cavitycorr.sweep import DiscordMethod, SweepConfig, time_series
+from cavitycorr import verify
 from cavitycorr.verify import run_verification
 
 
@@ -120,16 +121,15 @@ class TestVerify:
 
 
 class TestVerifyChunks:
-    def test_report_independent_of_chunk_size(self):
+    def test_report_independent_of_chunk_size(self, monkeypatch):
         # tolerance 0 makes FAIL lines, so their order is compared too
-        reports = [run_verification(samples=40, seed=11, tol_evolve=0.0, **kw).render()
-                   for kw in ({}, {"chunk": 7})]
-        assert "FAIL sample" in reports[0]
-        assert reports[0] == reports[1]
+        def report():
+            return run_verification(samples=40, seed=11, tol_evolve=0.0).render()
 
-    def test_chunk_must_be_positive(self):
-        with pytest.raises(ValueError, match="chunk"):
-            run_verification(samples=3, seed=1, chunk=0)
+        default = report()
+        monkeypatch.setattr(verify, "SWEEP_CHUNK", 7)
+        assert "FAIL sample" in default
+        assert report() == default
 
 
 class TestEnvelope:
