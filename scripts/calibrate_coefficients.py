@@ -12,7 +12,7 @@ with c[m] = cos(sqrt(m)*gt), s[m] = sin(sqrt(m)*gt) tracked as symbols
 indexed by the photon offset from n.  Tracing out the field then yields
 every final matrix element as a bilinear form in the initial elements,
 whose coefficient table is printed, cross-checked numerically against the
-dense oracle in ``cavitycorr.fock`` for both pass orders, and compared
+exact oracle in ``cavitycorr.fock`` for both pass orders, and compared
 against the table hard-coded in ``cavitycorr.evolution``.
 
 Run:  python scripts/calibrate_coefficients.py
@@ -189,7 +189,7 @@ def main():
     print("hermiticity (rho32 table = conj rho23 table):",
           "exact" if herm else "violated")
 
-    print("\nnumeric cross-check against the dense sequential oracle ...")
+    print("\nnumeric cross-check against the exact sequential oracle ...")
     worst, worst_pkg = numeric_check(coeff)
     for order, dev in worst.items():
         print(f"  max deviation, {order.value:>7}: {dev:.3e}"

@@ -6,19 +6,12 @@ from .evolution import (
     EvolutionParams,
     PublishedFormReport,
     evolve,
+    evolve_batch,
     evolve_grid,
     published_form_report,
     trig_coeffs,
 )
-from .fock import (
-    JointFieldState,
-    PassOrder,
-    embed,
-    jc_unitary,
-    jc_unitary_apply,
-    sequential_pass,
-    trace_out_field,
-)
+from .fock import PassOrder, sequential_pass, sequential_pass_batch
 from .measures import (
     MeasurementBasis,
     binary_entropy,
@@ -54,10 +47,9 @@ from .xstate import XBatch, XState, make_xbatch, make_xstate, werner_state, xsta
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvolutionParams", "PublishedFormReport", "evolve", "evolve_grid",
-    "published_form_report", "trig_coeffs",
-    "JointFieldState", "PassOrder", "embed", "jc_unitary", "jc_unitary_apply",
-    "sequential_pass", "trace_out_field",
+    "EvolutionParams", "PublishedFormReport", "evolve", "evolve_batch",
+    "evolve_grid", "published_form_report", "trig_coeffs",
+    "PassOrder", "sequential_pass", "sequential_pass_batch",
     "MeasurementBasis", "binary_entropy", "classical_correlation_bruteforce",
     "closed_min_conditional_entropy", "concurrence",
     "conditional_entropy_measured", "discord_bruteforce", "discord_closed",

@@ -53,13 +53,20 @@ class EvolutionParams:
             raise ValueError(f"Rabi angle gt must be finite, got {self.gt!r}")
 
 
-def trig_coeffs(m: int, gt):
+def trig_coeffs(m, gt):
     """(cos(sqrt(m)*gt), sin(sqrt(m)*gt)) with the m = -1 convention (1, 0).
 
-    ``gt`` may be a float or an array.  The m = -1 case only ever appears
-    multiplied by sin(sqrt(0)*gt)^2 = 0, so any finite convention is inert;
-    (1, 0) keeps the formulas total.
+    ``m`` is an integer or an integer array and ``gt`` a float or an array
+    of its length; each array element is bit-identical to the float
+    result.  The m = -1 case only ever appears multiplied by
+    sin(sqrt(0)*gt)^2 = 0, so any finite convention is inert; (1, 0) keeps
+    the formulas total.
     """
+    if isinstance(m, np.ndarray):
+        if m.dtype.kind not in "iu" or (m < -1).any():
+            raise ValueError(f"index m must be integers >= -1, got {m!r}")
+        angle = np.sqrt(np.maximum(m, 0)) * gt
+        return np.where(m == -1, 1.0, np.cos(angle)), np.where(m == -1, 0.0, np.sin(angle))
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ValueError(f"index m must be an integer, got {m!r}")
     if m < -1:
@@ -70,12 +77,14 @@ def trig_coeffs(m: int, gt):
     return (ew.cos(angle), ew.sin(angle))
 
 
-def _update(state: XState, n: int, gt):
+def _update(state: XState | XBatch, n, gt):
     """Raw elements (p11, p22, p33, p44, re c23, im c23) after both passes.
 
-    ``gt`` is a float or an array; the elements then are floats or arrays
-    of its shape.  Each array element is bit-identical to the float result
-    at that angle (see :mod:`cavitycorr.elementwise`).
+    ``state``, ``n`` and ``gt`` are one state, an integer and a float, or
+    any of them arrays (a batch, an integer array, an array of angles) of
+    one length; the elements then are arrays of that length.  Each array
+    element is bit-identical to the float result for its inputs (see
+    :mod:`cavitycorr.elementwise`).
     """
     cm, sm = trig_coeffs(n - 1, gt)
     c0, s0 = trig_coeffs(n, gt)
@@ -87,8 +96,11 @@ def _update(state: XState, n: int, gt):
     s1_2, s1_4 = ew.power(s1, 2), ew.power(s1, 4)
     cm_2, sm_2 = ew.power(cm, 2), ew.power(sm, 2)
     c2_2, s2_2 = ew.power(c2, 2), ew.power(s2, 2)
-    p11, p22, p33, p44 = state.populations()
-    re, im = state.c23.real, state.c23.imag
+    p11, p22, p33, p44 = state.p11, state.p22, state.p33, state.p44
+    if isinstance(state, XBatch):
+        re, im = state.re_c23, state.im_c23
+    else:
+        re, im = state.c23.real, state.c23.imag
     x = 2.0 * re  # c23 + conj(c23)
 
     q11 = (p11 * c1_4 + p22 * s0_2 * c1_2 + p33 * s0_2 * c0_2
@@ -108,6 +120,25 @@ def _update(state: XState, n: int, gt):
     return q11, q22, q33, q44, re_q23, im_q23
 
 
+def _check_angles(gt) -> np.ndarray:
+    """``gt`` as a float array, rejected unless every angle is finite."""
+    gt = np.asarray(gt, dtype=float)
+    if not np.isfinite(gt).all():
+        raise ValueError(f"Rabi angle gt must be finite, got {float(gt[~np.isfinite(gt)][0])!r}")
+    return gt
+
+
+def check_batch_params(n, gt, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` and ``gt`` as validated int64 and float arrays of length ``size``."""
+    n, gt = np.asarray(n), _check_angles(gt)
+    if n.dtype.kind not in "iu" or n.shape != (size,) or gt.shape != (size,):
+        raise ValueError(f"need {size} integer photon numbers and Rabi angles, "
+                         f"got {n.dtype} shape {n.shape} and shape {gt.shape}")
+    for bad in n[(n < 0) | (n > MAX_PHOTONS)][:1].tolist():
+        check_photon_number(bad)
+    return n.astype(np.int64), gt
+
+
 def evolve_grid(state: XState, n: int, gt) -> XBatch:
     """The states after both passes at every Rabi angle of the 1-d ``gt``.
 
@@ -115,11 +146,17 @@ def evolve_grid(state: XState, n: int, gt) -> XBatch:
     state for every valid input.
     """
     check_photon_number(n)
-    gt = np.asarray(gt, dtype=float)
-    if not np.isfinite(gt).all():
-        raise ValueError(f"Rabi angle gt must be finite, got {float(gt[~np.isfinite(gt)][0])!r}")
+    gt = _check_angles(gt)
     with np.errstate(invalid="ignore", over="ignore"):
         return make_xbatch(*_update(state, n, gt))
+
+
+def evolve_batch(states: XBatch, n, gt) -> XBatch:
+    """State ``i`` of ``states`` after both passes at photon number ``n[i]``
+    and Rabi angle ``gt[i]``, bit-identical to :func:`evolve` of that state."""
+    n, gt = check_batch_params(n, gt, len(states))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return make_xbatch(*_update(states, n, gt))
 
 
 def evolve(state: XState, params: EvolutionParams) -> XState:

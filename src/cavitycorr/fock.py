@@ -1,28 +1,36 @@
-"""Exact sequential Jaynes-Cummings dynamics on a truncated photon window.
+"""Exact sequential Jaynes-Cummings dynamics on a five-photon window.
 
-This is the ground-truth model: the joint density matrix of both atoms and
-the field is evolved by the resonant single-atom interaction unitary, one
-atom at a time, and the field is traced out at the end.  At exact
-resonance the unitary acts as independent 2x2 rotations on the excitation
-manifolds {|e,m>, |g,m+1>}, so it is applied analytically block by block
-with no matrix exponential and no truncation error: one passage shifts the
-photon support by at most one, so a window of ``n + 3`` photon states is
-lossless for two passages starting from the Fock state |n>.
+This is the ground-truth model: each atom in turn interacts with the
+field, and the field is traced out at the end.  At exact resonance the
+interaction turns each pair {|e,m>, |g,m+1>} by the angle sqrt(m+1)*gt,
+so it is applied pair by pair, with no matrix exponential and no
+truncation error.  Two passages starting from |n> keep the photon number
+within n-2 .. n+2, so each of the four atom basis kets |ab, n> is carried
+as five amplitudes per atom configuration, and the two-atom state is
+rho = sum_ij rho_ij tr_field(U|i><j|U^dagger).  Nothing here grows with n
+or uses the closed-form coefficient table.
+
+Complex amplitudes are kept as real and imaginary float arrays with one
+element per state, and every sum has a fixed operand order, so a state's
+result is bit-identical alone and inside any batch.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .evolution import EvolutionParams
-from .xstate import XState, make_xstate
+from .evolution import EvolutionParams, check_batch_params
+from .xstate import XBatch, XState, make_xbatch
 
 # Above this the X form is not preserved and something is wrong with the
 # implementation, not the input; the X form is closed under the dynamics.
 OFF_X_TOL = 1e-12
+# Photon numbers n-2 .. n+2; window index j holds photon number n - 2 + j.
+_WINDOW = 5
+# Where an X state may be nonzero: the diagonal and the |10>,|01> coherences.
+_X_FORM = np.eye(4, dtype=bool)
+_X_FORM[1, 2] = _X_FORM[2, 1] = True
 
 
 class PassOrder(Enum):
@@ -30,117 +38,74 @@ class PassOrder(Enum):
     B_FIRST = "B-first"
 
 
-@dataclass(frozen=True, eq=False)
-class JointFieldState:
-    """Dense atoms (x) field density matrix, layout atom A (x) atom B (x) field.
+def _rotate(re, im, n, gt):
+    """The interaction of the atom on axis 2 of kets shaped (field, ket, atom, atom, state).
 
-    ``matrix`` has shape ``(4*dim_field, 4*dim_field)``; photon numbers run
-    0 .. dim_field - 1.  Atom basis index 0 is the excited level, matching
-    the |11>,|10>,|01>,|00> ordering of :class:`~cavitycorr.xstate.XState`.
+    Level index 0 is excited.  The pair {|e, n-2+j>, |g, n-1+j>} turns by
+    sqrt(n-1+j)*gt for j = 0..3, where n-1+j <= 0 turns by zero.  |g, n-2>
+    and |e, n+2>, whose partners lie outside the window, are left as they
+    are: two passages never populate them.
     """
-
-    matrix: np.ndarray
-    dim_field: int
-
-    def validate(self, check_psd: bool = False, atol: float = 1e-12,
-                 eig_floor: float = -1e-10) -> None:
-        m = self.matrix
-        if m.shape != (4 * self.dim_field, 4 * self.dim_field):
-            raise ValueError(f"matrix shape {m.shape} does not match dim_field {self.dim_field}")
-        herm = np.abs(m - m.conj().T).max()
-        if herm > atol:
-            raise ValueError(f"joint state not Hermitian within {atol:g}: max dev {herm:g}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > atol:
-            raise ValueError(f"joint state trace must be 1 within {atol:g}, got {tr!r}")
-        if check_psd:
-            low = np.linalg.eigvalsh(m).min()
-            if low < eig_floor:
-                raise ValueError(f"joint state eigenvalue floor {low:g} below {eig_floor:g}")
+    angle = np.sqrt(np.maximum(n - 1 + np.arange(_WINDOW - 1)[:, None], 0)) * gt
+    c, s = np.cos(angle)[:, None, None], np.sin(angle)[:, None, None]
+    e_re, e_im, g_re, g_im = re[:-1, :, 0], im[:-1, :, 0], re[1:, :, 1], im[1:, :, 1]
+    re, im = re.copy(), im.copy()
+    # (e, g) -> (c e - i s g, -i s e + c g)
+    re[:-1, :, 0], im[:-1, :, 0] = c * e_re + s * g_im, c * e_im - s * g_re
+    re[1:, :, 1], im[1:, :, 1] = c * g_re + s * e_im, c * g_im - s * e_re
+    return re, im
 
 
-def embed(state: XState, n: int, padding: int = 2) -> JointFieldState:
-    """Product of a two-atom X state with the photon-number projector |n><n|.
+def sequential_pass_batch(states: XBatch, n, gt,
+                          order: PassOrder = PassOrder.A_FIRST) -> XBatch:
+    """Exact state ``i`` after both atoms have crossed the cavity at ``n[i]``, ``gt[i]``.
 
-    The photon window is 0 .. n + padding; padding 2 is exact for two
-    passages (see module docstring) and larger values must change nothing.
+    Atom A occupies the first tensor slot; ``order`` selects which atom
+    flies first.  Raises ``RuntimeError`` if a reduced matrix leaks out of
+    the X form, which would signal an implementation bug.
     """
-    if n < 0:
-        raise ValueError(f"photon number n must be nonnegative, got {n}")
-    if padding < 2:
-        raise ValueError(f"padding must be at least 2, got {padding}")
-    d = n + 1 + padding
-    field = np.zeros((d, d))
-    field[n, n] = 1.0
-    return JointFieldState(np.kron(state.as_matrix(), field), d)
+    n, gt = check_batch_params(n, gt, len(states))
+    # ket 2a + b starts as |ab> with n photons, at window index 2
+    re = np.zeros((_WINDOW, 4, 2, 2, len(states)))
+    re[2, range(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1.0
+    im = np.zeros_like(re)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # the flying atom's axis is swapped into slot 2, where _rotate acts
+        for axis in ((2, 3) if order is PassOrder.A_FIRST else (3, 2)):
+            re, im = (x.swapaxes(2, axis) for x in
+                      _rotate(re.swapaxes(2, axis), im.swapaxes(2, axis), n, gt))
+    re, im = re.reshape(_WINDOW, 4, 4, -1), im.reshape(_WINDOW, 4, 4, -1)
 
+    def traced(i, j):
+        """tr_field(U|i><j|U^dagger) as (re, im), each shaped (4, 4, state)."""
+        a_re, a_im, b_re, b_im = re[:, i, :, None], im[:, i, :, None], re[:, j, None], im[:, j, None]
+        return sum(a_re * b_re + a_im * b_im), sum(a_im * b_re - a_re * b_im)
 
-def jc_unitary(dim_field: int, gt: float) -> np.ndarray:
-    """Single atom (x) field interaction unitary on the photon window.
+    rho_re, rho_im = 0.0, 0.0
+    for i, j, w_re, w_im in ((0, 0, states.p11, 0.0), (1, 1, states.p22, 0.0),
+                             (2, 2, states.p33, 0.0), (3, 3, states.p44, 0.0),
+                             (1, 2, states.re_c23, states.im_c23),
+                             (2, 1, states.re_c23, -states.im_c23)):
+        o_re, o_im = traced(i, j)
+        rho_re = rho_re + (w_re * o_re - w_im * o_im)
+        rho_im = rho_im + (w_re * o_im + w_im * o_re)
 
-    Index layout: excited level at ``0*d + m``, ground at ``1*d + m``.
-    The top state |e, d-1> has its partner outside the window and is left
-    invariant, which keeps the matrix exactly unitary; it is never
-    populated when the window padding is respected.
-    """
-    d = dim_field
-    u = np.zeros((2 * d, 2 * d), dtype=complex)
-    u[d, d] = 1.0          # |g, 0> is stationary
-    u[d - 1, d - 1] = 1.0  # |e, d-1>, see above
-    for m in range(d - 1):
-        angle = math.sqrt(m + 1) * gt
-        c, s = math.cos(angle), math.sin(angle)
-        e_idx, g_idx = m, d + m + 1
-        u[e_idx, e_idx] = c
-        u[g_idx, g_idx] = c
-        u[e_idx, g_idx] = -1j * s
-        u[g_idx, e_idx] = -1j * s
-    return u
-
-
-def jc_unitary_apply(state: JointFieldState, atom: str, gt: float) -> JointFieldState:
-    """Conjugate the joint state by the interaction unitary of one atom."""
-    if atom not in ("A", "B"):
-        raise ValueError(f"atom must be 'A' or 'B', got {atom!r}")
-    d = state.dim_field
-    u1 = jc_unitary(d, gt).reshape(2, d, 2, d)
-    eye2 = np.eye(2)
-    if atom == "A":
-        full = np.einsum("afAF,bB->abfABF", u1, eye2).reshape(4 * d, 4 * d)
-    else:
-        full = np.einsum("bfBF,aA->abfABF", u1, eye2).reshape(4 * d, 4 * d)
-    return JointFieldState(full @ state.matrix @ full.conj().T, d)
-
-
-def trace_out_field(state: JointFieldState) -> np.ndarray:
-    """Reduced 4x4 two-atom matrix."""
-    d = state.dim_field
-    return np.einsum("abfcdf->abcd", state.matrix.reshape(2, 2, d, 2, 2, d)).reshape(4, 4)
+    off_x = np.max([*np.hypot(rho_re, rho_im)[~_X_FORM],
+                    np.hypot(rho_re[1, 2] - rho_re[2, 1], rho_im[1, 2] + rho_im[2, 1]),
+                    *np.abs(rho_im[range(4), range(4)])], axis=0)
+    leaking = off_x >= OFF_X_TOL
+    if leaking.any():
+        raise RuntimeError(
+            f"off-X leakage {off_x[leaking][0]:g} exceeds {OFF_X_TOL:g}; "
+            "the X form is preserved analytically, so this is a bug"
+        )
+    return make_xbatch(*(rho_re[range(4), range(4)]), rho_re[1, 2], rho_im[1, 2])
 
 
 def sequential_pass(state: XState, params: EvolutionParams,
-                    order: PassOrder = PassOrder.A_FIRST,
-                    padding: int = 2) -> XState:
+                    order: PassOrder = PassOrder.A_FIRST) -> XState:
     """Exact two-atom state after both atoms have crossed the cavity.
 
-    Atom A occupies the first tensor slot; ``order`` selects which atom
-    flies first.  Raises ``RuntimeError`` if the reduced matrix leaks out
-    of the X form, which would signal an implementation bug.
+    The batch of one of :func:`sequential_pass_batch`.
     """
-    joint = embed(state, params.n, padding)
-    atoms = ("A", "B") if order is PassOrder.A_FIRST else ("B", "A")
-    for atom in atoms:
-        joint = jc_unitary_apply(joint, atom, params.gt)
-    rho = trace_out_field(joint)
-
-    off_x = max(abs(rho[0, 1]), abs(rho[0, 2]), abs(rho[0, 3]),
-                abs(rho[1, 3]), abs(rho[2, 3]),
-                abs(rho[1, 2] - np.conj(rho[2, 1])),
-                max(abs(rho[i, i].imag) for i in range(4)))
-    if off_x >= OFF_X_TOL:
-        raise RuntimeError(
-            f"off-X leakage {off_x:g} exceeds {OFF_X_TOL:g}; "
-            "the X form is preserved analytically, so this is a bug"
-        )
-    return make_xstate(rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
-                       rho[3, 3].real, rho[1, 2])
+    return sequential_pass_batch(XBatch.of(state), [params.n], [params.gt], order)[0]

@@ -205,6 +205,13 @@ class TestGateHoles:
         assert code == 1
         assert "--mode" in err
 
+    def test_huge_n_max_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--samples", "2", "--seed", "1",
+                             "--n-max", "10000000000000000000000")
+        assert code == 1
+        assert out == ""
+        assert "n_max must be at most 2**53" in err and "out of bounds" not in err
+
     def test_overflowing_grid_writes_nothing(self, capsys):
         code, out, err = run(capsys, "evolve", "--n", "5", "--r", "0",
                              "--gt-max", "1e308", "--steps", "6")
@@ -215,7 +222,7 @@ class TestGateHoles:
 
 _FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-1e-300",
                            "1e-300", "0.5", "1", "2.5", "1e300", "1.7e308"])
-# Counts stay small: the dense oracle behind verify allocates O(n^2) memory.
+# Counts stay small so that every example runs quickly.
 _SMALL_INTS = st.sampled_from(["-5", "-1", "0", "1", "2", "3", "7"])
 _LARGE_INTS = st.sampled_from(["-5", "0", "1", "12", "2147483648",
                                "9007199254740993", "1" + "0" * 40, "1" + "0" * 400])
@@ -252,7 +259,7 @@ def test_envelope_flags_never_crash(n, r, gt_max, steps, window, threshold,
                        min_duration=min_duration)
 
 
-@given(samples=_SMALL_INTS, seed=_LARGE_INTS, n_max=_SMALL_INTS, gt_max=_FLOATS,
+@given(samples=_SMALL_INTS, seed=_LARGE_INTS, n_max=_LARGE_INTS, gt_max=_FLOATS,
        tol_evolve=_FLOATS, tol_discord=_FLOATS)
 def test_verify_flags_never_crash(samples, seed, n_max, gt_max, tol_evolve,
                                   tol_discord):

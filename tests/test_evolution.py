@@ -5,7 +5,9 @@ import pytest
 
 from cavitycorr import (
     EvolutionParams,
+    XBatch,
     evolve,
+    evolve_batch,
     evolve_grid,
     make_xstate,
     published_form_report,
@@ -43,6 +45,21 @@ class TestTrigCoeffs:
             trig_coeffs(-2, 1.0)
         with pytest.raises(ValueError):
             trig_coeffs(1.5, 1.0)
+
+    def test_integer_array_matches_scalar(self):
+        m = np.array([-1, 0, 1, 2, 7, 10**6, 2**53 + 2])
+        gt = np.array([3.0, 12.34, math.pi / 2, 0.5, 19.9, 1e4, 2.5])
+        c, s = trig_coeffs(m, gt)
+        for i in range(len(m)):
+            assert (c[i], s[i]) == trig_coeffs(int(m[i]), float(gt[i]))
+        c, s = trig_coeffs(m, 0.7)  # one angle for every index
+        assert (c[0], s[0]) == (1.0, 0.0)
+        assert (c[3], s[3]) == trig_coeffs(2, 0.7)
+
+    def test_array_domain(self):
+        for bad in (np.array([0, -2]), np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="integers >= -1"):
+                trig_coeffs(bad, 1.0)
 
 
 class TestParams:
@@ -164,6 +181,18 @@ class TestEvolveGrid:
         batch = evolve_grid(state, 6, gts)
         for i, gt in enumerate(gts):
             assert batch[i] == evolve(state, EvolutionParams(6, float(gt)))
+
+    def test_batch_matches_scalar_evolve_bit_for_bit(self):
+        # enough samples that a last-bit slip on 0.1 % of inputs (numpy's
+        # x*x in place of pow(x, 2)) shows
+        rng = seeded_rng(14)
+        states = [sample_xstate(rng) for _ in range(4000)]
+        n = rng.integers(0, 2**40, size=4000) >> rng.integers(0, 41, size=4000)
+        gt = rng.uniform(0.0, 1e3, size=4000)
+        batch = evolve_batch(XBatch.stack(states), n, gt)
+        for i, state in enumerate(states):
+            expected = evolve(state, EvolutionParams(int(n[i]), float(gt[i])))
+            assert repr(batch[i]) == repr(expected)
 
     def test_rejects_nonfinite_angles_and_bad_n(self):
         with pytest.raises(ValueError, match="finite"):

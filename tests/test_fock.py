@@ -1,23 +1,138 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cavitycorr import (
     EvolutionParams,
-    JointFieldState,
     PassOrder,
-    embed,
-    jc_unitary,
-    jc_unitary_apply,
+    XBatch,
+    evolve,
+    evolve_batch,
     make_xstate,
     sequential_pass,
-    trace_out_field,
+    sequential_pass_batch,
     werner_state,
 )
-from cavitycorr.verify import sample_xstate
+from cavitycorr import fock
+from cavitycorr.xstate import XState
+from cavitycorr.verify import run_verification, sample_xstate
 
-from conftest import seeded_rng
+from conftest import seeded_rng, xstates
+
+
+# Small-n reference: the dense atoms (x) field model, conjugated by full
+# single-atom unitaries on the photon window 0 .. n + padding.  Its cost
+# and memory grow as n^2, so it only cross-checks the window oracle.
+
+@dataclass(frozen=True, eq=False)
+class JointFieldState:
+    """Dense atoms (x) field density matrix, layout atom A (x) atom B (x) field.
+
+    ``matrix`` has shape ``(4*dim_field, 4*dim_field)``; photon numbers run
+    0 .. dim_field - 1.  Atom basis index 0 is the excited level, matching
+    the |11>,|10>,|01>,|00> ordering of :class:`~cavitycorr.xstate.XState`.
+    """
+
+    matrix: np.ndarray
+    dim_field: int
+
+    def validate(self, check_psd: bool = False, atol: float = 1e-12,
+                 eig_floor: float = -1e-10) -> None:
+        m = self.matrix
+        if m.shape != (4 * self.dim_field, 4 * self.dim_field):
+            raise ValueError(f"matrix shape {m.shape} does not match dim_field {self.dim_field}")
+        herm = np.abs(m - m.conj().T).max()
+        if herm > atol:
+            raise ValueError(f"joint state not Hermitian within {atol:g}: max dev {herm:g}")
+        tr = np.trace(m).real
+        if abs(tr - 1.0) > atol:
+            raise ValueError(f"joint state trace must be 1 within {atol:g}, got {tr!r}")
+        if check_psd:
+            low = np.linalg.eigvalsh(m).min()
+            if low < eig_floor:
+                raise ValueError(f"joint state eigenvalue floor {low:g} below {eig_floor:g}")
+
+
+def embed(state: XState, n: int, padding: int = 2) -> JointFieldState:
+    """Product of a two-atom X state with the photon-number projector |n><n|.
+
+    The photon window is 0 .. n + padding; padding 2 is exact for two
+    passages and larger values must change nothing.
+    """
+    if n < 0:
+        raise ValueError(f"photon number n must be nonnegative, got {n}")
+    if padding < 2:
+        raise ValueError(f"padding must be at least 2, got {padding}")
+    d = n + 1 + padding
+    field = np.zeros((d, d))
+    field[n, n] = 1.0
+    return JointFieldState(np.kron(state.as_matrix(), field), d)
+
+
+def jc_unitary(dim_field: int, gt: float) -> np.ndarray:
+    """Single atom (x) field interaction unitary on the photon window.
+
+    Index layout: excited level at ``0*d + m``, ground at ``1*d + m``.
+    The top state |e, d-1> has its partner outside the window and is left
+    invariant, which keeps the matrix exactly unitary; it is never
+    populated when the window padding is respected.
+    """
+    d = dim_field
+    u = np.zeros((2 * d, 2 * d), dtype=complex)
+    u[d, d] = 1.0          # |g, 0> is stationary
+    u[d - 1, d - 1] = 1.0  # |e, d-1>, see above
+    for m in range(d - 1):
+        angle = math.sqrt(m + 1) * gt
+        c, s = math.cos(angle), math.sin(angle)
+        e_idx, g_idx = m, d + m + 1
+        u[e_idx, e_idx] = c
+        u[g_idx, g_idx] = c
+        u[e_idx, g_idx] = -1j * s
+        u[g_idx, e_idx] = -1j * s
+    return u
+
+
+def jc_unitary_apply(state: JointFieldState, atom: str, gt: float) -> JointFieldState:
+    """Conjugate the joint state by the interaction unitary of one atom."""
+    if atom not in ("A", "B"):
+        raise ValueError(f"atom must be 'A' or 'B', got {atom!r}")
+    d = state.dim_field
+    u1 = jc_unitary(d, gt).reshape(2, d, 2, d)
+    eye2 = np.eye(2)
+    if atom == "A":
+        full = np.einsum("afAF,bB->abfABF", u1, eye2).reshape(4 * d, 4 * d)
+    else:
+        full = np.einsum("bfBF,aA->abfABF", u1, eye2).reshape(4 * d, 4 * d)
+    return JointFieldState(full @ state.matrix @ full.conj().T, d)
+
+
+def trace_out_field(state: JointFieldState) -> np.ndarray:
+    """Reduced 4x4 two-atom matrix."""
+    d = state.dim_field
+    return np.einsum("abfcdf->abcd", state.matrix.reshape(2, 2, d, 2, 2, d)).reshape(4, 4)
+
+
+def dense_sequential_pass(state: XState, params: EvolutionParams,
+                          order: PassOrder = PassOrder.A_FIRST,
+                          padding: int = 2) -> XState:
+    """The reference model's two-atom state after both passages."""
+    joint = embed(state, params.n, padding)
+    for atom in (("A", "B") if order is PassOrder.A_FIRST else ("B", "A")):
+        joint = jc_unitary_apply(joint, atom, params.gt)
+    rho = trace_out_field(joint)
+    x_form = np.zeros((4, 4), dtype=bool)
+    x_form[np.diag_indices(4)] = x_form[1, 2] = x_form[2, 1] = True
+    assert np.abs(rho[~x_form]).max() < 1e-12
+    return make_xstate(rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
+                       rho[3, 3].real, rho[1, 2])
+
+
+def max_deviation(a, b):
+    return max(abs(a.p11 - b.p11), abs(a.p22 - b.p22), abs(a.p33 - b.p33),
+               abs(a.p44 - b.p44), abs(a.c23 - b.c23))
 
 
 def pure_joint(a_level, b_level, photon, dim_field):
@@ -25,6 +140,10 @@ def pure_joint(a_level, b_level, photon, dim_field):
     vec = np.zeros(4 * dim_field, dtype=complex)
     vec[(a_level * 2 + b_level) * dim_field + photon] = 1.0
     return JointFieldState(np.outer(vec, vec.conj()), dim_field)
+
+
+# Both oracles: the package's window oracle and the dense reference.
+ORACLES = [sequential_pass, dense_sequential_pass]
 
 
 class TestEmbed:
@@ -102,44 +221,46 @@ class TestJCUnitary:
 class TestSequentialPass:
     def test_all_ground_vacuum_stationary(self):
         s = make_xstate(0, 0, 0, 1, 0)
-        out = sequential_pass(s, EvolutionParams(0, 1.7))
-        assert out.p44 == pytest.approx(1.0, abs=1e-14)
+        for oracle in ORACLES:
+            out = oracle(s, EvolutionParams(0, 1.7))
+            assert out.p44 == pytest.approx(1.0, abs=1e-14)
 
     def test_double_excited_vacuum_half_pulse(self):
         # A dumps its excitation, then B rotates in the sqrt(2) manifold
         s = make_xstate(1, 0, 0, 0, 0)
-        out = sequential_pass(s, EvolutionParams(0, math.pi / 2))
-        assert out.p33 == pytest.approx(math.cos(math.pi / math.sqrt(2)) ** 2, abs=1e-12)
-        assert out.p44 == pytest.approx(math.sin(math.pi / math.sqrt(2)) ** 2, abs=1e-12)
-        assert out.p11 == pytest.approx(0.0, abs=1e-14)
-        assert out.p22 == pytest.approx(0.0, abs=1e-14)
+        for oracle in ORACLES:
+            out = oracle(s, EvolutionParams(0, math.pi / 2))
+            assert out.p33 == pytest.approx(math.cos(math.pi / math.sqrt(2)) ** 2, abs=1e-12)
+            assert out.p44 == pytest.approx(math.sin(math.pi / math.sqrt(2)) ** 2, abs=1e-12)
+            assert out.p11 == pytest.approx(0.0, abs=1e-14)
+            assert out.p22 == pytest.approx(0.0, abs=1e-14)
 
     def test_output_is_valid_xstate(self):
         rng = seeded_rng(4)
         for _ in range(50):
             s = sample_xstate(rng)
             params = EvolutionParams(int(rng.integers(0, 13)), float(rng.uniform(0, 20)))
-            out = sequential_pass(s, params)  # make_xstate validates inside
-            assert abs(out.trace() - 1.0) < 1e-12
+            for oracle in ORACLES:
+                out = oracle(s, params)  # make_xstate validates inside
+                assert abs(out.trace() - 1.0) < 1e-12
 
     def test_window_padding_is_inert(self):
+        # the dense reference's window 0 .. n + padding
         rng = seeded_rng(5)
         for _ in range(20):
             s = sample_xstate(rng)
             params = EvolutionParams(int(rng.integers(0, 11)), float(rng.uniform(0, 20)))
-            tight = sequential_pass(s, params, padding=2)
-            wide = sequential_pass(s, params, padding=4)
-            dev = max(abs(tight.p11 - wide.p11), abs(tight.p22 - wide.p22),
-                      abs(tight.p33 - wide.p33), abs(tight.p44 - wide.p44),
-                      abs(tight.c23 - wide.c23))
-            assert dev <= 1e-14
+            tight = dense_sequential_pass(s, params, padding=2)
+            wide = dense_sequential_pass(s, params, padding=4)
+            assert max_deviation(tight, wide) <= 1e-14
 
     def test_order_matters_for_asymmetric_states(self):
         s = make_xstate(0.6, 0.3, 0.1, 0.0, 0.1j)
         params = EvolutionParams(2, 1.3)
-        a_first = sequential_pass(s, params, PassOrder.A_FIRST)
-        b_first = sequential_pass(s, params, PassOrder.B_FIRST)
-        assert abs(a_first.p22 - b_first.p22) > 1e-3
+        for oracle in ORACLES:
+            a_first = oracle(s, params, PassOrder.A_FIRST)
+            b_first = oracle(s, params, PassOrder.B_FIRST)
+            assert abs(a_first.p22 - b_first.p22) > 1e-3
 
     def test_orders_related_by_atom_swap(self):
         # swapping which atom flies first is the same as relabeling the
@@ -150,8 +271,106 @@ class TestSequentialPass:
             swapped = make_xstate(s.p11, s.p33, s.p22, s.p44, np.conj(s.c23))
             params = EvolutionParams(int(rng.integers(0, 7)),
                                      float(rng.uniform(0, 10)))
-            b_first = sequential_pass(s, params, PassOrder.B_FIRST)
-            relabeled = sequential_pass(swapped, params, PassOrder.A_FIRST)
-            assert abs(b_first.p22 - relabeled.p33) < 1e-13
-            assert abs(b_first.p33 - relabeled.p22) < 1e-13
-            assert abs(b_first.c23 - np.conj(relabeled.c23)) < 1e-13
+            for oracle in ORACLES:
+                b_first = oracle(s, params, PassOrder.B_FIRST)
+                relabeled = oracle(swapped, params, PassOrder.A_FIRST)
+                assert abs(b_first.p22 - relabeled.p33) < 1e-13
+                assert abs(b_first.p33 - relabeled.p22) < 1e-13
+                assert abs(b_first.c23 - np.conj(relabeled.c23)) < 1e-13
+
+
+class TestWindowOracle:
+    @pytest.mark.parametrize("order", list(PassOrder))
+    def test_matches_dense_reference(self, order):
+        rng = seeded_rng(7)
+        worst = 0.0
+        for n in list(range(13)) * 20:
+            s = sample_xstate(rng)
+            params = EvolutionParams(n, float(rng.uniform(0.0, 20.0)))
+            worst = max(worst, max_deviation(sequential_pass(s, params, order),
+                                             dense_sequential_pass(s, params, order)))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("n", [10**6, 2**40])
+    def test_matches_closed_form_at_large_n(self, n):
+        rng = seeded_rng(8)
+        for _ in range(200):
+            s = sample_xstate(rng)
+            params = EvolutionParams(n, float(rng.uniform(0.0, 1e4)))
+            assert max_deviation(sequential_pass(s, params), evolve(s, params)) <= 1e-15
+
+    def test_widened_verify_ranges_pass(self):
+        report = run_verification(samples=2000, seed=7, n_max=10**6, gt_max=1e4)
+        assert report.max_evolve_dev <= 1e-15
+        assert report.passed
+
+    def test_off_x_leakage_is_caught_per_state(self, monkeypatch):
+        # a broken propagation that, after each pass, moves the flying
+        # atom's excited amplitudes of state 1 one photon up; state 0 stays
+        # correct, so the check must look at every state
+        rotate = fock._rotate
+
+        def leaky(re, im, n, gt):
+            re, im = rotate(re, im, n, gt)
+            for part in (re, im):  # shaped (field, ket, atom, atom, state)
+                part[:, :, 0, :, 1] = np.roll(part[:, :, 0, :, 1], 1, axis=0)
+            return re, im
+
+        monkeypatch.setattr(fock, "_rotate", leaky)
+        batch = XBatch.stack([werner_state(0.5)] * 2)
+        with pytest.raises(RuntimeError, match="off-X leakage"):
+            sequential_pass_batch(batch, [3, 3], [0.7, 0.7])
+
+    def test_rejects_bad_parameters(self):
+        batch = XBatch.stack([werner_state(0.5)] * 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sequential_pass_batch(batch, [1, -1], [0.5, 0.5])
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            sequential_pass_batch(batch, [1, 2**53 + 1], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            sequential_pass_batch(batch, [1, 2], [0.5, math.inf])
+        with pytest.raises(ValueError, match="integer photon numbers"):
+            sequential_pass_batch(batch, [1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="shape"):
+            sequential_pass_batch(batch, [1, 2, 3], [0.5, 0.5, 0.5])
+
+
+_PHOTONS = st.one_of(st.integers(0, 40), st.sampled_from([10**6, 2**40, 2**53]))
+_CASES = st.lists(st.tuples(xstates(), _PHOTONS, st.floats(0.0, 1e3)),
+                  min_size=1, max_size=12)
+
+
+def bits(states):
+    """The exact float values of each state, signed zeros included."""
+    return [repr(s) for s in states]
+
+
+def as_batch(cases):
+    states, n, gt = zip(*cases)
+    return XBatch.stack(states), np.array(n), np.array(gt)
+
+
+@given(cases=_CASES, chunk=st.integers(1, 12), order=st.sampled_from(list(PassOrder)))
+def test_window_oracle_bit_identical_alone_and_in_any_batch(cases, chunk, order):
+    batch, n, gt = as_batch(cases)
+    whole = sequential_pass_batch(batch, n, gt, order)
+    for i, (state, ni, gti) in enumerate(cases):
+        alone = sequential_pass(state, EvolutionParams(ni, gti), order)
+        assert bits([whole[i]]) == bits([alone])
+    for lo in range(0, len(cases), chunk):
+        part = sequential_pass_batch(batch[lo:lo + chunk], n[lo:lo + chunk],
+                                     gt[lo:lo + chunk], order)
+        assert bits(part[i] for i in range(len(part))) == \
+            bits(whole[i] for i in range(lo, min(lo + chunk, len(cases))))
+
+
+@given(cases=_CASES, chunk=st.integers(1, 12))
+def test_evolve_batch_bit_identical_to_scalar_evolve(cases, chunk):
+    batch, n, gt = as_batch(cases)
+    whole = evolve_batch(batch, n, gt)
+    for i, (state, ni, gti) in enumerate(cases):
+        assert bits([whole[i]]) == bits([evolve(state, EvolutionParams(ni, gti))])
+    for lo in range(0, len(cases), chunk):
+        part = evolve_batch(batch[lo:lo + chunk], n[lo:lo + chunk], gt[lo:lo + chunk])
+        assert bits(part[i] for i in range(len(part))) == \
+            bits(whole[i] for i in range(lo, min(lo + chunk, len(cases))))
