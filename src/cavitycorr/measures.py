@@ -10,11 +10,13 @@ discord comes in two routes that cross-validate each other:
 * a brute-force minimization of the measured conditional entropy over all
   rank-1 projective measurements on atom B.  For X states that entropy
   depends only on the polar angle theta of B's basis, so the search is
-  one-dimensional: a deterministic theta grid, then three re-centred
-  golden-section rounds around the best grid point.
+  one-dimensional: a fixed ``GRID_POINTS``-point theta grid, then three
+  re-centred golden-section rounds around the best grid point.
 
-The brute force is the ground truth; the closed form must stay within the
-bound above (plus grid slack) or verification fails.
+Both routes turn their minimum m into discord with the one formula
+:func:`discord_from`, D = S_B - S_AB + m.  The brute force is the ground
+truth; the closed form must stay within the bound above (plus grid slack)
+or verification fails.
 
 The brute-force search runs in lockstep over a batch of states: the grid
 is one (states x grid points) array with a row-wise argmin, and each
@@ -38,19 +40,21 @@ PROB_FLOOR = 1e-14
 # Angular tolerance of the golden-section refinement stage.
 ANGLE_TOL = 1e-6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of the brute-force theta grid on [0, pi/2].
+GRID_POINTS = 128
 # Grid values evaluated per call in the brute-force grid stage: 32 states of
 # a 128-point grid, so its temporaries stay near 64 KB whatever the batch.
 _GRID_VALUES = 32 * 128
 
 
-def binary_entropy(x, atol: float = 1e-12) -> float | np.ndarray:
-    """-x*log2(x) - (1-x)*log2(1-x), tolerating round-off just outside [0, 1].
+def binary_entropy(x) -> float | np.ndarray:
+    """-x*log2(x) - (1-x)*log2(1-x), tolerating round-off of 1e-12 outside [0, 1].
 
     Elementwise for an array ``x``.
     """
     if not isinstance(x, np.ndarray):
         x = float(x)
-    ew.raise_first([((x != x) | (x < -atol) | (x > 1.0 + atol), lambda i:
+    ew.raise_first([((x != x) | (x < -1e-12) | (x > 1.0 + 1e-12), lambda i:
                      f"binary entropy argument must lie in [0, 1], got {ew.at(x, i)!r}")])
     x = ew.minimum(ew.maximum(x, 0.0), 1.0)
     return 0.0 - _xlog2x(x) - _xlog2x(1.0 - x)
@@ -125,21 +129,20 @@ def closed_min_conditional_entropy(state: XState | XBatch) -> float | np.ndarray
     return ew.minimum(equatorial, z_value)
 
 
-def discord_closed_from(s_b, s_ab, m):
-    """Closed-form discord S_B - S_AB + m, clamped to [0, 1 + 1e-9]."""
-    return ew.minimum(ew.maximum(s_b - s_ab + m, 0.0), 1.0 + 1e-9)
+def discord_from(s_b, s_ab, m):
+    """Discord S_B - S_AB + m from a minimized conditional entropy m.
 
-
-def discord_brute_from(s_b, s_ab, m):
-    """Brute-force discord S_B - S_AB + m, with round-off in [-1e-9, 0) set to 0."""
+    Round-off in [-1e-9, 0) becomes 0; nothing else is clamped, so a real
+    fault still shows to the callers' checks.
+    """
     d = s_b - s_ab + m
     return ew.where((d >= -1e-9) & (d < 0.0), 0.0, d)
 
 
 def discord_closed(state: XState | XBatch) -> float | np.ndarray:
     """Closed-form quantum discord for X states."""
-    return discord_closed_from(entropy_b(state), entropy_joint(state),
-                               closed_min_conditional_entropy(state))
+    return discord_from(entropy_b(state), entropy_joint(state),
+                        closed_min_conditional_entropy(state))
 
 
 @dataclass(frozen=True)
@@ -255,27 +258,25 @@ def _grid_min(batch: XBatch, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return thetas[i], vals[np.arange(len(batch)), i]
 
 
-def _min_conditional_entropy(states: XState | XBatch, grid_points: int = 128
+def _min_conditional_entropy(states: XState | XBatch
                              ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Minimum of the measured conditional entropy over B's measurement angle.
 
     Returns ``(minimum, theta)``: floats for an :class:`XState`, arrays
     with one element per state for an :class:`XBatch`.  Each state's
-    ``grid_points``-point theta grid is one row of a 2-d array, evaluated
+    ``GRID_POINTS``-point theta grid is one row of a 2-d array, evaluated
     a block of rows at a time; the row-wise argmin (ties to the smallest
     theta) is then refined by three re-centred golden-section rounds, run
     in lockstep over the batch.  A state's result does not depend on the
     batch it is in.
     """
-    if grid_points < 64:
-        raise ValueError(f"need at least 64 grid points per angle, got {grid_points}")
     batch = XBatch.of(states) if isinstance(states, XState) else states
-    thetas = np.linspace(0.0, math.pi / 2, grid_points)
-    rows = max(1, _GRID_VALUES // grid_points)
+    thetas = np.linspace(0.0, math.pi / 2, GRID_POINTS)
+    rows = max(1, _GRID_VALUES // GRID_POINTS)
     theta, best = (np.concatenate(parts) for parts in zip(*(
         _grid_min(batch[r:r + rows], thetas) for r in range(0, len(batch), rows))))
 
-    dth = (math.pi / 2) / (grid_points - 1)
+    dth = (math.pi / 2) / (GRID_POINTS - 1)
     for _ in range(3):
         t, ft = _golden_min(lambda t: _measured_entropy(batch, t),
                             np.maximum(0.0, theta - dth), np.minimum(math.pi / 2, theta + dth))
@@ -286,14 +287,13 @@ def _min_conditional_entropy(states: XState | XBatch, grid_points: int = 128
     return best, theta
 
 
-def classical_correlation_bruteforce(state: XState, grid_points: int = 128
-                                     ) -> tuple[float, MeasurementBasis]:
+def classical_correlation_bruteforce(state: XState) -> tuple[float, MeasurementBasis]:
     """Marginal entropy of A minus the minimized measured conditional entropy."""
-    m, theta = _min_conditional_entropy(state, grid_points)
+    m, theta = _min_conditional_entropy(state)
     return entropy_a(state) - m, MeasurementBasis(theta, 0.0)
 
 
-def discord_bruteforce(state: XState, grid_points: int = 128) -> float:
+def discord_bruteforce(state: XState) -> float:
     """Quantum discord from the brute-force measurement minimization."""
-    m, _ = _min_conditional_entropy(state, grid_points)
-    return discord_brute_from(entropy_b(state), entropy_joint(state), m)
+    m, _ = _min_conditional_entropy(state)
+    return discord_from(entropy_b(state), entropy_joint(state), m)

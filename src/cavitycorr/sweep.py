@@ -13,8 +13,7 @@ from .evolution import check_photon_number, evolve_grid
 from .measures import (
     closed_min_conditional_entropy,
     concurrence,
-    discord_brute_from,
-    discord_closed_from,
+    discord_from,
     entropy_a,
     entropy_b,
     entropy_joint,
@@ -118,7 +117,6 @@ class SweepConfig:
     gt_max: float
     steps: int
     discord_method: DiscordMethod = DiscordMethod.CLOSED_FORM
-    grid_points: int = 128
 
     def __post_init__(self):
         if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
@@ -152,34 +150,29 @@ class RevivalEvent:
 
 
 def correlation_batch(gt, states: XBatch,
-                      method: DiscordMethod = DiscordMethod.CLOSED_FORM,
-                      grid_points: int = 128) -> SweepBatch:
+                      method: DiscordMethod = DiscordMethod.CLOSED_FORM) -> SweepBatch:
     """Evaluate every correlation measure of each state of a batch, once.
 
-    Both discord routes derive discord and classical correlation from the
-    same minimized conditional entropy, so their sum equals the mutual
-    information identically.  The brute-force route minimizes the whole
-    batch in one lockstep search.
+    Both discord routes derive discord (by :func:`discord_from`) and
+    classical correlation from the same minimized conditional entropy m, so
+    their sum equals the mutual information identically.  The brute-force
+    route minimizes the whole batch in one lockstep search.
     """
     s_a, s_b, s_ab = entropy_a(states), entropy_b(states), entropy_joint(states)
-    if method is DiscordMethod.BRUTE_FORCE:
-        m, _ = _min_conditional_entropy(states, grid_points)
-        disc = discord_brute_from(s_b, s_ab, m)
-    else:
-        m = closed_min_conditional_entropy(states)
-        disc = discord_closed_from(s_b, s_ab, m)
+    m = (_min_conditional_entropy(states)[0] if method is DiscordMethod.BRUTE_FORCE
+         else closed_min_conditional_entropy(states))
     return SweepBatch(gt=np.asarray(gt, dtype=float), states=states,
-                      concurrence=concurrence(states), discord=disc,
+                      concurrence=concurrence(states),
+                      discord=discord_from(s_b, s_ab, m),
                       classical_correlation=s_a - m,
                       mutual_information=mutual_information_from(s_a, s_b, s_ab),
                       discord_method=method)
 
 
 def correlation_record(gt: float, state: XState,
-                       method: DiscordMethod = DiscordMethod.CLOSED_FORM,
-                       grid_points: int = 128) -> CorrelationRecord:
+                       method: DiscordMethod = DiscordMethod.CLOSED_FORM) -> CorrelationRecord:
     """Every correlation measure of one state: the one-point :func:`correlation_batch`."""
-    return correlation_batch([gt], XBatch.of(state), method, grid_points)[0]
+    return correlation_batch([gt], XBatch.of(state), method)[0]
 
 
 def sweep_batches(cfg: SweepConfig, chunk: int = SWEEP_CHUNK):
@@ -193,8 +186,7 @@ def sweep_batches(cfg: SweepConfig, chunk: int = SWEEP_CHUNK):
     initial = werner_state(cfg.r)
     for start in range(0, cfg.steps + 1, chunk):
         gt = np.arange(start, min(start + chunk, cfg.steps + 1)) * cfg.gt_max / cfg.steps
-        yield correlation_batch(gt, evolve_grid(initial, cfg.n, gt),
-                                cfg.discord_method, cfg.grid_points)
+        yield correlation_batch(gt, evolve_grid(initial, cfg.n, gt), cfg.discord_method)
 
 
 def time_series(cfg: SweepConfig) -> SweepBatch:

@@ -9,16 +9,8 @@ import numpy as np
 from . import elementwise as ew
 from .evolution import MAX_PHOTONS, evolve_batch
 from .fock import sequential_pass_batch
-from .measures import (
-    discord_brute_from,
-    discord_closed,
-    entropy_a,
-    entropy_b,
-    entropy_joint,
-    mutual_information_from,
-    _min_conditional_entropy,
-)
-from .sweep import SWEEP_CHUNK
+from .measures import discord_closed
+from .sweep import SWEEP_CHUNK, DiscordMethod, correlation_batch
 from .xstate import XBatch, XState, make_xstate
 
 
@@ -114,8 +106,7 @@ class VerificationReport:
 
 def run_verification(samples: int, seed: int, n_max: int = 12,
                      gt_max: float = 20.0, tol_evolve: float = 1e-10,
-                     tol_discord: float = 0.0026,
-                     grid_points: int = 128) -> VerificationReport:
+                     tol_discord: float = 0.0026) -> VerificationReport:
     """Draw seeded random states and parameters, cross-check every route.
 
     Checks, per sample: the corrected closed-form evolution against the
@@ -123,10 +114,14 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
     minimization; preservation of the state invariants by the evolved
     state; and the identity D + C' = I.  Samples are drawn and checked
     ``SWEEP_CHUNK`` at a time, as arrays; the report does not depend on
-    that size.
+    that size.  The brute-force measures come from :func:`correlation_batch`,
+    as in a ``--discord brute`` sweep, so a non-finite or out-of-range
+    value raises ``ValueError``.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_max < 0 or not math.isfinite(gt_max) or gt_max <= 0.0:
         raise ValueError("n_max must be >= 0 and gt_max positive and finite")
     if n_max > MAX_PHOTONS:
@@ -146,7 +141,7 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
 
     for start, drawn, ns, gts in _seeded_chunks(rng, samples, n_max, gt_max):
         states = XBatch.stack(drawn)
-        m, _ = _min_conditional_entropy(states, grid_points)
+        brute = correlation_batch(gts, states, DiscordMethod.BRUTE_FORCE)
         closed = evolve_batch(states, ns, gts)
         oracle = sequential_pass_batch(states, ns, gts)
         # both batches are validated finite, so these elementwise maxima
@@ -159,12 +154,10 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
         floor = np.min([closed.p11, closed.p22, closed.p33, closed.p44], axis=0)
         excess = np.maximum(0.0, ew.power(closed.abs_c23(), 2) - closed.p22 * closed.p33)
 
-        s_a, s_b, s_ab = entropy_a(states), entropy_b(states), entropy_joint(states)
-        brute = discord_brute_from(s_b, s_ab, m)
         # one state per call: a caller may replace ``discord_closed`` by a
         # one-state function, as the benchmark's NaN-hiding check does
-        ddev = abs(np.array([discord_closed(state) for state in drawn]) - brute)
-        gap = abs(brute + (s_a - m) - mutual_information_from(s_a, s_b, s_ab))
+        ddev = abs(np.array([discord_closed(state) for state in drawn]) - brute.discord)
+        gap = abs(brute.discord + brute.classical_correlation - brute.mutual_information)
 
         # folded in sample order as before, so a NaN never enters a maximum
         report.max_evolve_dev = max(report.max_evolve_dev, *dev.tolist())

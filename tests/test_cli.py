@@ -1,12 +1,13 @@
 import contextlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cavitycorr.cli import CSV_HEADER, format_record, main, parse_record
 from cavitycorr.sweep import DiscordMethod, SweepConfig, time_series
-from cavitycorr import verify
+from cavitycorr import measures, sweep, verify
 from cavitycorr.verify import run_verification
 
 
@@ -211,6 +212,28 @@ class TestGateHoles:
         assert code == 1
         assert out == ""
         assert "n_max must be at most 2**53" in err and "out of bounds" not in err
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--samples", "3", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "seed must be >= 0, got -1" in err
+
+    def test_nan_brute_force_discord_fails(self, capsys, monkeypatch):
+        # a NaN from the minimizer must not be skipped by the report's maxima
+        real = measures._min_conditional_entropy
+
+        def nan_for_high_p44(states):
+            m, theta = real(states)
+            return np.where(states.p44 > 0.4, np.nan, m), theta
+
+        for module in (measures, sweep):
+            monkeypatch.setattr(module, "_min_conditional_entropy", nan_for_high_p44)
+        monkeypatch.setattr(verify, "_min_conditional_entropy", nan_for_high_p44,
+                            raising=False)
+        code, out, _ = run(capsys, "verify", "--samples", "60", "--seed", "1")
+        assert code != 0
+        assert "overall: PASS" not in out
 
     def test_overflowing_grid_writes_nothing(self, capsys):
         code, out, err = run(capsys, "evolve", "--n", "5", "--r", "0",

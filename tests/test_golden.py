@@ -1,7 +1,9 @@
 """Byte-exact CLI output and the batch/chunk independence of every value.
 
-The hashes were recorded from the per-point scalar implementation that the
-array code replaced; they are never regenerated to make a test pass.
+The CSV hashes were recorded from the per-point scalar implementation that
+the array code replaced, the verify-report hashes from the chunked verify
+before it took its measures from correlation_batch; they are never
+regenerated to make a test pass.
 """
 import hashlib
 
@@ -53,6 +55,15 @@ GOLDEN = {
     # 2501 grid points: two full chunks and a partial one
     "evolve --n 7 --r 0.65 --gt-max 33 --steps 2500":
         "c06d463d6f40017c6b2165e74f162d242bbefcc3cdeb398ea3cd917e6937f0b9",
+    # verify reports: closed forms against the Fock oracle and the brute force
+    "verify --samples 60 --n-max 12 --gt-max 20 --seed 0":
+        "26e225815ac4f7a66407ca874970be297898e7c83e9e83eb9e857fdd7f4bb23d",
+    "verify --samples 60 --n-max 12 --gt-max 20 --seed 1":
+        "31314b9348dbe251f5f480c617bf2a7de218644a0dcf3c8191f23bb57929ad14",
+    "verify --samples 60 --n-max 12 --gt-max 20 --seed 2":
+        "f75755ef8baac8f1babdbb972a716f26705f79becdb1789f793218cd443671fb",
+    "verify --samples 1000 --seed 42":
+        "5a94d8f7cf59e1bf1882334235298dfefbfd6b1f990474119a72d3927d174620",
 }
 
 
