@@ -42,7 +42,7 @@ from .sweep import (
     time_series,
 )
 from .verify import VerificationReport, run_verification, sample_xstate
-from .xstate import XBatch, XState, make_xbatch, make_xstate, werner_state, xstate_eigenvalues
+from .xstate import XBatch, XState, make_xbatch, make_xstate, werner_state
 
 __version__ = "0.1.0"
 
@@ -60,5 +60,4 @@ __all__ = [
     "time_series",
     "VerificationReport", "run_verification", "sample_xstate",
     "XBatch", "XState", "make_xbatch", "make_xstate", "werner_state",
-    "xstate_eigenvalues",
 ]

@@ -9,17 +9,17 @@ give the same bits:
   call the C library;
 * on arrays ``cos``, ``sin``, ``sqrt`` and ``hypot`` are numpy's, which
   agree with the C library bit for bit (the golden-bytes tests check this);
-* ``power`` and ``log2`` on arrays call the C library element by element,
-  because numpy's SIMD ``np.power`` and ``np.log2`` differ from it in the
-  last bit on a few percent of inputs.
-
-``simd_log2`` is numpy's ``np.log2`` in both cases: the joint entropy has
-always used it.
+* ``power`` on arrays is ``np.float_power``: its float64 loop calls the C
+  library's ``pow``, with no SIMD variant, while ``x*x`` and ``np.power``
+  differ from ``pow`` on about 0.1 % of squares (``np.power`` on a few
+  percent of 4th powers);
+* ``log2`` on arrays is ``math.log2`` per element, as numpy's float64
+  ``np.log2`` has only SIMD loops, which differ on about 0.1 % of inputs.
+  ``simd_log2`` is ``np.log2`` on floats too: the joint entropy always used it.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 
@@ -43,23 +43,25 @@ def sqrt(x):
 
 def hypot(x, y):
     """sqrt(x*x + y*y) as the C library's hypot, which ``abs(complex)`` calls."""
-    return np.hypot(x, y) if _is_array(x) else abs(complex(x, y))
-
-
-def _libm(fn, x, *args) -> np.ndarray:
-    """``fn`` of each element of the 1-d array ``x``, through Python floats."""
-    values = map(fn, x.tolist(), *(itertools.repeat(a) for a in args))
-    return np.fromiter(values, dtype=float, count=len(x))
+    try:
+        return np.hypot(x, y) if _is_array(x) else abs(complex(x, y))
+    except OverflowError:   # Python's ``abs`` raises where hypot returns inf
+        return math.inf
 
 
 def power(x, y: float):
-    """x**y, bit-identical to Python's float ``**``."""
-    return _libm(math.pow, x, y) if _is_array(x) else x ** y
+    """x**y, bit-identical to Python's float ``**`` but inf where ``**`` overflows."""
+    try:
+        return np.float_power(x, y) if _is_array(x) else x ** y
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.float_power(x, y))
 
 
 def log2(x):
     """log2, bit-identical to ``math.log2``."""
-    return _libm(math.log2, x) if _is_array(x) else math.log2(x)
+    return (np.fromiter(map(math.log2, x.tolist()), dtype=float, count=len(x))
+            if _is_array(x) else math.log2(x))
 
 
 def simd_log2(x):

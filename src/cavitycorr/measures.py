@@ -5,8 +5,10 @@ discord comes in two routes that cross-validate each other:
 
 * a closed form that takes the minimum of the two candidate measured
   conditional entropies (measurement of atom B along z, or in the
-  equatorial plane).  For X states this is known to be exact up to a
-  worst-case absolute error of 0.0021;
+  equatorial plane).  It can exceed the true discord.  Huang, PRA 88,
+  014302 (2013) gives 0.0021 at worst, bits or nats unchecked; in bits
+  the error is at least 0.00294 (0.00204 nats), at (p11, p22, p33, p44,
+  |c23|) = (2.07e-4, 0.02674, 0.94597, 0.02708, 0.14056), scaled to trace 1;
 * a brute-force minimization of the measured conditional entropy over all
   rank-1 projective measurements on atom B.  For X states that entropy
   depends only on the polar angle theta of B's basis, so the search is
@@ -15,8 +17,8 @@ discord comes in two routes that cross-validate each other:
 
 Both routes turn their minimum m into discord with the one formula
 :func:`discord_from`, D = S_B - S_AB + m.  The brute force is the ground
-truth; the closed form must stay within the bound above (plus grid slack)
-or verification fails.
+truth; verification fails where the closed form is further from it than
+the discord tolerance.
 
 The brute-force search runs in lockstep over a batch of states: the grid
 is one (states x grid points) array with a row-wise argmin, and each
@@ -110,8 +112,8 @@ def closed_min_conditional_entropy(state: XState | XBatch) -> float | np.ndarray
     """Closed-form candidate minimum of the measured conditional entropy.
 
     Minimum of the equatorial-measurement value and the z-measurement
-    value; for X states one of the two is optimal up to the 0.0021
-    worst-case error.
+    value.  For X states it can exceed the true minimum, by at least
+    0.00294 bits at worst (the state is in the module docstring).
     """
     p11, p22, p33, p44 = state.p11, state.p22, state.p33, state.p44
     pol = ew.sqrt(ew.power(2.0 * p11 + 2.0 * p22 - 1.0, 2)

@@ -187,7 +187,3 @@ def spectrum(state: XState | XBatch) -> list:
             0.5 * (inner_sum + inner_gap), 0.5 * (inner_sum - inner_gap)]
     return [ew.where((lam < 0.0) & (lam >= -ATOL), 0.0, lam) for lam in lams]
 
-
-def xstate_eigenvalues(state: XState) -> np.ndarray:
-    """Eigenvalues of the X-form matrix, in closed form; see :func:`spectrum`."""
-    return np.array(spectrum(state))

@@ -3,9 +3,15 @@
 The CSV hashes were recorded from the per-point scalar implementation that
 the array code replaced, the verify-report hashes from the chunked verify
 before it took its measures from correlation_batch; they are never
-regenerated to make a test pass.
+regenerated to make a test pass.  The benchmark's own golden hashes
+(perfbench/golden.json) are replayed here too, from its workload
+definitions, which these tests only read.
 """
 import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +33,8 @@ from cavitycorr import (
 )
 from cavitycorr.cli import main
 from cavitycorr.sweep import SWEEP_CHUNK
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 GOLDEN = {
     # README commands
@@ -73,6 +81,28 @@ def test_stdout_bytes_unchanged(command, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["sweep-csv", "envelope-revival"])
+def test_benchmark_golden_hashes_unchanged(name, capsys):
+    workloads = _perfbench_workloads()
+    golden = json.loads((PERFBENCH / "golden.json").read_text())[name]
+    assert sorted(map(int, golden)) == list(range(32))
+    drifted = []
+    for seed, digest in golden.items():
+        assert main(list(workloads.make(name, int(seed)).args)) == 0
+        if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != digest:
+            drifted.append(int(seed))
+    assert drifted == []
 
 
 def test_chunk_straddling_sweep_spans_several_chunks():

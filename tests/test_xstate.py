@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cavitycorr import XBatch, make_xbatch, make_xstate, werner_state, xstate_eigenvalues
+from cavitycorr import XBatch, make_xbatch, make_xstate, werner_state
+from cavitycorr.cli import parse_record
 from cavitycorr.xstate import spectrum
 
 from conftest import xstates
@@ -82,20 +84,20 @@ class TestWerner:
 
 class TestEigenvalues:
     def test_maximally_mixed(self):
-        assert np.allclose(xstate_eigenvalues(make_xstate(0.25, 0.25, 0.25, 0.25, 0)),
+        assert np.allclose(spectrum(make_xstate(0.25, 0.25, 0.25, 0.25, 0)),
                            [0.25, 0.25, 0.25, 0.25])
 
     def test_bell(self):
-        assert np.allclose(xstate_eigenvalues(make_xstate(0, 0.5, 0.5, 0, 0.5)),
+        assert np.allclose(spectrum(make_xstate(0, 0.5, 0.5, 0, 0.5)),
                            [0, 0, 1, 0], atol=1e-15)
 
     def test_werner(self):
-        assert np.allclose(xstate_eigenvalues(werner_state(0.2)),
+        assert np.allclose(spectrum(werner_state(0.2)),
                            [0.2, 0.2, 0.4, 0.2], atol=1e-15)
 
     @given(xstates())
     def test_spectrum_properties(self, s):
-        lams = xstate_eigenvalues(s)
+        lams = np.array(spectrum(s))
         assert abs(lams.sum() - 1.0) < 1e-12
         assert (lams >= 0.0).all()
         assert (lams <= 1.0 + 1e-12).all()
@@ -140,7 +142,7 @@ class TestMakeXbatch:
     @given(xstates())
     def test_one_state_round_trip(self, s):
         assert XBatch.of(s)[0] == s
-        assert xstate_eigenvalues(s).tolist() == [float(v[0]) for v in spectrum(XBatch.of(s))]
+        assert spectrum(s) == [float(v[0]) for v in spectrum(XBatch.of(s))]
 
 
 class TestXBatchStack:
@@ -152,3 +154,25 @@ class TestXBatchStack:
         part = batch[lo:hi]
         assert isinstance(part, XBatch)
         assert [part[i] for i in range(len(part))] == states[lo:hi]
+
+
+class TestOverflow:
+    """|c23|^2 overflowing to inf is rejected by the positivity check, on every path."""
+
+    @pytest.mark.parametrize("c23", [1e200, complex(1.5e308, 1.5e308)])
+    def test_one_state_batch_and_csv_row_give_the_same_error(self, c23):
+        with pytest.raises(ValueError, match=r"\|c23\|\^2 = inf") as scalar:
+            make_xstate(0.25, 0.25, 0.25, 0.25, c23)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as batch:
+                make_xbatch(*(np.full(1, 0.25) for _ in range(4)),
+                            np.full(1, c23.real), np.full(1, c23.imag))
+        assert str(batch.value) == str(scalar.value)
+
+        with pytest.raises(ValueError) as scalar_1e9:
+            make_xstate(0.25, 0.25, 0.25, 0.25, c23, atol=1e-9)
+        row = f"0,0,0,0.25,0.25,0.25,0.25,{c23.real!r},{c23.imag!r},0,0,0,0"
+        with pytest.raises(ValueError) as parsed:
+            parse_record(row)
+        assert str(parsed.value) == str(scalar_1e9.value)
