@@ -194,15 +194,31 @@ def time_series(cfg: SweepConfig) -> SweepBatch:
     return next(sweep_batches(cfg, cfg.steps + 1))
 
 
-def envelope(series, window: float) -> list[tuple[float, float]]:
+def _series(series) -> tuple[np.ndarray, np.ndarray]:
+    """The gt and value columns of an (N, 2) array or sequence of (gt, value) pairs.
+
+    Raises ``ValueError`` at the first gt that is not finite or is smaller
+    than the one before it; the values are not checked.
+    """
+    gts, vals = np.asarray(series, dtype=float).reshape(len(series), 2).T
+    bad = ~np.isfinite(gts)
+    bad[1:] |= gts[1:] < gts[:-1]
+    ew.raise_first([(bad, lambda i: "series gt must be finite and non-decreasing, "
+                                    f"got {ew.at(gts, i)!r} at index {i}")])
+    return gts, vals
+
+
+def envelope(series, window: float) -> np.ndarray:
     """Sliding-window maximum centered at each grid point.
 
-    ``series`` is a sorted sequence of (gt, value) pairs or an (N, 2)
-    array; windows are truncated at the ends of the series.
+    ``series`` is an (N, 2) array of (gt, value) rows or a sequence of
+    pairs, with finite, non-decreasing gt.  Returns an (N, 2) array of
+    (gt, window maximum) rows; windows are truncated at the ends of the
+    series.
     """
-    if len(series) == 0:
+    gts, vals = _series(series)
+    if len(gts) == 0:
         raise ValueError("envelope of an empty series is undefined")
-    gts, vals = np.asarray(series, dtype=float).T
     if not window > 0.0:
         raise ValueError(f"window must be positive, got {window!r}")
     if window >= gts[-1] - gts[0]:
@@ -214,13 +230,15 @@ def envelope(series, window: float) -> list[tuple[float, float]]:
     # the interleaved bounds puts each window's maximum at the even positions.
     bounds = np.column_stack([lo, hi]).ravel()
     out = np.maximum.reduceat(np.append(vals, -np.inf), bounds)[::2]
-    return list(zip(gts.tolist(), out.tolist()))
+    return np.column_stack([gts, out])
 
 
 def detect_collapse_revival(env, collapse_threshold: float,
                             min_duration: float) -> list[RevivalEvent]:
     """Alternating collapse/revival events of an envelope series.
 
+    ``env`` is an (N, 2) array of (gt, value) rows, as :func:`envelope`
+    returns, or a sequence of pairs, with finite, non-decreasing gt.
     A collapse is a maximal run of points below the threshold whose gt
     span is at least ``min_duration``.  Shorter dips do not count and are
     absorbed into the surrounding activity.  Every maximal stretch between
@@ -231,48 +249,27 @@ def detect_collapse_revival(env, collapse_threshold: float,
     if not (0.0 < collapse_threshold < math.inf and 0.0 < min_duration < math.inf):
         raise ValueError("collapse_threshold and min_duration must be positive and finite, "
                          f"got {collapse_threshold!r} and {min_duration!r}")
-    gts = np.asarray([p[0] for p in env], dtype=float)
-    vals = np.asarray([p[1] for p in env], dtype=float)
-    below = vals < collapse_threshold
-
-    collapses = []
-    i = 0
-    npts = len(vals)
-    while i < npts:
-        if below[i]:
-            j = i
-            while j + 1 < npts and below[j + 1]:
-                j += 1
-            if gts[j] - gts[i] >= min_duration:
-                collapses.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    if not collapses:
+    gts, vals = _series(env)
+    # Runs below the threshold are [start, end) between the edges of the
+    # zero-padded mask.
+    below = np.concatenate([[False], vals < collapse_threshold, [False]])
+    starts, ends = np.flatnonzero(np.diff(below)).reshape(-1, 2).T
+    kept = gts[ends - 1] - gts[starts] >= min_duration
+    if not kept.any():
         return []
-
-    events = []
-    prev_end = -1
-    for k, (i, j) in enumerate(collapses):
-        if i > prev_end + 1:
-            a, b = prev_end + 1, i - 1
-            events.append(RevivalEvent(EventKind.REVIVAL, float(gts[a]),
-                                       float(gts[b]), float(vals[a:b + 1].max())))
-        events.append(RevivalEvent(EventKind.COLLAPSE, float(gts[i]),
-                                   float(gts[j]), float(vals[i:j + 1].max())))
-        prev_end = j
-    if prev_end + 1 < npts:
-        a = prev_end + 1
-        events.append(RevivalEvent(EventKind.REVIVAL, float(gts[a]),
-                                   float(gts[-1]), float(vals[a:].max())))
-    return events
+    # Cut at both ends of each kept collapse: the pieces alternate revival,
+    # collapse, ..., revival, and only the first and last can be empty.
+    cuts = np.column_stack([starts[kept], ends[kept]]).ravel()
+    pieces = zip(np.split(gts, cuts), np.split(vals, cuts))
+    return [RevivalEvent(EventKind.COLLAPSE if k % 2 else EventKind.REVIVAL,
+                         float(g[0]), float(g[-1]), float(v.max()))
+            for k, (g, v) in enumerate(pieces) if len(g)]
 
 
 def first_onset(series, eps: float = 1e-3):
-    """Smallest grid gt whose value exceeds eps, or None."""
-    if eps <= 0.0:
+    """Smallest grid gt whose value exceeds eps, or None; ``series`` as for :func:`envelope`."""
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    for gt, value in series:
-        if value > eps:
-            return float(gt)
-    return None
+    gts, vals = _series(series)
+    above = np.flatnonzero(vals > eps)
+    return float(gts[above[0]]) if len(above) else None

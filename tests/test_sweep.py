@@ -7,6 +7,7 @@ from cavitycorr import (
     CorrelationRecord,
     DiscordMethod,
     EventKind,
+    RevivalEvent,
     SweepBatch,
     SweepConfig,
     correlation_record,
@@ -31,6 +32,53 @@ def naive_envelope(series, window):
                 best = max(best, v)
         out.append((gt_i, best))
     return out
+
+
+def naive_events(env, threshold, min_duration):
+    # independent reference: walks each run below the threshold point by point
+    gts = [float(gt) for gt, _ in env]
+    vals = [float(v) for _, v in env]
+    npts = len(vals)
+    collapses = []
+    i = 0
+    while i < npts:
+        if vals[i] < threshold:
+            j = i
+            while j + 1 < npts and vals[j + 1] < threshold:
+                j += 1
+            if gts[j] - gts[i] >= min_duration:
+                collapses.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    if not collapses:
+        return []
+    events = []
+    prev_end = -1
+    for i, j in collapses:
+        if i > prev_end + 1:
+            a, b = prev_end + 1, i - 1
+            events.append(RevivalEvent(EventKind.REVIVAL, gts[a], gts[b], max(vals[a:b + 1])))
+        events.append(RevivalEvent(EventKind.COLLAPSE, gts[i], gts[j], max(vals[i:j + 1])))
+        prev_end = j
+    if prev_end + 1 < npts:
+        a = prev_end + 1
+        events.append(RevivalEvent(EventKind.REVIVAL, gts[a], gts[-1], max(vals[a:])))
+    return events
+
+
+def step_signal(rng, npts):
+    # runs of 1-8 points, alternating below and above 0.5, on a grid whose
+    # steps are multiples of 0.25 (so spans equal to min_duration are exact)
+    # and sometimes 0 (repeated gt)
+    gts = np.cumsum(rng.integers(0, 3, size=npts) * 0.25)
+    vals = np.empty(npts)
+    i, below = 0, bool(rng.integers(2))
+    while i < npts:
+        run = vals[i:i + int(rng.integers(1, 9))]
+        run[:] = rng.uniform(0.0, 0.5, len(run)) + (0.0 if below else 0.5)
+        i, below = i + len(run), not below
+    return np.column_stack([gts, vals])
 
 
 class TestTimeSeries:
@@ -113,13 +161,27 @@ class TestEnvelope:
         rng = seeded_rng(31)
         gts = np.sort(rng.uniform(0, 10, size=200))
         series = list(zip(gts.tolist(), rng.random(200).tolist()))
-        assert envelope(series, 1.3) == naive_envelope(series, 1.3)
+        env = envelope(series, 1.3)
+        assert env.shape == (200, 2)
+        assert np.array_equal(env, naive_envelope(series, 1.3))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             envelope([], 1.0)
         with pytest.raises(ValueError):
             envelope([(0.0, 1.0), (1.0, 2.0)], 5.0)  # window wider than span
+
+    def test_rejects_bad_gt(self):
+        # unsorted, the window of gt = 1.0 would take 5.0 from gt = 2.0
+        with pytest.raises(ValueError, match="non-decreasing, got 1.0 at index 2"):
+            envelope([(0, 1), (2, 5), (1, 0), (3, 0), (4, 0)], 1.0)
+        with pytest.raises(ValueError, match="got nan at index 1"):
+            envelope([(0, 1), (math.nan, 5), (2, 0), (3, 0), (4, 0)], 1.0)
+
+    def test_nan_value_propagates(self):
+        env = envelope([(0.0, math.nan), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], 2.5)
+        assert np.isnan(env[:2, 1]).all()
+        assert list(env[2:, 1]) == [0.0, 0.0]
 
 
 class TestDetect:
@@ -186,6 +248,42 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect_collapse_revival(env, 0.1, -1.0)
 
+    def test_rejects_bad_gt(self):
+        env = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (2.0, 0.0)]
+        with pytest.raises(ValueError, match="at index 2"):
+            detect_collapse_revival(env, 0.1, 0.5)
+        with pytest.raises(ValueError, match="got inf at index 3"):
+            detect_collapse_revival(env[:2] + [(1.5, 1.0), (math.inf, 0.0)], 0.1, 0.5)
+
+    def test_empty(self):
+        assert detect_collapse_revival([], 0.1, 0.5) == []
+
+    @pytest.mark.parametrize("vals", [
+        [0, 0, 0, 1, 1, 1, 1, 1],  # collapse at the start
+        [1, 1, 1, 1, 1, 0, 0, 0],  # collapse at the end
+        [0] * 8,  # all below
+        [0, 1, 0, 1, 0, 1, 0, 1],  # single-point runs
+        [1, 0, 1, 0, 0, 1, 0, 0],  # a short and a long run
+        [1, 0, 0, 0, 1, 0, 0, 0, 0, 1],  # spans of exactly and above min_duration
+        [1] * 8,
+    ])
+    def test_matches_naive_events_on_cases(self, vals):
+        env = [(0.25 * i, 0.1 + 0.8 * v + 0.01 * i) for i, v in enumerate(vals)]
+        for min_duration in (0.125, 0.25, 0.5, 0.75, 5.0):
+            events = detect_collapse_revival(env, 0.5, min_duration)
+            assert events == naive_events(env, 0.5, min_duration)
+
+    def test_matches_naive_events_on_random_steps(self):
+        rng = seeded_rng(7)
+        compared = 0
+        for _ in range(300):
+            env = step_signal(rng, int(rng.integers(1, 60)))
+            for min_duration in (0.25, 0.5, 1.0):
+                expected = naive_events(env, 0.5, min_duration)
+                assert detect_collapse_revival(env, 0.5, min_duration) == expected
+                compared += len(expected)
+        assert compared > 1000
+
 
 class TestFirstOnset:
     def test_absent(self):
@@ -197,6 +295,17 @@ class TestFirstOnset:
 
     def test_strict_inequality(self):
         assert first_onset([(0.0, 0.1)], 0.1) is None
+
+    def test_empty(self):
+        assert first_onset([]) is None
+
+    def test_rejects_bad_eps_and_gt(self):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            first_onset([(0.0, 1.0)], math.nan)
+        with pytest.raises(ValueError, match="non-decreasing, got 0.5 at index 2"):
+            first_onset([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)], 0.1)
+        with pytest.raises(ValueError, match="got nan at index 0"):
+            first_onset([(math.nan, 1.0), (1.0, 0.0)], 0.1)
 
     def test_discord_precedes_concurrence(self):
         records = time_series(SweepConfig(n=0, r=0.0, gt_max=10.0, steps=2000))
