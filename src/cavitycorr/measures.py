@@ -25,7 +25,9 @@ is one (states x grid points) array with a row-wise argmin, and each
 golden-section step updates every state's bracket as the one-state search
 would and evaluates one new point per state.  A state whose bracket is
 already narrower than ``ANGLE_TOL`` stops moving, so its result is
-bit-identical alone and inside any batch.
+bit-identical alone and inside any batch.  Each call reads the states'
+populations and |c23| once and computes the grid's trig once; one kernel
+serves the grid, the golden-section steps and one-state evaluations.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Points of the brute-force theta grid on [0, pi/2].
 GRID_POINTS = 128
 # Grid values evaluated per call in the brute-force grid stage: 32 states of
-# a 128-point grid, so its temporaries stay near 64 KB whatever the batch.
+# a 128-point grid, so its temporaries stay near 128 KB whatever the batch.
 _GRID_VALUES = 32 * 128
 
 
@@ -70,8 +72,9 @@ def _xlog2x(v, log2=ew.log2):
 
 def _h(x):
     """Vectorized binary entropy, inputs assumed in [0, 1] up to round-off."""
-    x = np.clip(x, 0.0, 1.0)
-    return 0.0 - _xlog2x(x, ew.simd_log2) - _xlog2x(1.0 - x, ew.simd_log2)
+    x = x.clip(0.0, 1.0)
+    terms = _xlog2x(np.array([x, 1.0 - x]), ew.simd_log2)
+    return 0.0 - terms[0] - terms[1]
 
 
 # Every closed form below takes an XState and returns a float, or an
@@ -194,33 +197,56 @@ def conditional_entropy_measured(state: XState, basis: MeasurementBasis) -> floa
     return total
 
 
+def _constants(states: XState | XBatch, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's populations ``[[p11, p33], [p22, p44]]`` and its |c23|.
+
+    Shaped to broadcast against ``ndim`` theta axes, the first of which
+    runs over the states of a batch: the populations as (2, 2, 1, *shape),
+    |c23| as ``shape``.
+    """
+    if isinstance(states, XState):
+        shape = (1,) * ndim
+    else:
+        shape = (len(states),) + (1,) * (ndim - 1)
+    pops = np.array([[states.p11, states.p33], [states.p22, states.p44]], dtype=float)
+    return pops.reshape((2, 2, 1) + shape), np.reshape(states.abs_c23(), shape)
+
+
+def _trig(theta) -> tuple[np.ndarray, np.ndarray]:
+    """``[sin^2, cos^2]`` of the angles ``theta``, stacked along a new first axis, and sin*cos."""
+    sin_cos = np.array([np.sin(theta), np.cos(theta)])
+    return np.square(sin_cos), sin_cos[0] * sin_cos[1]
+
+
+def _entropy(pops, abs_c23, sin2_cos2, sin_cos) -> np.ndarray:
+    """Measured conditional entropy from :func:`_constants` and :func:`_trig`.
+
+    The one kernel of every evaluation; the result has the broadcast shape
+    of the states' and the angles' arrays.  The azimuth phi of B's basis
+    drops out: the only coherence links |10> and |01>, so the measurement
+    phase enters the conditional states of A only through the magnitude
+    sin(theta)cos(theta)|c23|.
+    """
+    off = sin_cos * abs_c23
+    # diagonal of A's conditional state, for both outcomes along the first
+    # axis: B found excited, then ground
+    s11, s00 = sin2_cos2 * pops[0] + sin2_cos2[::-1] * pops[1]
+    p_k = s11 + s00
+    gap = np.sqrt(np.square(s11 - s00) + 4.0 * np.square(off))
+    # outcomes below the floor contribute nothing, whatever ``top`` is there
+    top = (p_k + gap) / np.maximum(2.0 * p_k, PROB_FLOOR)
+    out = np.where(p_k > PROB_FLOOR, p_k * _h(top), 0.0)
+    return out[0] + out[1]
+
+
 def _measured_entropy(states: XState | XBatch, theta):
     """Measured conditional entropy at the polar angles ``theta`` of B's basis.
 
     For one state ``theta`` may have any shape; for a batch its first axis
-    runs over the states.  The azimuth phi of the basis drops out: the only
-    coherence links |10> and |01>, so the measurement phase enters the
-    conditional states of A only through the magnitude
-    sin(theta)cos(theta)|c23|.
+    runs over the states.
     """
     theta = np.asarray(theta, dtype=float)
-    # one state's scalars, or each state's values along theta's first axis
-    pad = (slice(None),) + (None,) * (theta.ndim - 1)
-    p11, p22, p33, p44, abs_c23 = (
-        v[pad] if isinstance(v, np.ndarray) else v
-        for v in (states.p11, states.p22, states.p33, states.p44, states.abs_c23()))
-    sin, cos = np.sin(theta), np.cos(theta)
-    sin2, cos2 = sin ** 2, cos ** 2
-    off = sin * cos * abs_c23
-    # both outcomes at once, along a new first axis: B found excited, then ground
-    w_exc, w_gnd = np.stack([sin2, cos2]), np.stack([cos2, sin2])
-    s11 = w_exc * p11 + w_gnd * p22
-    s00 = w_exc * p33 + w_gnd * p44
-    p_k = s11 + s00
-    gap = np.sqrt((s11 - s00) ** 2 + 4.0 * off ** 2)
-    top = np.where(p_k > PROB_FLOOR, (p_k + gap) / np.maximum(2.0 * p_k, PROB_FLOOR), 0.0)
-    out = np.where(p_k > PROB_FLOOR, p_k * _h(top), 0.0)
-    return out[0] + out[1]
+    return _entropy(*_constants(states, theta.ndim), *_trig(theta))
 
 
 def _golden_min(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +262,8 @@ def _golden_min(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
     fc, fd = fun(c), fun(d)
     live = b - a > ANGLE_TOL
     while live.any():
-        left = live & (fc <= fd)
-        right = live & ~(fc <= fd)
+        lower = fc <= fd
+        left, right = live & lower, live & ~lower
         b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
         a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
         step = _INVPHI * (b - a)
@@ -250,14 +276,16 @@ def _golden_min(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.where(left, c, d), np.where(left, fc, fd)
 
 
-def _grid_min(batch: XBatch, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid_min(pops, abs_c23, thetas, trig) -> tuple[np.ndarray, np.ndarray]:
     """Each state's grid angle of least measured entropy, and that entropy.
 
+    ``pops`` and ``abs_c23`` are a block of rows of :func:`_constants`,
+    with a trailing axis for the angles; ``trig`` is ``_trig(thetas[None])``.
     Ties go to the smallest angle.
     """
-    vals = _measured_entropy(batch, np.broadcast_to(thetas, (len(batch), len(thetas))))
+    vals = _entropy(pops, abs_c23, *trig)
     i = np.argmin(vals, axis=1)
-    return thetas[i], vals[np.arange(len(batch)), i]
+    return thetas[i], vals[np.arange(len(i)), i]
 
 
 def _min_conditional_entropy(states: XState | XBatch
@@ -269,18 +297,22 @@ def _min_conditional_entropy(states: XState | XBatch
     ``GRID_POINTS``-point theta grid is one row of a 2-d array, evaluated
     a block of rows at a time; the row-wise argmin (ties to the smallest
     theta) is then refined by three re-centred golden-section rounds, run
-    in lockstep over the batch.  A state's result does not depend on the
-    batch it is in.
+    in lockstep over the batch.  The states' populations and |c23| are read,
+    and the grid's trig computed, once per call.  A state's result does not
+    depend on the batch it is in.
     """
     batch = XBatch.of(states) if isinstance(states, XState) else states
+    pops, abs_c23 = _constants(batch, 1)
     thetas = np.linspace(0.0, math.pi / 2, GRID_POINTS)
+    trig = _trig(thetas[None])   # one row of angles, shared by every row of states
     rows = max(1, _GRID_VALUES // GRID_POINTS)
     theta, best = (np.concatenate(parts) for parts in zip(*(
-        _grid_min(batch[r:r + rows], thetas) for r in range(0, len(batch), rows))))
+        _grid_min(pops[..., r:r + rows, None], abs_c23[r:r + rows, None], thetas, trig)
+        for r in range(0, len(batch), rows))))
 
     dth = (math.pi / 2) / (GRID_POINTS - 1)
     for _ in range(3):
-        t, ft = _golden_min(lambda t: _measured_entropy(batch, t),
+        t, ft = _golden_min(lambda t: _entropy(pops, abs_c23, *_trig(t)),
                             np.maximum(0.0, theta - dth), np.minimum(math.pi / 2, theta + dth))
         better = ft < best
         theta, best = np.where(better, t, theta), np.where(better, ft, best)

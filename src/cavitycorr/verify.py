@@ -11,36 +11,44 @@ from .evolution import MAX_PHOTONS, evolve_batch
 from .fock import sequential_pass_batch
 from .measures import discord_closed
 from .sweep import SWEEP_CHUNK, DiscordMethod, correlation_batch
-from .xstate import XBatch, XState, make_xstate
+from .xstate import XBatch, XState, make_xbatch
+
+
+def _sampled_states(u: np.ndarray) -> XBatch:
+    """Random valid X states from uniform draws ``u``, one column of six per state.
+
+    Populations are exponential weights (from the first four draws)
+    normalized to one; the coherence is uniform in the disk of radius
+    sqrt(p22*p33) (from the last two), covering the positivity boundary.
+    """
+    w = -np.log(u[:4])
+    w /= ((w[0] + w[1]) + w[2]) + w[3]
+    radius = np.sqrt(w[1] * w[2]) * np.sqrt(u[4])
+    c23 = radius * np.exp(2j * math.pi * u[5])
+    return make_xbatch(*w, c23.real.copy(), c23.imag.copy())
 
 
 def sample_xstate(rng: np.random.Generator) -> XState:
-    """Random valid X state, covering the positivity boundary.
-
-    Populations are exponential weights normalized to one; the coherence
-    is uniform in the disk of radius sqrt(p22*p33).
-    """
-    w = -np.log(rng.random(4))
-    w /= w.sum()
-    radius = math.sqrt(w[1] * w[2]) * math.sqrt(rng.random())
-    c23 = radius * np.exp(2j * math.pi * rng.random())
-    return make_xstate(w[0], w[1], w[2], w[3], c23)
+    """Random valid X state from six uniform draws of ``rng``, covering the positivity boundary."""
+    return _sampled_states(rng.random((6, 1)))[0]
 
 
 def _seeded_chunks(rng, samples, n_max, gt_max):
     """Yield (first index, states, n, gt) for ``SWEEP_CHUNK`` samples at a time.
 
-    ``states`` is a list of :class:`XState`, ``n`` and ``gt`` are arrays.
-    State, n and gt are drawn sample after sample, in that order, so the
-    samples do not depend on the chunk size.
+    ``states`` is an :class:`XBatch`, ``n`` and ``gt`` are arrays.  Each
+    sample draws its state's six uniforms, then n, then gt, so the samples
+    do not depend on the chunk size and each state is the one
+    :func:`sample_xstate` would draw.
     """
     chunk = SWEEP_CHUNK
     for start in range(0, samples, chunk):
-        drawn = [(sample_xstate(rng), int(rng.integers(0, n_max + 1)),
+        drawn = [(rng.random(6), int(rng.integers(0, n_max + 1)),
                   float(rng.uniform(0.0, gt_max)))
                  for _ in range(min(chunk, samples - start))]
-        states, n, gt = zip(*drawn)
-        yield start, list(states), np.array(n, dtype=np.int64), np.array(gt)
+        u, n, gt = zip(*drawn)
+        yield (start, _sampled_states(np.array(u).T), np.array(n, dtype=np.int64),
+               np.array(gt))
 
 
 @dataclass
@@ -139,8 +147,8 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
                 f"{state.p44:.12g}, {state.c23.real:.12g}{state.c23.imag:+.12g}j)"
                 f"{extra}")
 
-    for start, drawn, ns, gts in _seeded_chunks(rng, samples, n_max, gt_max):
-        states = XBatch.stack(drawn)
+    for start, states, ns, gts in _seeded_chunks(rng, samples, n_max, gt_max):
+        drawn = list(states)
         brute = correlation_batch(gts, states, DiscordMethod.BRUTE_FORCE)
         closed = evolve_batch(states, ns, gts)
         oracle = sequential_pass_batch(states, ns, gts)

@@ -97,6 +97,12 @@ class XBatch:
         return XState(float(self.p11[i]), float(self.p22[i]), float(self.p33[i]),
                       float(self.p44[i]), complex(self.re_c23[i], self.im_c23[i]))
 
+    def __iter__(self):
+        """The states in order, each as ``self[i]`` gives it."""
+        cols = (self.p11, self.p22, self.p33, self.p44, self.re_c23, self.im_c23)
+        for p11, p22, p33, p44, re, im in zip(*(c.tolist() for c in cols)):
+            yield XState(p11, p22, p33, p44, complex(re, im))
+
     def abs_c23(self) -> np.ndarray:
         return np.hypot(self.re_c23, self.im_c23)
 

@@ -60,6 +60,9 @@ GOLDEN = {
     # brute-force discord route
     "evolve --n 1 --r 0.3 --gt-max 4 --steps 8 --discord brute":
         "b76e1596a512b328f1003609b60d556ef88ab95e8bd4cd98be7f30bfbe36d296",
+    # 1101 brute-force points and 1100 verify samples: a full chunk and a partial one
+    "evolve --n 7 --r 0.65 --gt-max 33 --steps 1100 --discord brute":
+        "f755ee7f9b9bebf5b9301a7c897b290f16433feae017ab08338b9cfe0904d403",
     # 2501 grid points: two full chunks and a partial one
     "evolve --n 7 --r 0.65 --gt-max 33 --steps 2500":
         "c06d463d6f40017c6b2165e74f162d242bbefcc3cdeb398ea3cd917e6937f0b9",
@@ -72,6 +75,8 @@ GOLDEN = {
         "f75755ef8baac8f1babdbb972a716f26705f79becdb1789f793218cd443671fb",
     "verify --samples 1000 --seed 42":
         "5a94d8f7cf59e1bf1882334235298dfefbfd6b1f990474119a72d3927d174620",
+    "verify --samples 1100 --seed 7":
+        "acebebf599f825af8b83147f11164ba35cda3905b12c2e7bee8695d9dc61366b",
 }
 
 

@@ -206,6 +206,15 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+GRID_EDGE_STATES = {
+    "pure |11>": make_xstate(1, 0, 0, 0, 0),
+    "Bell psi+": BELL,
+    "outcome below the floor at theta = 0 and pi/2": make_xstate(0.6, 0, 0.4 - 1e-15, 1e-15, 0),
+    "|c23|^2 = p22*p33": make_xstate(0.1, 0.3, 0.2, 0.4,
+                                     math.sqrt(0.3 * 0.2) * complex(math.cos(0.7), math.sin(0.7))),
+}
+
+
 class TestBatchedMinimizer:
     @settings(max_examples=40)
     @given(states=st.lists(xstates(), min_size=1, max_size=9),
@@ -246,6 +255,34 @@ class TestBatchedMinimizer:
         value, basis = classical_correlation_bruteforce(s)
         assert basis == MeasurementBasis(theta, 0.0)
         assert value == entropy_a(s) - m
+
+    @pytest.mark.parametrize("grid_points", [64, 128, 4096])
+    @pytest.mark.parametrize("name", sorted(GRID_EDGE_STATES))
+    def test_grid_values_equal_one_angle_evaluations(self, name, grid_points):
+        # the grid stage shares one set of trig values among all states;
+        # each value must still be the one-state, one-angle evaluation
+        state = GRID_EDGE_STATES[name]
+        kernel, calls = measures._entropy, []
+
+        def recording(*args):
+            calls.append(kernel(*args))
+            return calls[-1]
+
+        with mock.patch.object(measures, "GRID_POINTS", grid_points), \
+                mock.patch.object(measures, "_entropy", recording):
+            _min_conditional_entropy(state)
+        grid = calls[0]   # the grid stage runs first, in one block for one state
+        assert grid.shape == (1, grid_points)
+        thetas = np.linspace(0.0, math.pi / 2, grid_points)
+        alone = [_measured_entropy(state, float(theta)) for theta in thetas]
+        assert (_bits(alone) == _bits(grid[0])).all()
+
+    def test_grid_edge_states_are_edge_cases(self):
+        floor = GRID_EDGE_STATES["outcome below the floor at theta = 0 and pi/2"]
+        # B's outcome weights at theta = 0: p22 + p44 and p11 + p33
+        assert 0.0 < floor.p22 + floor.p44 < measures.PROB_FLOOR
+        for s in (GRID_EDGE_STATES["|c23|^2 = p22*p33"], GRID_EDGE_STATES["Bell psi+"]):
+            assert abs(s.c23) ** 2 == pytest.approx(s.p22 * s.p33, rel=1e-15)
 
     def test_minimum_matches_projector_path_at_returned_basis(self):
         rng = seeded_rng(30)

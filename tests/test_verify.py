@@ -1,0 +1,73 @@
+"""Seeded sampling of verify: the batched draws equal the per-sample formula bit for bit.
+
+The reference draws one sample at a time, exactly as the benchmark's
+replay (perfbench/checks.py, ``replay_verify``) spells it out: four
+exponential weights, the coherence's radius and phase, then n and gt.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from cavitycorr.sweep import SWEEP_CHUNK
+from cavitycorr.verify import _seeded_chunks, sample_xstate
+from cavitycorr.xstate import XState
+
+GT_MAX = 20.0
+SAMPLES = (1, 1023, 1024, 1025, 2100)
+# samples drawn through sample_xstate per seed, each followed by its n and gt
+ONE_AT_A_TIME = 64
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _reference(seed, n_max, samples):
+    """Bits of the state columns (p11..p44, re, im), n and the bits of gt, per sample.
+
+    ``make_xstate``, which the replay also calls, keeps a valid state's
+    values as they are, so it is left out here.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(samples):
+        w = -np.log(rng.random(4))
+        w /= w.sum()
+        radius = math.sqrt(w[1] * w[2]) * math.sqrt(rng.random())
+        c23 = radius * np.exp(2j * math.pi * rng.random())
+        rows.append((w[0], w[1], w[2], w[3], c23.real, c23.imag,
+                     int(rng.integers(0, n_max + 1)), float(rng.uniform(0.0, GT_MAX))))
+    cols = list(zip(*rows))
+    return _bits(cols[:6]), np.array(cols[6], dtype=np.int64), _bits(cols[7])
+
+
+def _columns(states):
+    return np.stack([states.p11, states.p22, states.p33, states.p44,
+                     states.re_c23, states.im_c23])
+
+
+@pytest.mark.parametrize("n_max", [0, 12, 2**53])
+def test_seeded_chunks_reproduce_the_per_sample_formula(n_max):
+    for seed in range(50):
+        want_states, want_n, want_gt = _reference(seed, n_max, max(SAMPLES))
+        for samples in SAMPLES:
+            chunks = list(_seeded_chunks(np.random.default_rng(seed), samples, n_max, GT_MAX))
+            assert [c[0] for c in chunks] == list(range(0, samples, SWEEP_CHUNK))
+            assert all(len(states) == len(n) == len(gt) <= SWEEP_CHUNK
+                       for _, states, n, gt in chunks)
+            states = _bits(np.concatenate([_columns(c[1]) for c in chunks], axis=1))
+            assert (states == want_states[:, :samples]).all(), (seed, samples)
+            assert (np.concatenate([c[2] for c in chunks]) == want_n[:samples]).all()
+            assert (_bits(np.concatenate([c[3] for c in chunks]))
+                    == want_gt[:samples]).all()
+
+        rng = np.random.default_rng(seed)
+        for k in range(ONE_AT_A_TIME):
+            state = sample_xstate(rng)
+            assert isinstance(state, XState)
+            got = _bits([state.p11, state.p22, state.p33, state.p44,
+                         state.c23.real, state.c23.imag])
+            assert (got == want_states[:, k]).all(), (seed, k)
+            assert int(rng.integers(0, n_max + 1)) == want_n[k]
+            assert _bits(float(rng.uniform(0.0, GT_MAX))) == want_gt[k]

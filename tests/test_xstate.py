@@ -150,6 +150,8 @@ class TestXBatchStack:
     def test_stack_index_and_slice(self, states, lo, hi):
         batch = XBatch.stack(states)
         assert [batch[i] for i in range(len(batch))] == states
+        # iteration gives what indexing gives, down to the sign of a zero
+        assert repr(list(batch)) == repr([batch[i] for i in range(len(batch))])
         assert XBatch.of(states[0])[0] == states[0]
         part = batch[lo:hi]
         assert isinstance(part, XBatch)
