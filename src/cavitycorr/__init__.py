@@ -7,7 +7,6 @@ from .evolution import (
     PublishedFormReport,
     evolve,
     evolve_batch,
-    evolve_grid,
     published_form_report,
     trig_coeffs,
 )
@@ -48,7 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvolutionParams", "PublishedFormReport", "evolve", "evolve_batch",
-    "evolve_grid", "published_form_report", "trig_coeffs",
+    "published_form_report", "trig_coeffs",
     "PassOrder", "sequential_pass", "sequential_pass_batch",
     "MeasurementBasis", "binary_entropy", "classical_correlation_bruteforce",
     "closed_min_conditional_entropy", "concurrence",

@@ -9,12 +9,14 @@ machine precision.  A legacy published variant differs in two
 coefficients; :func:`published_form_report` evaluates it and reports how
 it breaks the state invariants.
 
-The update is written once and evaluates either one Rabi angle
-(:func:`evolve`) or a whole grid of them in one call (:func:`evolve_grid`).
+The update is written once.  :func:`evolve` evaluates it at one Rabi
+angle on floats; :func:`evolve_batch` evaluates it on arrays, either one
+state at every angle of a grid or each state of a batch at its own photon
+number and angle.  :func:`check_params` is the one check of photon
+numbers and angles for both and for the Fock oracle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,40 @@ def check_photon_number(n) -> None:
         raise ValueError(f"photon number n must be at most 2**53, got {n}")
 
 
+def check_params(n, gt, size: int | None = None):
+    """``n`` and ``gt`` after checking them for the update, ``gt`` as a float array.
+
+    ``gt`` must be a finite 1-d array, of length ``size`` if given, and
+    ``n`` an integer or an integer array of ``gt``'s length (returned as
+    int64), each in [0, 2**53].  sqrt(n + 2) * |gt|, the largest Rabi
+    angle that the closed form or the oracle computes, must be finite:
+    beyond that, cos and sin give NaN.
+    """
+    gt = np.asarray(gt, dtype=float)
+    if gt.ndim != 1 or size not in (None, len(gt)):
+        raise ValueError(f"Rabi angles gt must be a 1-d array"
+                         f"{'' if size is None else f' of length {size}'}, got shape {gt.shape}")
+    if not np.isfinite(gt).all():
+        raise ValueError(f"Rabi angle gt must be finite, got {float(gt[~np.isfinite(gt)][0])!r}")
+    if np.ndim(n) == 0:
+        check_photon_number(n)
+    else:
+        n = np.asarray(n)
+        if n.dtype.kind not in "iu" or n.shape != gt.shape:
+            raise ValueError(f"need {len(gt)} integer photon numbers and Rabi angles, "
+                             f"got {n.dtype} shape {n.shape} and shape {gt.shape}")
+        for bad in n[(n < 0) | (n > MAX_PHOTONS)][:1].tolist():
+            check_photon_number(bad)
+        n = n.astype(np.int64)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.sqrt(n + 2) * gt)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"Rabi angle sqrt(n + 2) * gt overflows at "
+                         f"n = {int(np.broadcast_to(n, gt.shape)[i])}, gt = {float(gt[i])!r}")
+    return n, gt
+
+
 @dataclass(frozen=True)
 class EvolutionParams:
     """Initial photon number and Rabi angle of one double passage."""
@@ -48,33 +84,23 @@ class EvolutionParams:
     gt: float
 
     def __post_init__(self):
-        check_photon_number(self.n)
-        if not math.isfinite(self.gt):
-            raise ValueError(f"Rabi angle gt must be finite, got {self.gt!r}")
+        check_params(self.n, [self.gt])
 
 
 def trig_coeffs(m, gt):
-    """(cos(sqrt(m)*gt), sin(sqrt(m)*gt)) with the m = -1 convention (1, 0).
+    """(cos(sqrt(m)*gt), sin(sqrt(m)*gt)) for m >= 0, and (1, ±0) for m = -1.
 
     ``m`` is an integer or an integer array and ``gt`` a float or an array
     of its length; each array element is bit-identical to the float
     result.  The m = -1 case only ever appears multiplied by
-    sin(sqrt(0)*gt)^2 = 0, so any finite convention is inert; (1, 0) keeps
-    the formulas total.
+    sin(sqrt(0)*gt)^2 = 0, so any finite value is inert; reading it as
+    m = 0 keeps the formula total.
     """
-    if isinstance(m, np.ndarray):
-        if m.dtype.kind not in "iu" or (m < -1).any():
-            raise ValueError(f"index m must be integers >= -1, got {m!r}")
-        angle = np.sqrt(np.maximum(m, 0)) * gt
-        return np.where(m == -1, 1.0, np.cos(angle)), np.where(m == -1, 0.0, np.sin(angle))
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ValueError(f"index m must be an integer, got {m!r}")
-    if m < -1:
-        raise ValueError(f"index m must be >= -1, got {m}")
-    if m == -1:
-        return (1.0, 0.0)
-    angle = math.sqrt(m) * gt
-    return (ew.cos(angle), ew.sin(angle))
+    index = np.asarray(m)
+    if index.dtype.kind not in "iu" or index.min(initial=0) < -1:
+        raise ValueError(f"index m must be integers >= -1, got {m!r}")
+    angle = ew.sqrt(ew.maximum(m, 0)) * gt
+    return ew.cos(angle), ew.sin(angle)
 
 
 def _update(state: XState | XBatch, n, gt):
@@ -120,43 +146,16 @@ def _update(state: XState | XBatch, n, gt):
     return q11, q22, q33, q44, re_q23, im_q23
 
 
-def _check_angles(gt) -> np.ndarray:
-    """``gt`` as a float array, rejected unless every angle is finite."""
-    gt = np.asarray(gt, dtype=float)
-    if not np.isfinite(gt).all():
-        raise ValueError(f"Rabi angle gt must be finite, got {float(gt[~np.isfinite(gt)][0])!r}")
-    return gt
-
-
-def check_batch_params(n, gt, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` and ``gt`` as validated int64 and float arrays of length ``size``."""
-    n, gt = np.asarray(n), _check_angles(gt)
-    if n.dtype.kind not in "iu" or n.shape != (size,) or gt.shape != (size,):
-        raise ValueError(f"need {size} integer photon numbers and Rabi angles, "
-                         f"got {n.dtype} shape {n.shape} and shape {gt.shape}")
-    for bad in n[(n < 0) | (n > MAX_PHOTONS)][:1].tolist():
-        check_photon_number(bad)
-    return n.astype(np.int64), gt
-
-
-def evolve_grid(state: XState, n: int, gt) -> XBatch:
+def evolve_batch(states: XState | XBatch, n, gt) -> XBatch:
     """The states after both passes at every Rabi angle of the 1-d ``gt``.
 
-    All angles are evolved and validated at once; the result is a proper
-    state for every valid input.
+    ``states`` is one state, evolved at every angle with the integer
+    photon number ``n``, or a batch of ``gt``'s length, whose state ``i``
+    is evolved at ``n[i]`` and ``gt[i]``.  Element ``i`` is bit-identical
+    to :func:`evolve` of its state, photon number and angle.
     """
-    check_photon_number(n)
-    gt = _check_angles(gt)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return make_xbatch(*_update(state, n, gt))
-
-
-def evolve_batch(states: XBatch, n, gt) -> XBatch:
-    """State ``i`` of ``states`` after both passes at photon number ``n[i]``
-    and Rabi angle ``gt[i]``, bit-identical to :func:`evolve` of that state."""
-    n, gt = check_batch_params(n, gt, len(states))
-    with np.errstate(invalid="ignore", over="ignore"):
-        return make_xbatch(*_update(states, n, gt))
+    n, gt = check_params(n, gt, len(states) if isinstance(states, XBatch) else None)
+    return make_xbatch(*_update(states, n, gt))
 
 
 def evolve(state: XState, params: EvolutionParams) -> XState:

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .evolution import EvolutionParams, check_batch_params
+from .evolution import EvolutionParams, check_params
 from .xstate import XBatch, XState, make_xbatch
 
 # Above this the X form is not preserved and something is wrong with the
@@ -64,16 +64,15 @@ def sequential_pass_batch(states: XBatch, n, gt,
     flies first.  Raises ``RuntimeError`` if a reduced matrix leaks out of
     the X form, which would signal an implementation bug.
     """
-    n, gt = check_batch_params(n, gt, len(states))
+    n, gt = check_params(n, gt, len(states))
     # ket 2a + b starts as |ab> with n photons, at window index 2
     re = np.zeros((_WINDOW, 4, 2, 2, len(states)))
     re[2, range(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1.0
     im = np.zeros_like(re)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # the flying atom's axis is swapped into slot 2, where _rotate acts
-        for axis in ((2, 3) if order is PassOrder.A_FIRST else (3, 2)):
-            re, im = (x.swapaxes(2, axis) for x in
-                      _rotate(re.swapaxes(2, axis), im.swapaxes(2, axis), n, gt))
+    # the flying atom's axis is swapped into slot 2, where _rotate acts
+    for axis in ((2, 3) if order is PassOrder.A_FIRST else (3, 2)):
+        re, im = (x.swapaxes(2, axis) for x in
+                  _rotate(re.swapaxes(2, axis), im.swapaxes(2, axis), n, gt))
     re, im = re.reshape(_WINDOW, 4, 4, -1), im.reshape(_WINDOW, 4, 4, -1)
 
     def traced(i, j):

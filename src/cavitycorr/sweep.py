@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from . import elementwise as ew
-from .evolution import check_photon_number, evolve_grid
+from .evolution import check_photon_number, evolve_batch
 from .measures import (
     closed_min_conditional_entropy,
     concurrence,
@@ -186,7 +186,7 @@ def sweep_batches(cfg: SweepConfig, chunk: int = SWEEP_CHUNK):
     initial = werner_state(cfg.r)
     for start in range(0, cfg.steps + 1, chunk):
         gt = np.arange(start, min(start + chunk, cfg.steps + 1)) * cfg.gt_max / cfg.steps
-        yield correlation_batch(gt, evolve_grid(initial, cfg.n, gt), cfg.discord_method)
+        yield correlation_batch(gt, evolve_batch(initial, cfg.n, gt), cfg.discord_method)
 
 
 def time_series(cfg: SweepConfig) -> SweepBatch:

@@ -213,6 +213,14 @@ class TestGateHoles:
         assert out == ""
         assert "n_max must be at most 2**53" in err and "out of bounds" not in err
 
+    def test_overflowing_sample_angle_named(self, capsys):
+        # a sample whose largest Rabi angle sqrt(n + 2) * gt overflows
+        code, out, err = run(capsys, "verify", "--samples", "5", "--seed", "1",
+                             "--n-max", "9007199254740992", "--gt-max", "1e301")
+        assert code == 1
+        assert out == ""
+        assert "sqrt(n + 2) * gt overflows at n = " in err and ", gt = " in err
+
     def test_negative_seed_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--samples", "3", "--seed", "-1")
         assert code == 1

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +10,10 @@ from cavitycorr import (
     XBatch,
     evolve,
     evolve_batch,
-    evolve_grid,
     make_xstate,
     published_form_report,
     sequential_pass,
+    sequential_pass_batch,
     trig_coeffs,
     werner_state,
 )
@@ -178,7 +180,7 @@ class TestEvolveGrid:
     def test_matches_scalar_evolve_bit_for_bit(self):
         state = make_xstate(0.1, 0.2, 0.4, 0.3, 0.05 - 0.21j)
         gts = np.linspace(0.0, 37.0, 101)
-        batch = evolve_grid(state, 6, gts)
+        batch = evolve_batch(state, 6, gts)
         for i, gt in enumerate(gts):
             assert batch[i] == evolve(state, EvolutionParams(6, float(gt)))
 
@@ -196,8 +198,51 @@ class TestEvolveGrid:
 
     def test_rejects_nonfinite_angles_and_bad_n(self):
         with pytest.raises(ValueError, match="finite"):
-            evolve_grid(werner_state(0.3), 2, [0.0, math.nan])
+            evolve_batch(werner_state(0.3), 2, [0.0, math.nan])
         with pytest.raises(ValueError, match="nonnegative"):
-            evolve_grid(werner_state(0.3), -1, [0.0])
+            evolve_batch(werner_state(0.3), -1, [0.0])
         with pytest.raises(ValueError, match="2\\*\\*53"):
             EvolutionParams(2**53 + 1, 1.0)
+        for gt in (0.5, [[0.1, 0.2]]):  # 0-d and 2-d angles
+            with pytest.raises(ValueError, match="1-d"):
+                evolve_batch(werner_state(0.3), 2, gt)
+        with pytest.raises(ValueError, match="length 2"):
+            evolve_batch(XBatch.stack([werner_state(0.3)] * 2), [2, 2], [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("n", [0, 7, 2**53])
+    def test_rejects_overflowing_angles_exactly(self, n):
+        # sqrt(n + 2) * gt is the largest angle either route computes; the
+        # largest gt that keeps it finite evolves, the next float is rejected
+        s = werner_state(0.3)
+        gt = sys.float_info.max / math.sqrt(n + 2)
+        while not math.isfinite(math.sqrt(n + 2) * gt):
+            gt = math.nextafter(gt, 0.0)
+        while math.isfinite(math.sqrt(n + 2) * math.nextafter(gt, math.inf)):
+            gt = math.nextafter(gt, math.inf)
+        params = EvolutionParams(n, gt)
+        assert max_deviation(evolve(s, params), sequential_pass(s, params)) <= 1e-10
+        published_form_report(s, params)
+        too_far = math.nextafter(gt, math.inf)
+        message = re.escape(f"overflows at n = {n}, gt = ") + "-?" + re.escape(repr(too_far))
+        for call in (lambda: EvolutionParams(n, too_far),
+                     lambda: EvolutionParams(n, -too_far),
+                     lambda: evolve_batch(s, n, [0.0, too_far]),
+                     lambda: sequential_pass_batch(XBatch.stack([s] * 2), [0, n], [1.0, too_far])):
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(ValueError, match="overflows"):
+            evolve(s, EvolutionParams(2**53, 1e301))
+
+    def test_even_in_gt(self):
+        # cos is even and sin enters the closed form only squared, the oracle
+        # only through products of two rotations; n = 0 takes the m = -1 index
+        rng = seeded_rng(15)
+        size = 4000
+        states = XBatch.stack([sample_xstate(rng) for _ in range(size)])
+        n = rng.integers(0, 13, size=size)
+        n[::4] = 0
+        gt = rng.uniform(0.0, 20.0, size=size)
+        for route in (evolve_batch, sequential_pass_batch):
+            plus, minus = route(states, n, gt), route(states, n, -gt)
+            for field in ("p11", "p22", "p33", "p44", "re_c23", "im_c23"):
+                assert getattr(plus, field).tobytes() == getattr(minus, field).tobytes()

@@ -327,6 +327,19 @@ class TestDiscordClosed:
             assert classical_correlation_bruteforce(s)[0] <= mi + 1e-9
         assert worst <= 0.0021 + 5e-4
 
+    def test_documented_worst_case(self):
+        # the state of the module docstring, populations and |c23| scaled
+        # to trace 1: the closed form's error there is the stated bound,
+        # and the brute-force angle really attains the brute-force minimum
+        v = (2.07e-4, 0.02674, 0.94597, 0.02708, 0.14056)
+        total = sum(v[:4])
+        s = make_xstate(*(x / total for x in v))
+        assert discord_closed(s) - discord_bruteforce(s) >= 0.00294
+        m, theta = _min_conditional_entropy(s)
+        assert theta == pytest.approx(1.2673, abs=1e-4)
+        assert conditional_entropy_measured(s, MeasurementBasis(theta, 0.0)) == \
+            pytest.approx(m, abs=1e-12)
+
     @given(xstates())
     def test_range_and_ordering(self, s):
         d = discord_closed(s)
