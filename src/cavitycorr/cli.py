@@ -39,11 +39,12 @@ def _format_rows(columns, n: int, r: float) -> str:
     """CSV rows, newline-terminated, from the 11 float columns besides n and r.
 
     ``columns`` holds gt, p11..p44, re and im of c23 and the four measures,
-    each a sequence of equal length.  One %-format call renders them all.
+    each a sequence of equal length.  Each field is ``_fmt`` of its value.
     """
-    table = np.column_stack(columns) + 0.0
-    row = "%.12g," + f"{int(n)},{_fmt(r)}" + ",%.12g" * 10 + "\n"
-    return (row * len(table)) % tuple(table.ravel().tolist())
+    # imported here, so that start-up and the commands that write no CSV
+    # rows do not load the kernel
+    from .csvformat import format_rows
+    return format_rows(np.column_stack(columns), f",{int(n)},{_fmt(r)},")
 
 
 def format_batch(batch: SweepBatch, n: int, r: float) -> str:

@@ -1,0 +1,108 @@
+"""CSV rows whose every field is exactly ``"%.12g" % (x + 0.0)``, made in numpy.
+
+A nonzero |x| in [1e-4, 1e3) has a decade X in -4..2 and is scaled by the
+exact power 10**(11 - X) to y, so that M = rint(y) holds its 12 significant
+digits.  y < 2**40, so its rounding error is at most 2**-14: wherever
+|y - M| < 0.5 - 2**-12, M is the correctly rounded digit string that %.12g
+prints.  Each decade bound is a double at or above its power of ten, so
+y >= 1e11; M = 1e12, a carry into the next decade, is left out.  Divisions
+by exact powers of ten (never products with 1e-k) split M into the integer
+part and 15 fraction digits, every step an exact integer in float64.  One
+``take`` on a table of 4-byte words then spells each value: sign and integer
+part, ".ddd" and three "dddd" groups, the last nonzero group without its
+trailing zeros and the groups after it empty.  The NUL padding goes in one
+``bytes.translate``.
+
+Zeros print "0".  Every other value (|x| >= 1e3 or < 1e-4, inf and NaN,
+which get a NaN scale, a rounding too close to a tie, a carry) fails that
+test, leaves "%.12g" in the text and is formatted by one ``%`` on the block.
+"""
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+# searchsorted(_DECADES, |x|, "right") picks a row of the tables below:
+# 0 for zero, 1 below 1e-4, 2..8 for the decades -4..2, 9 from 1e3 on and NaN
+_DECADES = np.array([5e-324, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0])
+_POWER = 10.0 ** np.array([0, 0, 15, 14, 13, 12, 11, 10, 9, 0])  # 10**(11 - X)
+_SCALE = np.array([1.0, np.nan, *_POWER[2:-1], np.nan])
+_FRACTION = 1e15 / _POWER  # the fraction part as 15 digits
+_MARGIN = 0.5 - 2.0 ** -12
+# ".ddd" and the three "dddd" groups are the leading 3, 7, 11 and 15
+# fraction digits less the digits before them
+_GROUPS = np.array([[1e12], [1e8], [1e4], [1.0]])
+# The table's words: sign and integer part 0..999 (+1000 when negative),
+# ".ddd" in full, then without trailing zeros, "dddd" the same way, and:
+_GROUP_BASE = np.array([[2000.0], [4000.0], [4000.0], [4000.0]])
+_GROUP_TRIM = np.array([[1000.0], [10000.0], [10000.0], [10000.0]])
+_PERCENT_G = [[24000], [24001]]  # "%.12", "g": a value left to "%.12g"
+# after each of a row's 11 values: "\x01" (replaced by the text between
+# the first two values), "," and "\n"
+_SEPARATORS = np.array([24002] + [24003] * 9 + [24004])
+BLOCK_ROWS = 256  # keeps each temporary array small
+
+
+def _digits(width: int):
+    """ASCII digits of 0 .. 10**width - 1, and which stay when trailing zeros go."""
+    powers = (10 ** np.arange(width - 1, -1, -1)).astype(np.uint16)
+    d = (np.arange(10 ** width, dtype=np.uint16)[:, None] // powers % 10).astype(np.uint8)
+    kept = np.logical_or.accumulate(d[:, ::-1] != 0, axis=1)[:, ::-1]
+    return d + ord("0"), kept
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """The 24005 words, as uint32, built on first use."""
+    d3, kept3 = _digits(3)
+    d4, kept4 = _digits(4)
+    significant = np.logical_or.accumulate(d3 != ord("0"), axis=1)
+    significant[:, -1] = True
+    whole = np.where(significant, d3, 0)
+    dot = np.full((1000, 1), ord("."), np.uint8)
+    table = np.vstack([
+        np.hstack([np.zeros_like(dot), whole]), np.hstack([np.full_like(dot, ord("-")), whole]),
+        np.hstack([dot, d3]), np.hstack([np.where(kept3[:, :1], dot, 0), np.where(kept3, d3, 0)]),
+        d4, np.where(kept4, d4, 0),
+        np.frombuffer(b"%.12g\0\0\0\1\0\0\0,\0\0\0\n\0\0\0", np.uint8).reshape(5, 4),
+    ]).view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _format_block(values: np.ndarray, mid: bytes) -> bytes:
+    """The CSV rows of a (rows, 11) block, with ``mid`` between each row's first two fields."""
+    x = values.ravel()
+    a = np.abs(x)
+    decade = np.searchsorted(_DECADES, a, side="right")
+    y = a * _SCALE[decade]
+    m = np.rint(y)
+    off = ~((np.abs(y - m) < _MARGIN) & (m < 1e12))
+    m[off] = 0.0
+    power = _POWER[decade]
+    whole = np.floor(m / power)
+    fraction = (m - whole * power) * _FRACTION[decade]
+    lead = np.floor(fraction / _GROUPS)
+    last = lead * _GROUPS == fraction  # no nonzero digit after the group
+    lead[1:] -= 1e4 * lead[:-1]
+    index = np.empty((len(x), 6), np.intp)
+    words = index.T  # one row per word of a value
+    words[0] = whole + 1000.0 * (x < 0)
+    words[1:5] = lead + _GROUP_BASE + _GROUP_TRIM * last
+    words[:2, off] = _PERCENT_G
+    words[5].reshape(-1, 11)[:] = _SEPARATORS
+    text = _digit_table().take(index).tobytes().translate(None, b"\0")
+    return (text % tuple(x[off].tolist())).replace(b"\1", mid)
+
+
+def format_rows(values: np.ndarray, mid: str) -> str:
+    """Newline-terminated CSV rows of the float array ``values`` of shape (rows, 11).
+
+    Each field is ``"%.12g" % (v + 0.0)``; ``mid`` goes between the first
+    and second field of every row instead of a comma.
+    """
+    mid = mid.encode("ascii")
+    with np.errstate(invalid="ignore"):  # a signalling NaN prints as "nan" too
+        return b"".join(_format_block(values[i:i + BLOCK_ROWS], mid)
+                        for i in range(0, len(values), BLOCK_ROWS)).decode("ascii")

@@ -99,6 +99,11 @@ def trig_coeffs(m, gt):
     index = np.asarray(m)
     if index.dtype.kind not in "iu" or index.min(initial=0) < -1:
         raise ValueError(f"index m must be integers >= -1, got {m!r}")
+    return _trig(m, gt)
+
+
+def _trig(m, gt):
+    # trig_coeffs for indices derived from a photon number already checked
     angle = ew.sqrt(ew.maximum(m, 0)) * gt
     return ew.cos(angle), ew.sin(angle)
 
@@ -112,10 +117,10 @@ def _update(state: XState | XBatch, n, gt):
     element is bit-identical to the float result for its inputs (see
     :mod:`cavitycorr.elementwise`).
     """
-    cm, sm = trig_coeffs(n - 1, gt)
-    c0, s0 = trig_coeffs(n, gt)
-    c1, s1 = trig_coeffs(n + 1, gt)
-    c2, s2 = trig_coeffs(n + 2, gt)
+    cm, sm = _trig(n - 1, gt)
+    c0, s0 = _trig(n, gt)
+    c1, s1 = _trig(n + 1, gt)
+    c2, s2 = _trig(n + 2, gt)
     c1_2, c1_4 = ew.power(c1, 2), ew.power(c1, 4)
     c0_2, c0_4 = ew.power(c0, 2), ew.power(c0, 4)
     s0_2, s0_4 = ew.power(s0, 2), ew.power(s0, 4)
@@ -193,9 +198,9 @@ def published_form_report(state: XState, params: EvolutionParams) -> PublishedFo
     row is not the conjugate of the upper one.
     """
     q11, q22, q33, q44, re_q23, im_q23 = _update(state, params.n, params.gt)
-    c0, s0 = trig_coeffs(params.n, params.gt)
-    c1, s1 = trig_coeffs(params.n + 1, params.gt)
-    _, s2 = trig_coeffs(params.n + 2, params.gt)
+    c0, s0 = _trig(params.n, params.gt)
+    c1, s1 = _trig(params.n + 1, params.gt)
+    _, s2 = _trig(params.n + 2, params.gt)
     q44 += 2.0 * state.c23.real * (s0**2 - s1**2) * c1 * c0
     pops = (q11, q22, q33, q44)
     q23 = complex(re_q23, im_q23)

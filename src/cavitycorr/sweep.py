@@ -127,7 +127,10 @@ class SweepConfig:
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {self.r!r}")
         # Checked up front, so that no grid point fails after output has begun.
-        if not math.isfinite(self.gt_max * self.steps * math.sqrt(self.n + 2)):
+        # The grid's largest angle is steps * gt_max / steps (inf when the
+        # product overflows), and the Rabi angles reach sqrt(n + 2) times it.
+        last = self.steps * self.gt_max / self.steps
+        if not math.isfinite(math.sqrt(self.n + 2) * last):
             raise ValueError(f"gt_max {self.gt_max!r} is too large: the Rabi angles overflow")
 
 

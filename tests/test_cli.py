@@ -1,11 +1,19 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cavitycorr.cli import CSV_HEADER, format_record, main, parse_record
+import cavitycorr
+from cavitycorr.cli import (CSV_HEADER, _format_rows, format_batch, format_record, main,
+                            parse_record)
+from cavitycorr.csvformat import BLOCK_ROWS
 from cavitycorr.sweep import DiscordMethod, SweepConfig, time_series
 from cavitycorr import measures, sweep, verify
 from cavitycorr.verify import run_verification
@@ -175,6 +183,79 @@ class TestParsing:
         assert r_field == "0.333333333333"
 
 
+def _reference_rows(columns, n, r):
+    """The formatter the numpy kernel replaced: one "%.12g" per value."""
+    table = np.column_stack(columns)
+    row = "%.12g," + f"{int(n)},{'%.12g' % (r + 0.0)}" + ",%.12g" * 10 + "\n"
+    return (row * len(table)) % tuple(v + 0.0 for v in table.ravel().tolist())
+
+
+def _assert_rows_exact(values, n=3, r=0.25):
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, np.zeros(-len(values) % 11)]).reshape(-1, 11)
+    columns = list(values.T)
+    got = _format_rows(columns, n, r).split("\n")
+    want = _reference_rows(columns, n, r).split("\n")
+    # row by row, so that a failure names its rows without a diff of the text
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) and not bad, f"{len(bad)} rows differ: {bad[:3]}"
+
+
+def _edge_corpus():
+    big = np.finfo(float).max
+    bounds = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0]
+    values = [0.0, -0.0, 5e-324, 1e-300, big, np.inf, -np.inf, np.nan,
+              9.99999999999995e-05, 999.9999999999999, 0.5, 0.25, 0.125, 1.5, 2.5,
+              123.0, 0.001, 0.0012, 0.1, 0.30000000000000004, 1 / 3, 2 / 3]
+    for b in bounds:
+        values += [b, np.nextafter(b, 0.0), np.nextafter(b, np.inf)]
+    # exact ties at the 12th digit: j / 2**(k + 1) with j odd is a multiple
+    # of 10**-k plus half of it, for k = 11 - X in each decade X = -4..2
+    for k in range(9, 16):
+        j = int(10.0 ** (11 - k) * 2 ** (k + 1)) | 1
+        values += [(j + 2 * i) / 2 ** (k + 1) for i in range(40)]
+    rng = np.random.default_rng(10)
+    values += list(10.0 ** rng.uniform(-6, 5, 4000))
+    # short decimals, whose trailing zeros are dropped
+    values += list(rng.integers(1, 10**6, 4000) / 10.0 ** rng.integers(0, 10, 4000))
+    # 12 digits and a half-unit offset: the rounding margin's neighbourhood
+    values += list((rng.integers(10**11, 10**12, 4000) + 0.5)
+                   / 10.0 ** rng.integers(9, 16, 4000))
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+class TestCsvKernel:
+    def test_edge_corpus_matches_percent_format(self):
+        _assert_rows_exact(_edge_corpus())
+
+    def test_several_blocks_match_percent_format(self):
+        rows = 2 * BLOCK_ROWS + 5
+        _assert_rows_exact(np.random.default_rng(11).standard_normal(rows * 11))
+
+    @given(arrays(np.float64, st.tuples(st.integers(0, 30), st.just(11)),
+                  elements=st.one_of(st.floats(), st.floats(-1e3, 1e3))),
+           st.integers(0, 2**53), st.floats(0.0, 1.0))
+    def test_matches_percent_format(self, values, n, r):
+        columns = list(values.T)
+        assert _format_rows(columns, n, r) == _reference_rows(columns, n, r)
+
+    def test_record_line_matches_batch_line(self):
+        batch = time_series(SweepConfig(n=3, r=0.45, gt_max=7.0, steps=300))
+        lines = format_batch(batch, 3, 0.45).split("\n")
+        assert len(lines) == 302 and lines[-1] == ""
+        for rec, line in zip(batch, lines):
+            assert format_record(rec, 3, 0.45) == line
+
+    def test_import_builds_no_table(self):
+        code = ("import sys, cavitycorr, cavitycorr.cli; "
+                "print('cavitycorr.csvformat' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(cavitycorr.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout == "False\n"
+
+
 class TestGateHoles:
     def test_nan_tolerances_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--samples", "3", "--seed", "1",
@@ -242,6 +323,13 @@ class TestGateHoles:
         code, out, _ = run(capsys, "verify", "--samples", "60", "--seed", "1")
         assert code != 0
         assert "overall: PASS" not in out
+
+    def test_largest_finite_angles_run(self, capsys):
+        # steps * gt_max and sqrt(n + 2) * gt_max are finite; their product is not
+        code, out, err = run(capsys, "evolve", "--n", "9007199254740992", "--r", "0",
+                             "--gt-max", "1e299", "--steps", "1000")
+        assert code == 0, err
+        assert len(out.splitlines()) == 1002
 
     def test_overflowing_grid_writes_nothing(self, capsys):
         code, out, err = run(capsys, "evolve", "--n", "5", "--r", "0",

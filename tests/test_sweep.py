@@ -351,5 +351,14 @@ class TestSweepBatch:
     def test_overflowing_grid_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
             SweepConfig(n=0, r=0.0, gt_max=1e308, steps=10)
+        # steps * gt_max, the grid's own product, on both sides of the limit
+        SweepConfig(n=0, r=0.0, gt_max=1e300, steps=10**8)
+        with pytest.raises(ValueError, match="gt_max 1e\\+300 is too large"):
+            SweepConfig(n=0, r=0.0, gt_max=1e300, steps=10**9)
+        # sqrt(n + 2) * gt_max, the largest Rabi angle, on both sides; their
+        # product with steps overflows and is computed nowhere
+        SweepConfig(n=2**53, r=0.0, gt_max=1e299, steps=1000)
+        with pytest.raises(ValueError, match="gt_max 1e\\+301 is too large"):
+            SweepConfig(n=2**53, r=0.0, gt_max=1e301, steps=1)
         with pytest.raises(ValueError, match="2\\*\\*53"):
             SweepConfig(n=2**53 + 1, r=0.0, gt_max=1.0, steps=10)
