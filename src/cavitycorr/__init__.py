@@ -8,7 +8,6 @@ from .evolution import (
     evolve,
     evolve_batch,
     published_form_report,
-    trig_coeffs,
 )
 from .fock import PassOrder, sequential_pass, sequential_pass_batch
 from .measures import (
@@ -33,7 +32,6 @@ from .sweep import (
     SweepBatch,
     SweepConfig,
     correlation_batch,
-    correlation_record,
     detect_collapse_revival,
     envelope,
     first_onset,
@@ -47,16 +45,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvolutionParams", "PublishedFormReport", "evolve", "evolve_batch",
-    "published_form_report", "trig_coeffs",
+    "published_form_report",
     "PassOrder", "sequential_pass", "sequential_pass_batch",
     "MeasurementBasis", "binary_entropy", "classical_correlation_bruteforce",
     "closed_min_conditional_entropy", "concurrence",
     "conditional_entropy_measured", "discord_bruteforce", "discord_closed",
     "entropy_a", "entropy_b", "entropy_joint", "mutual_information",
     "CorrelationRecord", "DiscordMethod", "EventKind", "RevivalEvent",
-    "SweepBatch", "SweepConfig", "correlation_batch", "correlation_record",
-    "detect_collapse_revival", "envelope", "first_onset", "sweep_batches",
-    "time_series",
+    "SweepBatch", "SweepConfig", "correlation_batch", "detect_collapse_revival",
+    "envelope", "first_onset", "sweep_batches", "time_series",
     "VerificationReport", "run_verification", "sample_xstate",
     "XBatch", "XState", "make_xbatch", "make_xstate", "werner_state",
 ]

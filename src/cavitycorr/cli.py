@@ -21,7 +21,6 @@ from .sweep import (
     sweep_batches,
 )
 from .verify import run_verification
-from .xstate import make_xstate
 
 CSV_HEADER = ("gt,n,r,p11,p22,p33,p44,re_c23,im_c23,"
               "concurrence,discord,classical_corr,mutual_info")
@@ -60,25 +59,6 @@ def format_record(record: CorrelationRecord, n: int, r: float) -> str:
         record.gt, s.p11, s.p22, s.p33, s.p44, s.c23.real, s.c23.imag,
         record.concurrence, record.discord, record.classical_correlation,
         record.mutual_information)], n, r)[:-1]
-
-
-def parse_record(line: str, method: DiscordMethod = DiscordMethod.CLOSED_FORM
-                 ) -> tuple[CorrelationRecord, int, float]:
-    """Parse one CSV data row back into a record.
-
-    The 12-digit CSV quantization can push the trace a shade past the
-    construction tolerance, so parsed states are validated at 1e-9.
-    """
-    parts = line.strip().split(",")
-    if len(parts) != 13:
-        raise ValueError(f"expected 13 CSV fields, got {len(parts)}")
-    vals = [float(p) for p in parts]
-    state = make_xstate(vals[3], vals[4], vals[5], vals[6],
-                        complex(vals[7], vals[8]), atol=1e-9)
-    record = CorrelationRecord(gt=vals[0], state=state, concurrence=vals[9],
-                               discord=vals[10], classical_correlation=vals[11],
-                               mutual_information=vals[12], discord_method=method)
-    return record, int(vals[1]), vals[2]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -87,23 +87,14 @@ class EvolutionParams:
         check_params(self.n, [self.gt])
 
 
-def trig_coeffs(m, gt):
+def _trig(m, gt):
     """(cos(sqrt(m)*gt), sin(sqrt(m)*gt)) for m >= 0, and (1, ±0) for m = -1.
 
-    ``m`` is an integer or an integer array and ``gt`` a float or an array
-    of its length; each array element is bit-identical to the float
-    result.  The m = -1 case only ever appears multiplied by
-    sin(sqrt(0)*gt)^2 = 0, so any finite value is inert; reading it as
-    m = 0 keeps the formula total.
+    ``m`` is an integer or an integer array derived from a checked photon
+    number, ``gt`` a float or an array of its length.  m = -1 only ever
+    appears multiplied by sin(sqrt(0)*gt)^2 = 0, so reading it as m = 0
+    keeps the formula total.
     """
-    index = np.asarray(m)
-    if index.dtype.kind not in "iu" or index.min(initial=0) < -1:
-        raise ValueError(f"index m must be integers >= -1, got {m!r}")
-    return _trig(m, gt)
-
-
-def _trig(m, gt):
-    # trig_coeffs for indices derived from a photon number already checked
     angle = ew.sqrt(ew.maximum(m, 0)) * gt
     return ew.cos(angle), ew.sin(angle)
 

@@ -119,7 +119,8 @@ class SweepConfig:
     discord_method: DiscordMethod = DiscordMethod.CLOSED_FORM
 
     def __post_init__(self):
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+        if (not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool)
+                or self.steps < 1):
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if not math.isfinite(self.gt_max) or self.gt_max <= 0.0:
             raise ValueError(f"gt_max must be finite and positive, got {self.gt_max!r}")
@@ -170,12 +171,6 @@ def correlation_batch(gt, states: XBatch,
                       classical_correlation=s_a - m,
                       mutual_information=mutual_information_from(s_a, s_b, s_ab),
                       discord_method=method)
-
-
-def correlation_record(gt: float, state: XState,
-                       method: DiscordMethod = DiscordMethod.CLOSED_FORM) -> CorrelationRecord:
-    """Every correlation measure of one state: the one-point :func:`correlation_batch`."""
-    return correlation_batch([gt], XBatch.of(state), method)[0]
 
 
 def sweep_batches(cfg: SweepConfig, chunk: int = SWEEP_CHUNK):

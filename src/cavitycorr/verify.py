@@ -126,6 +126,9 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
     as in a ``--discord brute`` sweep, so a non-finite or out-of-range
     value raises ``ValueError``.
     """
+    for name, count in (("samples", samples), ("seed", seed), ("n_max", n_max)):
+        if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:

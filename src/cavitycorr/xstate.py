@@ -107,7 +107,7 @@ class XBatch:
         return np.hypot(self.re_c23, self.im_c23)
 
 
-def _validated(p11, p22, p33, p44, re_c23, im_c23, atol):
+def _validated(p11, p22, p33, p44, re_c23, im_c23):
     """The checks and clamping of :func:`make_xstate`, for floats or arrays."""
     names = ("p11", "p22", "p33", "p44")
     pops = (p11, p22, p33, p44)
@@ -120,35 +120,34 @@ def _validated(p11, p22, p33, p44, re_c23, im_c23, atol):
               for name, p in zip(names, pops)]
     checks.append((ew.nonfinite(re_c23) | ew.nonfinite(im_c23), lambda i:
                    f"c23 must be finite, got {complex(ew.at(re_c23, i), ew.at(im_c23, i))!r}"))
-    checks.append((abs(trace - 1.0) > atol, lambda i:
-                   f"trace must be 1 within {atol:g}, got trace = {ew.at(trace, i)!r}"))
-    checks += [(p < -atol, lambda i, name=name, p=p:
-                f"{name} must be nonnegative within {atol:g}, got {ew.at(p, i)!r}")
+    checks.append((abs(trace - 1.0) > ATOL, lambda i:
+                   f"trace must be 1 within {ATOL:g}, got trace = {ew.at(trace, i)!r}"))
+    checks += [(p < -ATOL, lambda i, name=name, p=p:
+                f"{name} must be nonnegative within {ATOL:g}, got {ew.at(p, i)!r}")
                for name, p in zip(names, pops)]
     # Positivity of the central 2x2 block; the outer block is diagonal
     # because the |11><00| coherence is identically zero here.
-    checks.append((abs2 - inner > atol, lambda i: (
-        f"|c23|^2 must not exceed p22*p33 within {atol:g}: "
+    checks.append((abs2 - inner > ATOL, lambda i: (
+        f"|c23|^2 must not exceed p22*p33 within {ATOL:g}: "
         f"|c23|^2 = {ew.at(abs2, i)!r}, p22*p33 = {ew.at(inner, i)!r}")))
     ew.raise_first(checks)
     return clamped
 
 
-def make_xstate(p11: float, p22: float, p33: float, p44: float,
-                c23: complex, atol: float = ATOL) -> XState:
+def make_xstate(p11: float, p22: float, p33: float, p44: float, c23: complex) -> XState:
     """Validate and build an :class:`XState`.
 
-    Populations within ``-atol`` of zero are clamped to exactly zero; the
+    Populations within ``-ATOL`` of zero are clamped to exactly zero; the
     trace is never renormalized.  Raises ``ValueError`` naming the violated
     constraint otherwise.
     """
     c23 = complex(c23)
     pops = _validated(float(p11), float(p22), float(p33), float(p44),
-                      c23.real, c23.imag, atol)
+                      c23.real, c23.imag)
     return XState(*pops, c23)
 
 
-def make_xbatch(p11, p22, p33, p44, re_c23, im_c23, atol: float = ATOL) -> XBatch:
+def make_xbatch(p11, p22, p33, p44, re_c23, im_c23) -> XBatch:
     """Validate and build an :class:`XBatch` from equal-length 1-d float arrays.
 
     Every state gets the checks and clamping of :func:`make_xstate`, as
@@ -157,7 +156,7 @@ def make_xbatch(p11, p22, p33, p44, re_c23, im_c23, atol: float = ATOL) -> XBatc
     :func:`make_xstate` gives for it.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        pops = _validated(p11, p22, p33, p44, re_c23, im_c23, atol)
+        pops = _validated(p11, p22, p33, p44, re_c23, im_c23)
     return XBatch(*pops, re_c23, im_c23)
 
 

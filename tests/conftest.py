@@ -34,3 +34,18 @@ def xstates(draw):
 
 def seeded_rng(seed: int = 20240817) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def csv_fields(line: str) -> list[float]:
+    """The 13 fields of a CSV data row as floats, checked to form a valid state.
+
+    The 12-digit rounding can move the trace, the populations and
+    |c23|^2 - p22*p33 by far less than 1e-9, so they are checked at 1e-9.
+    """
+    fields = [float(f) for f in line.split(",")]
+    assert len(fields) == 13
+    p11, p22, p33, p44, re_c23, im_c23 = fields[3:9]
+    assert abs((((p11 + p22) + p33) + p44) - 1.0) <= 1e-9
+    assert min(p11, p22, p33, p44) >= -1e-9
+    assert abs(complex(re_c23, im_c23)) ** 2 <= p22 * p33 + 1e-9
+    return fields

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,13 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cavitycorr
-from cavitycorr.cli import (CSV_HEADER, _format_rows, format_batch, format_record, main,
-                            parse_record)
+from cavitycorr.cli import CSV_HEADER, _format_rows, format_batch, format_record, main
 from cavitycorr.csvformat import BLOCK_ROWS
-from cavitycorr.sweep import DiscordMethod, SweepConfig, time_series
+from cavitycorr.sweep import SweepConfig, time_series
 from cavitycorr import measures, sweep, verify
 from cavitycorr.verify import run_verification
+
+from conftest import csv_fields
 
 
 def run(capsys, *argv):
@@ -89,19 +91,18 @@ class TestEvolve:
                            "--gt-max", "12", "--steps", "60")
         assert code == 0
         for line in out.strip().split("\n")[1:]:
-            record, n, r = parse_record(line)
-            assert n == 4
-            assert r == 0.7
-            assert abs(record.state.trace() - 1.0) < 5e-9
-            assert record.discord <= record.mutual_information + 1e-9
+            fields = csv_fields(line)
+            assert fields[1] == 4
+            assert fields[2] == 0.7
+            assert fields[10] <= fields[12] + 1e-9  # discord <= mutual information
 
     def test_format_parse_inverse(self):
         records = time_series(SweepConfig(n=1, r=0.3, gt_max=5.0, steps=7))
         for rec in records:
-            line = format_record(rec, 1, 0.3)
-            back, n, r = parse_record(line, DiscordMethod.CLOSED_FORM)
-            assert abs(back.gt - rec.gt) <= 1e-11 * max(1.0, abs(rec.gt))
-            assert abs(back.discord - rec.discord) <= 1e-11
+            fields = csv_fields(format_record(rec, 1, 0.3))
+            assert fields[1] == 1 and fields[2] == 0.3
+            assert abs(fields[0] - rec.gt) <= 1e-11 * max(1.0, abs(rec.gt))
+            assert abs(fields[10] - rec.discord) <= 1e-11
 
 
 class TestVerify:
@@ -171,10 +172,6 @@ class TestEnvelope:
 
 
 class TestParsing:
-    def test_rejects_wrong_field_count(self):
-        with pytest.raises(ValueError):
-            parse_record("1,2,3")
-
     def test_fmt_is_12_significant_digits(self):
         line = format_record(
             time_series(SweepConfig(n=0, r=1 / 3, gt_max=1.0, steps=1))[0],
@@ -307,6 +304,17 @@ class TestGateHoles:
         assert code == 1
         assert out == ""
         assert "seed must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("name", ["samples", "seed", "n_max"])
+    def test_non_integer_count_rejected(self, name):
+        # a bool or a float would otherwise run, and be printed as given
+        args = {"samples": 3, "seed": 1, "n_max": 2}
+        for value in (True, 2.5, 2.0):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{name} must be an integer, got {value!r}")):
+                run_verification(**(args | {name: value}))
+        assert (run_verification(**(args | {name: np.int64(2)})).render()
+                == run_verification(**(args | {name: 2})).render())
 
     def test_nan_brute_force_discord_fails(self, capsys, monkeypatch):
         # a NaN from the minimizer must not be skipped by the report's maxima

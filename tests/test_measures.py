@@ -23,7 +23,7 @@ from cavitycorr import (
 from cavitycorr import measures
 from cavitycorr.xstate import XBatch
 from cavitycorr.measures import _golden_min, _measured_entropy, _min_conditional_entropy
-from cavitycorr.verify import sample_xstate
+from cavitycorr.verify import _sampled_states, sample_xstate
 
 from conftest import seeded_rng, xstates
 
@@ -315,17 +315,15 @@ class TestDiscordClosed:
 
     def test_against_bruteforce_bulk(self):
         # closed form must stay within the known worst-case bound of the
-        # two-candidate minimum, plus grid slack
-        rng = seeded_rng(28)
-        worst = 0.0
-        for _ in range(300):
-            s = sample_xstate(rng)
-            brute = discord_bruteforce(s)
-            worst = max(worst, abs(discord_closed(s) - brute))
-            mi = mutual_information(s)
-            assert brute <= mi + 1e-9
-            assert classical_correlation_bruteforce(s)[0] <= mi + 1e-9
-        assert worst <= 0.0021 + 5e-4
+        # two-candidate minimum, plus grid slack; the 300 states are the
+        # ones 300 sample_xstate calls would draw
+        states = _sampled_states(seeded_rng(28).random((300, 6)).T)
+        m, _ = _min_conditional_entropy(states)
+        brute = measures.discord_from(entropy_b(states), entropy_joint(states), m)
+        mi = mutual_information(states)
+        assert (brute <= mi + 1e-9).all()
+        assert (entropy_a(states) - m <= mi + 1e-9).all()
+        assert (abs(discord_closed(states) - brute) <= 0.0021 + 5e-4).all()
 
     def test_documented_worst_case(self):
         # the state of the module docstring, populations and |c23| scaled

@@ -10,7 +10,8 @@ from cavitycorr import (
     RevivalEvent,
     SweepBatch,
     SweepConfig,
-    correlation_record,
+    XBatch,
+    correlation_batch,
     detect_collapse_revival,
     envelope,
     first_onset,
@@ -109,6 +110,13 @@ class TestTimeSeries:
             SweepConfig(n=0, r=0.0, gt_max=math.inf, steps=10)
         with pytest.raises(ValueError):
             SweepConfig(n=0, r=1.5, gt_max=1.0, steps=10)
+
+    @pytest.mark.parametrize("steps", [True, 2.0, 2.5])
+    def test_non_integer_steps_rejected(self, steps):
+        # steps=True would otherwise run a 2-point grid
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            SweepConfig(n=1, r=0.5, gt_max=1.0, steps=steps)
+        assert SweepConfig(n=1, r=0.5, gt_max=1.0, steps=np.int64(2)).steps == 2
 
     def test_records_satisfy_invariants(self):
         for rec in time_series(SweepConfig(n=3, r=0.5, gt_max=15.0, steps=150)):
@@ -339,7 +347,7 @@ class TestSweepBatch:
     def test_records_match_single_point_evaluation(self):
         batch = time_series(SweepConfig(n=3, r=0.7, gt_max=9.0, steps=9))
         for rec in batch:
-            assert correlation_record(rec.gt, rec.state) == rec
+            assert correlation_batch([rec.gt], XBatch.of(rec.state))[0] == rec
 
     def test_chunks_tile_the_grid(self):
         cfg = SweepConfig(n=1, r=0.2, gt_max=2.0, steps=10)
