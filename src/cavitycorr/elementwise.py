@@ -13,8 +13,14 @@ give the same bits:
   library's ``pow``, with no SIMD variant, while ``x*x`` and ``np.power``
   differ from ``pow`` on about 0.1 % of squares (``np.power`` on a few
   percent of 4th powers);
-* ``log2`` on arrays is ``math.log2`` per element, as numpy's float64
-  ``np.log2`` has only SIMD loops, which differ on about 0.1 % of inputs.
+* ``log2`` on arrays is ``np.log2`` on a reversed view, reversed back.
+  numpy's float64 ``np.log2`` runs a SIMD loop, which differs from the C
+  library on about 0.2 % of inputs, unless exactly one of input and output
+  runs backwards in memory: then it calls the C library's ``log2`` per
+  element in C.  numpy allocates the output forwards, so the input is
+  reversed (after a copy if it does not run forwards).  The result is a
+  reversed view; callers only apply ``+ - * /`` and ``where`` to it, which
+  are correctly rounded whatever the layout.
   ``simd_log2`` is ``np.log2`` on floats too: the joint entropy always used it.
 """
 from __future__ import annotations
@@ -59,9 +65,12 @@ def power(x, y: float):
 
 
 def log2(x):
-    """log2, bit-identical to ``math.log2``."""
-    return (np.fromiter(map(math.log2, x.tolist()), dtype=float, count=len(x))
-            if _is_array(x) else math.log2(x))
+    """log2, bit-identical to ``math.log2``; a reversed view on a 1-d array."""
+    if not _is_array(x):
+        return math.log2(x)
+    if x.strides[0] <= 0:   # backwards or broadcast: numpy would take SIMD
+        x = x.copy()
+    return np.log2(x[::-1])[::-1]
 
 
 def simd_log2(x):
@@ -83,6 +92,11 @@ def minimum(a, b):
 
 def nonfinite(x):
     return ~np.isfinite(x) if _is_array(x) else not math.isfinite(x)
+
+
+def is_bool(x) -> bool:
+    """Whether ``x`` is a Python or numpy bool, which the float checks would take as 0 or 1."""
+    return isinstance(x, (bool, np.bool_))
 
 
 def at(x, i) -> float:

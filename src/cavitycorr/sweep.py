@@ -122,10 +122,10 @@ class SweepConfig:
         if (not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool)
                 or self.steps < 1):
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if not math.isfinite(self.gt_max) or self.gt_max <= 0.0:
+        if ew.is_bool(self.gt_max) or not math.isfinite(self.gt_max) or self.gt_max <= 0.0:
             raise ValueError(f"gt_max must be finite and positive, got {self.gt_max!r}")
         check_photon_number(self.n)
-        if not 0.0 <= self.r <= 1.0:
+        if ew.is_bool(self.r) or not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {self.r!r}")
         # Checked up front, so that no grid point fails after output has begun.
         # The grid's largest angle is steps * gt_max / steps (inf when the
@@ -217,7 +217,7 @@ def envelope(series, window: float) -> np.ndarray:
     gts, vals = _series(series)
     if len(gts) == 0:
         raise ValueError("envelope of an empty series is undefined")
-    if not window > 0.0:
+    if ew.is_bool(window) or not window > 0.0:
         raise ValueError(f"window must be positive, got {window!r}")
     if window >= gts[-1] - gts[0]:
         raise ValueError(f"window {window!r} must be smaller than the gt span")
@@ -244,7 +244,8 @@ def detect_collapse_revival(env, collapse_threshold: float,
     last) is a revival; a series with no qualifying collapse yields no
     events at all.
     """
-    if not (0.0 < collapse_threshold < math.inf and 0.0 < min_duration < math.inf):
+    if (ew.is_bool(collapse_threshold) or ew.is_bool(min_duration)
+            or not (0.0 < collapse_threshold < math.inf and 0.0 < min_duration < math.inf)):
         raise ValueError("collapse_threshold and min_duration must be positive and finite, "
                          f"got {collapse_threshold!r} and {min_duration!r}")
     gts, vals = _series(env)
@@ -266,7 +267,7 @@ def detect_collapse_revival(env, collapse_threshold: float,
 
 def first_onset(series, eps: float = 1e-3):
     """Smallest grid gt whose value exceeds eps, or None; ``series`` as for :func:`envelope`."""
-    if not eps > 0.0:
+    if ew.is_bool(eps) or not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     gts, vals = _series(series)
     above = np.flatnonzero(vals > eps)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,30 @@ class TestFirstOnset:
         c_on = first_onset(conc, 1e-3)
         assert d_on is not None and c_on is not None
         assert d_on < c_on
+
+
+_SERIES = [(0.0, 0.1), (1.0, 0.9), (2.0, 0.1), (3.0, 0.9)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda v: time_series(SweepConfig(n=1, r=v, gt_max=1.0, steps=2)).discord,
+     "r must lie in [0, 1], got "),
+    (lambda v: time_series(SweepConfig(n=1, r=0.5, gt_max=v, steps=2)).discord,
+     "gt_max must be finite and positive, got "),
+    (lambda v: envelope(_SERIES, v), "window must be positive, got "),
+    (lambda v: detect_collapse_revival(_SERIES, v, 0.5),
+     "collapse_threshold and min_duration must be positive and finite, got "),
+    (lambda v: detect_collapse_revival(_SERIES, 0.5, v),
+     "collapse_threshold and min_duration must be positive and finite, got "),
+    (lambda v: first_onset(_SERIES, v), "eps must be positive, got "),
+])
+def test_float_parameters_reject_bools(call, message):
+    # a bool would otherwise pass the range checks as 0 or 1
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            call(flag)
+        assert repr(flag) in str(err.value)
+    assert np.array_equal(call(np.float64(0.5)), call(0.5))
 
 
 class TestSweepBatch:

@@ -3,14 +3,16 @@
 The reference draws one sample at a time, exactly as the benchmark's
 replay (perfbench/checks.py, ``replay_verify``) spells it out: four
 exponential weights, the coherence's radius and phase, then n and gt.
+The float parameters of ``run_verification`` reject bools.
 """
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cavitycorr.sweep import SWEEP_CHUNK
-from cavitycorr.verify import _seeded_chunks, sample_xstate
+from cavitycorr.verify import _seeded_chunks, run_verification, sample_xstate
 from cavitycorr.xstate import XState
 
 GT_MAX = 20.0
@@ -71,3 +73,18 @@ def test_seeded_chunks_reproduce_the_per_sample_formula(n_max):
             assert (got == want_states[:, k]).all(), (seed, k)
             assert int(rng.integers(0, n_max + 1)) == want_n[k]
             assert _bits(float(rng.uniform(0.0, GT_MAX))) == want_gt[k]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("gt_max", "n_max must be >= 0 and gt_max positive and finite"),
+    ("tol_evolve", "tol_evolve must be finite and >= 0, got "),
+    ("tol_discord", "tol_discord must be finite and >= 0, got "),
+])
+def test_float_parameters_reject_bools(name, message):
+    # gt_max=True would otherwise run, and be printed as gt_max=1
+    args = {"samples": 3, "seed": 1, "n_max": 2}
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_verification(**(args | {name: flag}))
+    assert (run_verification(**(args | {name: np.float64(1.0)})).render()
+            == run_verification(**(args | {name: 1.0})).render())
