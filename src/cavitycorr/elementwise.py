@@ -1,14 +1,17 @@
-"""Elementwise math that serves Python floats and numpy arrays alike.
+"""Elementwise math of the closed-form measures on floats or arrays, and check helpers.
 
-Each closed form of the package is written once, with these functions and
-the arithmetic operators, and runs either on floats (one state) or on
-1-d arrays (a batch of states, e.g. a whole grid of Rabi angles).  Both
+The measures are written once, with these functions and the arithmetic
+operators, and run either on floats (one state) or on 1-d arrays (a batch
+of states, e.g. a whole grid of Rabi angles).  Their float path stays
+because ``verify`` evaluates the closed-form discord one sample at a time,
+where a float call costs a fraction of a batch of one.  Evolution and
+state validation run on arrays only, with numpy directly.  Both paths
 give the same bits:
 
 * on floats they are the ``math`` functions and Python's ``**``, which
   call the C library;
-* on arrays ``cos``, ``sin``, ``sqrt`` and ``hypot`` are numpy's, which
-  agree with the C library bit for bit (the golden-bytes tests check this);
+* on arrays ``sqrt`` is numpy's, which is correctly rounded like the C
+  library's;
 * ``power`` on arrays is ``np.float_power``: its float64 loop calls the C
   library's ``pow``, with no SIMD variant, while ``x*x`` and ``np.power``
   differ from ``pow`` on about 0.1 % of squares (``np.power`` on a few
@@ -35,24 +38,8 @@ def _is_array(x) -> bool:
     return isinstance(x, np.ndarray)
 
 
-def cos(x):
-    return np.cos(x) if _is_array(x) else math.cos(x)
-
-
-def sin(x):
-    return np.sin(x) if _is_array(x) else math.sin(x)
-
-
 def sqrt(x):
     return np.sqrt(x) if _is_array(x) else math.sqrt(x)
-
-
-def hypot(x, y):
-    """sqrt(x*x + y*y) as the C library's hypot, which ``abs(complex)`` calls."""
-    try:
-        return np.hypot(x, y) if _is_array(x) else abs(complex(x, y))
-    except OverflowError:   # Python's ``abs`` raises where hypot returns inf
-        return math.inf
 
 
 def power(x, y: float):
@@ -90,18 +77,14 @@ def minimum(a, b):
     return np.minimum(a, b) if _is_array(a) or _is_array(b) else min(a, b)
 
 
-def nonfinite(x):
-    return ~np.isfinite(x) if _is_array(x) else not math.isfinite(x)
-
-
 def is_bool(x) -> bool:
     """Whether ``x`` is a Python or numpy bool, which the float checks would take as 0 or 1."""
     return isinstance(x, (bool, np.bool_))
 
 
 def at(x, i) -> float:
-    """Element ``i`` of ``x`` as a float; ``i`` is None for a float ``x``."""
-    return float(x) if i is None else float(x[i])
+    """Element ``i`` of ``x`` as a float, where a float ``x`` is its own element 0."""
+    return float(np.ravel(x)[i])
 
 
 def raise_first(checks) -> None:
@@ -109,12 +92,9 @@ def raise_first(checks) -> None:
 
     ``checks`` holds (failed, message) pairs in check order.  ``failed`` is
     a bool for one state or a bool array for a batch; ``message(i)``
-    renders the text for element ``i`` (None for one state).
+    renders the text for element ``i`` (0 for one state).
     """
     bad = functools.reduce(operator.or_, [failed for failed, _ in checks])
-    if _is_array(bad):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(next(message(i) for failed, message in checks if failed[i]))
-    elif bad:
-        raise ValueError(next(message(None) for failed, message in checks if failed))
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(next(message(i) for failed, message in checks if np.ravel(failed)[i]))

@@ -9,11 +9,11 @@ machine precision.  A legacy published variant differs in two
 coefficients; :func:`published_form_report` evaluates it and reports how
 it breaks the state invariants.
 
-The update is written once.  :func:`evolve` evaluates it at one Rabi
-angle on floats; :func:`evolve_batch` evaluates it on arrays, either one
-state at every angle of a grid or each state of a batch at its own photon
-number and angle.  :func:`check_params` is the one check of photon
-numbers and angles for both and for the Fock oracle.
+The update is written once, on arrays.  :func:`evolve_batch` evaluates
+it either for one state at every angle of a grid or for each state of a
+batch at its own photon number and angle; :func:`evolve` is its batch of
+one.  :func:`check_params` is the one check of photon numbers and angles
+for both and for the Fock oracle.
 """
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import elementwise as ew
-from .xstate import XBatch, XState, make_xbatch, make_xstate
+from .xstate import XBatch, XState, make_xbatch
 
 # Drift beyond this marks the published coefficient set as inconsistent
 # for a given input; well above round-off, well below the defect size.
@@ -49,8 +48,11 @@ def check_params(n, gt, size: int | None = None):
     ``n`` an integer or an integer array of ``gt``'s length (returned as
     int64), each in [0, 2**53].  sqrt(n + 2) * |gt|, the largest Rabi
     angle that the closed form or the oracle computes, must be finite:
-    beyond that, cos and sin give NaN.
+    beyond that, cos and sin give NaN.  Bool angles are rejected, not read
+    as 0 and 1.
     """
+    if np.asarray(gt).dtype == bool:
+        raise ValueError("Rabi angle gt must be a number, not a bool")
     gt = np.asarray(gt, dtype=float)
     if gt.ndim != 1 or size not in (None, len(gt)):
         raise ValueError(f"Rabi angles gt must be a 1-d array"
@@ -95,34 +97,32 @@ def _trig(m, gt):
     appears multiplied by sin(sqrt(0)*gt)^2 = 0, so reading it as m = 0
     keeps the formula total.
     """
-    angle = ew.sqrt(ew.maximum(m, 0)) * gt
-    return ew.cos(angle), ew.sin(angle)
+    angle = np.sqrt(np.maximum(m, 0)) * gt
+    return np.cos(angle), np.sin(angle)
 
 
 def _update(state: XState | XBatch, n, gt):
     """Raw elements (p11, p22, p33, p44, re c23, im c23) after both passes.
 
-    ``state``, ``n`` and ``gt`` are one state, an integer and a float, or
-    any of them arrays (a batch, an integer array, an array of angles) of
-    one length; the elements then are arrays of that length.  Each array
-    element is bit-identical to the float result for its inputs (see
-    :mod:`cavitycorr.elementwise`).
+    ``gt`` is a 1-d array of angles; ``state`` is one state or a batch of
+    ``gt``'s length, and ``n`` an integer or an integer array of that
+    length.  Powers are ``np.float_power``, which calls the C library's
+    ``pow`` per element (see :mod:`cavitycorr.elementwise`), so each
+    element does not depend on the batch around it.
     """
     cm, sm = _trig(n - 1, gt)
     c0, s0 = _trig(n, gt)
     c1, s1 = _trig(n + 1, gt)
     c2, s2 = _trig(n + 2, gt)
-    c1_2, c1_4 = ew.power(c1, 2), ew.power(c1, 4)
-    c0_2, c0_4 = ew.power(c0, 2), ew.power(c0, 4)
-    s0_2, s0_4 = ew.power(s0, 2), ew.power(s0, 4)
-    s1_2, s1_4 = ew.power(s1, 2), ew.power(s1, 4)
-    cm_2, sm_2 = ew.power(cm, 2), ew.power(sm, 2)
-    c2_2, s2_2 = ew.power(c2, 2), ew.power(s2, 2)
+    pw = np.float_power
+    c1_2, c1_4 = pw(c1, 2), pw(c1, 4)
+    c0_2, c0_4 = pw(c0, 2), pw(c0, 4)
+    s0_2, s0_4 = pw(s0, 2), pw(s0, 4)
+    s1_2, s1_4 = pw(s1, 2), pw(s1, 4)
+    cm_2, sm_2 = pw(cm, 2), pw(sm, 2)
+    c2_2, s2_2 = pw(c2, 2), pw(s2, 2)
     p11, p22, p33, p44 = state.p11, state.p22, state.p33, state.p44
-    if isinstance(state, XBatch):
-        re, im = state.re_c23, state.im_c23
-    else:
-        re, im = state.c23.real, state.c23.imag
+    re, im = state.re_c23, state.im_c23
     x = 2.0 * re  # c23 + conj(c23)
 
     q11 = (p11 * c1_4 + p22 * s0_2 * c1_2 + p33 * s0_2 * c0_2
@@ -148,16 +148,16 @@ def evolve_batch(states: XState | XBatch, n, gt) -> XBatch:
     ``states`` is one state, evolved at every angle with the integer
     photon number ``n``, or a batch of ``gt``'s length, whose state ``i``
     is evolved at ``n[i]`` and ``gt[i]``.  Element ``i`` is bit-identical
-    to :func:`evolve` of its state, photon number and angle.
+    to :func:`evolve` of its state, photon number and angle, and to any
+    other batch holding it.
     """
     n, gt = check_params(n, gt, len(states) if isinstance(states, XBatch) else None)
     return make_xbatch(*_update(states, n, gt))
 
 
 def evolve(state: XState, params: EvolutionParams) -> XState:
-    """X state after both atoms have crossed the cavity once each."""
-    q11, q22, q33, q44, re_q23, im_q23 = _update(state, params.n, params.gt)
-    return make_xstate(q11, q22, q33, q44, complex(re_q23, im_q23))
+    """X state after both passes: the batch of one of :func:`evolve_batch`."""
+    return evolve_batch(state, params.n, [params.gt])[0]
 
 
 @dataclass(frozen=True)
@@ -188,17 +188,19 @@ def published_form_report(state: XState, params: EvolutionParams) -> PublishedFo
     instead of s1^2 on the p22 term of the lower-coherence row, so that
     row is not the conjugate of the upper one.
     """
-    q11, q22, q33, q44, re_q23, im_q23 = _update(state, params.n, params.gt)
-    c0, s0 = _trig(params.n, params.gt)
-    c1, s1 = _trig(params.n + 1, params.gt)
-    _, s2 = _trig(params.n + 2, params.gt)
-    q44 += 2.0 * state.c23.real * (s0**2 - s1**2) * c1 * c0
-    pops = (q11, q22, q33, q44)
-    q23 = complex(re_q23, im_q23)
+    n, gt = params.n, np.array([params.gt])
+    q11, q22, q33, q44, re_q23, im_q23 = _update(state, n, gt)
+    c0, s0 = _trig(n, gt)
+    c1, s1 = _trig(n + 1, gt)
+    _, s2 = _trig(n + 2, gt)
+    pw = np.float_power
+    q44 = q44 + 2.0 * state.re_c23 * (pw(s0, 2) - pw(s1, 2)) * c1 * c0
+    pops = [float(q[0]) for q in (q11, q22, q33, q44)]
+    q23 = complex(re_q23[0], im_q23[0])
     return PublishedFormReport(
         state=XState(*pops, q23),
         trace_drift=abs(sum(pops) - 1.0),
-        hermiticity_drift=abs(state.p22 * (s1**2 - s2**2) * c1 * c0),
+        hermiticity_drift=float(abs(state.p22 * (pw(s1, 2) - pw(s2, 2)) * c1 * c0)[0]),
         min_population=min(pops),
-        coherence_excess=max(0.0, abs(q23) ** 2 - q22 * q33),
+        coherence_excess=max(0.0, abs(q23) ** 2 - pops[1] * pops[2]),
     )

@@ -46,8 +46,8 @@ def _check_correlations(concurrence, discord, classical_correlation,
         return tuple(ew.at(v, i) for v in vals)
 
     ew.raise_first([
-        (ew.nonfinite(concurrence) | ew.nonfinite(discord)
-         | ew.nonfinite(classical_correlation) | ew.nonfinite(mutual_information),
+        (~np.isfinite(concurrence) | ~np.isfinite(discord)
+         | ~np.isfinite(classical_correlation) | ~np.isfinite(mutual_information),
          lambda i: f"correlation values must be finite, got {point(i)}"),
         ((concurrence < -1e-9) | (discord < -1e-9) | (classical_correlation < -1e-9)
          | (mutual_information < -1e-9),
@@ -179,8 +179,8 @@ def sweep_batches(cfg: SweepConfig, chunk: int = SWEEP_CHUNK):
     Together they cover i = 0..steps in order.  Each point's values do not
     depend on the chunk size.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk!r}")
+    if not isinstance(chunk, (int, np.integer)) or isinstance(chunk, bool) or chunk < 1:
+        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     initial = werner_state(cfg.r)
     for start in range(0, cfg.steps + 1, chunk):
         gt = np.arange(start, min(start + chunk, cfg.steps + 1)) * cfg.gt_max / cfg.steps

@@ -6,6 +6,9 @@ coherence between |10> and |01>.  The basis order is |11>, |10>, |01>,
 |00>, with atom A occupying the first tensor slot.  Only the upper
 coherence ``c23`` is stored; the lower one is always its complex
 conjugate, so Hermiticity holds by construction.
+
+States are validated on arrays only: :func:`make_xbatch` checks every
+state of a batch at once, and :func:`make_xstate` is its batch of one.
 """
 from __future__ import annotations
 
@@ -41,6 +44,14 @@ class XState:
 
     def trace(self) -> float:
         return self.p11 + self.p22 + self.p33 + self.p44
+
+    @property
+    def re_c23(self) -> float:
+        return self.c23.real
+
+    @property
+    def im_c23(self) -> float:
+        return self.c23.imag
 
     def abs_c23(self) -> float:
         return abs(self.c23)
@@ -107,44 +118,16 @@ class XBatch:
         return np.hypot(self.re_c23, self.im_c23)
 
 
-def _validated(p11, p22, p33, p44, re_c23, im_c23):
-    """The checks and clamping of :func:`make_xstate`, for floats or arrays."""
-    names = ("p11", "p22", "p33", "p44")
-    pops = (p11, p22, p33, p44)
-    trace = ((p11 + p22) + p33) + p44
-    clamped = [ew.where(p < 0.0, 0.0, p) for p in pops]
-    abs2 = ew.power(ew.hypot(re_c23, im_c23), 2)
-    inner = clamped[1] * clamped[2]
-    checks = [(ew.nonfinite(p), lambda i, name=name, p=p:
-               f"{name} must be finite, got {ew.at(p, i)!r}")
-              for name, p in zip(names, pops)]
-    checks.append((ew.nonfinite(re_c23) | ew.nonfinite(im_c23), lambda i:
-                   f"c23 must be finite, got {complex(ew.at(re_c23, i), ew.at(im_c23, i))!r}"))
-    checks.append((abs(trace - 1.0) > ATOL, lambda i:
-                   f"trace must be 1 within {ATOL:g}, got trace = {ew.at(trace, i)!r}"))
-    checks += [(p < -ATOL, lambda i, name=name, p=p:
-                f"{name} must be nonnegative within {ATOL:g}, got {ew.at(p, i)!r}")
-               for name, p in zip(names, pops)]
-    # Positivity of the central 2x2 block; the outer block is diagonal
-    # because the |11><00| coherence is identically zero here.
-    checks.append((abs2 - inner > ATOL, lambda i: (
-        f"|c23|^2 must not exceed p22*p33 within {ATOL:g}: "
-        f"|c23|^2 = {ew.at(abs2, i)!r}, p22*p33 = {ew.at(inner, i)!r}")))
-    ew.raise_first(checks)
-    return clamped
-
-
 def make_xstate(p11: float, p22: float, p33: float, p44: float, c23: complex) -> XState:
-    """Validate and build an :class:`XState`.
+    """Validate and build an :class:`XState`: the batch of one of :func:`make_xbatch`.
 
     Populations within ``-ATOL`` of zero are clamped to exactly zero; the
     trace is never renormalized.  Raises ``ValueError`` naming the violated
     constraint otherwise.
     """
     c23 = complex(c23)
-    pops = _validated(float(p11), float(p22), float(p33), float(p44),
-                      c23.real, c23.imag)
-    return XState(*pops, c23)
+    cols = (float(p11), float(p22), float(p33), float(p44), c23.real, c23.imag)
+    return make_xbatch(*(np.array([v]) for v in cols))[0]
 
 
 def make_xbatch(p11, p22, p33, p44, re_c23, im_c23) -> XBatch:
@@ -152,12 +135,32 @@ def make_xbatch(p11, p22, p33, p44, re_c23, im_c23) -> XBatch:
 
     Every state gets the checks and clamping of :func:`make_xstate`, as
     whole-array tests.  If any state fails, the ``ValueError`` names the
-    first failing check of the first failing state, with the message
-    :func:`make_xstate` gives for it.
+    first failing check of the first failing state.
     """
+    names = ("p11", "p22", "p33", "p44")
+    pops = (p11, p22, p33, p44)
     with np.errstate(invalid="ignore", over="ignore"):
-        pops = _validated(p11, p22, p33, p44, re_c23, im_c23)
-    return XBatch(*pops, re_c23, im_c23)
+        trace = ((p11 + p22) + p33) + p44
+        clamped = [np.where(p < 0.0, 0.0, p) for p in pops]
+        abs2 = np.float_power(np.hypot(re_c23, im_c23), 2)
+        inner = clamped[1] * clamped[2]
+        checks = [(~np.isfinite(p), lambda i, name=name, p=p:
+                   f"{name} must be finite, got {float(p[i])!r}")
+                  for name, p in zip(names, pops)]
+        checks.append((~np.isfinite(re_c23) | ~np.isfinite(im_c23), lambda i:
+                       f"c23 must be finite, got {complex(re_c23[i], im_c23[i])!r}"))
+        checks.append((abs(trace - 1.0) > ATOL, lambda i:
+                       f"trace must be 1 within {ATOL:g}, got trace = {float(trace[i])!r}"))
+        checks += [(p < -ATOL, lambda i, name=name, p=p:
+                    f"{name} must be nonnegative within {ATOL:g}, got {float(p[i])!r}")
+                   for name, p in zip(names, pops)]
+        # Positivity of the central 2x2 block; the outer block is diagonal
+        # because the |11><00| coherence is identically zero here.
+        checks.append((abs2 - inner > ATOL, lambda i: (
+            f"|c23|^2 must not exceed p22*p33 within {ATOL:g}: "
+            f"|c23|^2 = {float(abs2[i])!r}, p22*p33 = {float(inner[i])!r}")))
+    ew.raise_first(checks)
+    return XBatch(*clamped, re_c23, im_c23)
 
 
 def werner_state(r: float) -> XState:
@@ -168,6 +171,8 @@ def werner_state(r: float) -> XState:
     ``werner_state(r) == r*werner_state(1) + (1-r)*werner_state(0)``
     holds exactly in floating point, element by element.
     """
+    if ew.is_bool(r):
+        raise ValueError(f"mixing parameter r must be a number, not a bool, got {r!r}")
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"mixing parameter r must lie in [0, 1], got {r!r}")

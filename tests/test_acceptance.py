@@ -17,16 +17,17 @@ from cavitycorr import (
     discord_closed,
     envelope,
     evolve,
+    evolve_batch,
     first_onset,
     make_xstate,
     mutual_information,
     published_form_report,
-    sequential_pass,
+    sequential_pass_batch,
     time_series,
     werner_state,
 )
 from cavitycorr.cli import CSV_HEADER, format_record, main
-from cavitycorr.verify import run_verification, sample_xstate
+from cavitycorr.verify import _seeded_chunks, run_verification
 from cavitycorr.xstate import spectrum
 
 from conftest import csv_fields
@@ -170,40 +171,45 @@ def test_criterion_8_invariant_suite(capsys):
     rng = np.random.default_rng(SEED)
     checks = 0
 
-    for _ in range(1500):
-        state = sample_xstate(rng)
-        assert abs(state.trace() - 1.0) <= 1e-12
-        checks += 1
-        lams = np.array(spectrum(state))
-        assert abs(lams.sum() - 1.0) <= 1e-12
-        checks += 1
-        assert (lams >= 0.0).all() and (lams <= 1.0 + 1e-12).all()
-        checks += 1
+    # 1500 samples, each drawn as sample_xstate, rng.integers(0, 13) and
+    # rng.uniform(0.0, 20.0) one after the other would draw it, checked a
+    # chunk at a time; a check of k states counts as k assertions
+    for _, states, n, gt in _seeded_chunks(rng, 1500, 12, 20.0):
+        size = len(states)
+        trace = ((states.p11 + states.p22) + states.p33) + states.p44
+        assert (abs(trace - 1.0) <= 1e-12).all()
+        checks += size
+        lams = np.array(spectrum(states))
+        assert (abs(lams.sum(axis=0) - 1.0) <= 1e-12).all()
+        checks += size
+        assert ((lams >= 0.0) & (lams <= 1.0 + 1e-12)).all()
+        checks += size
 
-        params = EvolutionParams(int(rng.integers(0, 13)),
-                                 float(rng.uniform(0.0, 20.0)))
-        evolved = evolve(state, params)  # Hermitian by construction
-        assert abs(evolved.trace() - 1.0) <= 1e-12
-        checks += 1
-        assert min(evolved.populations()) >= 0.0
-        checks += 1
-        assert abs(evolved.c23) ** 2 <= evolved.p22 * evolved.p33 + 1e-12
-        checks += 1
-        oracle = sequential_pass(state, params)
-        assert max(abs(evolved.p11 - oracle.p11), abs(evolved.p22 - oracle.p22),
-                   abs(evolved.p33 - oracle.p33), abs(evolved.p44 - oracle.p44),
-                   abs(evolved.c23 - oracle.c23)) <= 1e-10
-        checks += 1
+        evolved = evolve_batch(states, n, gt)  # Hermitian by construction
+        pops = np.array([evolved.p11, evolved.p22, evolved.p33, evolved.p44])
+        assert (abs(((pops[0] + pops[1]) + pops[2]) + pops[3] - 1.0) <= 1e-12).all()
+        checks += size
+        assert (pops >= 0.0).all()
+        checks += size
+        assert (evolved.abs_c23() ** 2 <= evolved.p22 * evolved.p33 + 1e-12).all()
+        checks += size
+        oracle = sequential_pass_batch(states, n, gt)
+        dev = np.max([abs(evolved.p11 - oracle.p11), abs(evolved.p22 - oracle.p22),
+                      abs(evolved.p33 - oracle.p33), abs(evolved.p44 - oracle.p44),
+                      np.hypot(evolved.re_c23 - oracle.re_c23,
+                               evolved.im_c23 - oracle.im_c23)], axis=0)
+        assert (dev <= 1e-10).all()
+        checks += size
 
         c = concurrence(evolved)
         d = discord_closed(evolved)
         mi = mutual_information(evolved)
-        assert 0.0 <= c <= 1.0
-        checks += 1
-        assert 0.0 <= d <= 1.0 + 1e-9
-        checks += 1
-        assert d <= mi + 1e-9 and mi >= -1e-9
-        checks += 1
+        assert ((0.0 <= c) & (c <= 1.0)).all()
+        checks += size
+        assert ((0.0 <= d) & (d <= 1.0 + 1e-9)).all()
+        checks += size
+        assert ((d <= mi + 1e-9) & (mi >= -1e-9)).all()
+        checks += size
 
     # CSV round trip and byte determinism
     cfg = SweepConfig(n=4, r=0.35, gt_max=8.0, steps=200)

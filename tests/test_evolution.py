@@ -65,6 +65,31 @@ class TestParams:
             EvolutionParams(0, math.inf)
 
 
+@pytest.mark.parametrize("call, same_as", [
+    (lambda: werner_state(True), None),
+    (lambda: werner_state(np.bool_(False)), None),
+    (lambda: EvolutionParams(3, True), None),
+    (lambda: EvolutionParams(3, np.bool_(True)), None),
+    (lambda: evolve_batch(werner_state(0.3), 3, np.array([True, False])), None),
+    (lambda: evolve_batch(werner_state(0.3), 3, [False]), None),
+    (lambda: werner_state(np.float64(0.3)), lambda: werner_state(0.3)),
+    (lambda: werner_state(np.float32(0.25)), lambda: werner_state(0.25)),
+    (lambda: evolve(werner_state(0.3), EvolutionParams(3, np.float64(1.7))),
+     lambda: evolve(werner_state(0.3), EvolutionParams(3, 1.7))),
+    (lambda: list(evolve_batch(werner_state(0.3), np.int64(3), np.array([0.5, 1.0], np.float32))),
+     lambda: list(evolve_batch(werner_state(0.3), 3, [0.5, 1.0]))),
+], ids=["werner-bool", "werner-numpy-bool", "params-bool", "params-numpy-bool",
+        "batch-bool-array", "batch-bool-list", "werner-float64", "werner-float32",
+        "evolve-float64", "batch-float32"])
+def test_bool_angles_and_mixing_rejected_numpy_floats_kept(call, same_as):
+    # a bool would otherwise be read as 0 or 1: werner_state(True) is the Bell state
+    if same_as is None:
+        with pytest.raises(ValueError, match="must be a number, not a bool"):
+            call()
+    else:
+        assert repr(call()) == repr(same_as())
+
+
 class TestCorrectedMode:
     def test_zero_angle_is_identity(self):
         s = make_xstate(0.1, 0.2, 0.4, 0.3, 0.05 - 0.21j)
@@ -239,3 +264,76 @@ class TestEvolveGrid:
             plus, minus = route(states, n, gt), route(states, n, -gt)
             for field in ("p11", "p22", "p33", "p44", "re_c23", "im_c23"):
                 assert getattr(plus, field).tobytes() == getattr(minus, field).tobytes()
+
+
+def _exact_evolve(state, n, gt, mp):
+    """(p11, p22, p33, p44, c23) after both passes, from the Jaynes-Cummings dynamics.
+
+    Independent of the coefficient table: each basis ket |ab, n> is carried
+    as amplitudes on |a b, m>, atom A and then atom B turns each pair
+    {|e, m>, |g, m + 1>} by the angle sqrt(m + 1) * gt, and the field is
+    traced out of rho' = sum_ij rho_ij U|i><j|U^dagger.  Two passes reach
+    only photon numbers n - 2 .. n + 2.  Everything runs in ``mp``'s
+    precision on the exact float inputs.
+    """
+    g = mp.mpf(gt)
+    kets = [(1, 1), (1, 0), (0, 1), (0, 0)]   # |11>, |10>, |01>, |00>; 1 is excited
+
+    def interact(amps, atom):
+        out = {}
+        for (levels, m), amp in amps.items():
+            # |e, m> pairs with |g, m + 1>, |g, m> with |e, m - 1> (none at m = 0)
+            k, partner = (m + 1, m + 1) if levels[atom] else (m, m - 1)
+            angle = mp.sqrt(k) * g
+            out[levels, m] = out.get((levels, m), 0) + mp.cos(angle) * amp
+            if k > 0:
+                flipped = tuple(v ^ (a == atom) for a, v in enumerate(levels))
+                out[flipped, partner] = (out.get((flipped, partner), 0)
+                                         + mp.mpc(0, -1) * mp.sin(angle) * amp)
+        return out
+
+    psi = [interact(interact({(ket, n): mp.mpf(1)}, 0), 1) for ket in kets]
+    c23 = mp.mpc(state.c23.real, state.c23.imag)
+    rho = {(0, 0): mp.mpf(state.p11), (1, 1): mp.mpf(state.p22), (2, 2): mp.mpf(state.p33),
+           (3, 3): mp.mpf(state.p44), (1, 2): c23, (2, 1): mp.conj(c23)}
+
+    def element(a, b):
+        return sum(w * amp * mp.conj(psi[j].get((kets[b], m), 0))
+                   for (i, j), w in rho.items()
+                   for (levels, m), amp in psi[i].items() if levels == kets[a])
+
+    return [element(k, k) for k in range(4)] + [element(1, 2)]
+
+
+def test_evolve_matches_exact_dynamics_within_angle_conditioning():
+    """``evolve`` against a 50-digit evaluation of the physics, up to n = 2**53.
+
+    Bound, derived before measuring.  Let theta = sqrt(n + 2) * gt, the
+    largest of the four Rabi angles sqrt(m) * gt (m = n - 1 .. n + 2).
+    Each angle is computed as fl(fl(sqrt(m)) * gt), off by at most 2u of
+    itself (u = 2**-53), which is less than 2 ulp(theta).  Each element is
+    a sum of terms w * (a product of at most four cosines and sines of
+    those angles), with sum |w| <= 2: the populations sum to 1, and
+    |Re c23|, |Im c23| <= 1/2.  A product of d <= 4 factors bounded by 1
+    moves by at most d times the largest angle error, so the angles
+    contribute at most 2 * 4 * 2 = 16 ulp(theta).  Rounding the trig
+    values, the powers, the products and the sums adds about 20u relative
+    to sum |w| <= 2, under 32 ulp(1).  So each field (the populations,
+    Re c23 and Im c23) is within 48 ulp(max(1, theta)) of the exact value;
+    the floor at 1 covers small angles, where the O(1) round-off dominates.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    rng = seeded_rng(16)
+    n_values = [0, 1, 2, 2**53] + [int(2.0 ** e) for e in rng.uniform(0.0, 53.0, 44)]
+    with mp.workdps(50):
+        for n in n_values:
+            state = sample_xstate(rng)
+            gt = float(10.0 ** rng.uniform(-2.0, 4.0))
+            closed = evolve(state, EvolutionParams(n, gt))
+            exact = _exact_evolve(state, n, gt, mp)
+            got = [closed.p11, closed.p22, closed.p33, closed.p44]
+            err = [abs(mp.mpf(v) - e) for v, e in zip(got, exact)]
+            err += [abs(closed.c23.real - exact[4].real), abs(closed.c23.imag - exact[4].imag)]
+            bound = 48 * math.ulp(max(1.0, math.sqrt(n + 2) * gt))
+            assert float(max(err)) <= bound, (n, gt, state, float(max(err)), bound)

@@ -294,10 +294,14 @@ class TestWindowOracle:
     @pytest.mark.parametrize("n", [10**6, 2**40])
     def test_matches_closed_form_at_large_n(self, n):
         rng = seeded_rng(8)
-        for _ in range(200):
-            s = sample_xstate(rng)
-            params = EvolutionParams(n, float(rng.uniform(0.0, 1e4)))
-            assert max_deviation(sequential_pass(s, params), evolve(s, params)) <= 1e-15
+        drawn = [(sample_xstate(rng), float(rng.uniform(0.0, 1e4))) for _ in range(200)]
+        states, gt = XBatch.stack([s for s, _ in drawn]), [g for _, g in drawn]
+        n = np.full(len(gt), n)
+        oracle, closed = sequential_pass_batch(states, n, gt), evolve_batch(states, n, gt)
+        dev = np.max([abs(getattr(oracle, f) - getattr(closed, f))
+                      for f in ("p11", "p22", "p33", "p44")]
+                     + [np.hypot(oracle.re_c23 - closed.re_c23, oracle.im_c23 - closed.im_c23)])
+        assert dev <= 1e-15
 
     def test_widened_verify_ranges_pass(self):
         report = run_verification(samples=2000, seed=7, n_max=10**6, gt_max=1e4)

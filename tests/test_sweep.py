@@ -378,8 +378,11 @@ class TestSweepBatch:
         cfg = SweepConfig(n=1, r=0.2, gt_max=2.0, steps=10)
         sizes = [len(b) for b in sweep_batches(cfg, 4)]
         assert sizes == [4, 4, 3]
-        with pytest.raises(ValueError):
-            next(sweep_batches(cfg, 0))
+        assert [len(b) for b in sweep_batches(cfg, np.int64(4))] == sizes
+        for chunk in (0, -1, 2.5, 4.0, True, np.float64(4.0), np.bool_(True)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"chunk must be an integer >= 1, got {chunk!r}")):
+                next(sweep_batches(cfg, chunk))
 
     def test_overflowing_grid_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
