@@ -48,11 +48,15 @@ def check_params(n, gt, size: int | None = None):
     ``n`` an integer or an integer array of ``gt``'s length (returned as
     int64), each in [0, 2**53].  sqrt(n + 2) * |gt|, the largest Rabi
     angle that the closed form or the oracle computes, must be finite:
-    beyond that, cos and sin give NaN.  Bool angles are rejected, not read
-    as 0 and 1.
+    beyond that, cos and sin give NaN.  Angles must have an integer or
+    float dtype: bools are rejected, not read as 0 and 1, and so are
+    complex, string and object angles.
     """
-    if np.asarray(gt).dtype == bool:
+    dtype = np.asarray(gt).dtype
+    if dtype == bool:
         raise ValueError("Rabi angle gt must be a number, not a bool")
+    if dtype.kind not in "iuf":
+        raise ValueError(f"Rabi angle gt must be a real number, got dtype {dtype}")
     gt = np.asarray(gt, dtype=float)
     if gt.ndim != 1 or size not in (None, len(gt)):
         raise ValueError(f"Rabi angles gt must be a 1-d array"

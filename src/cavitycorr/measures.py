@@ -20,14 +20,19 @@ Both routes turn their minimum m into discord with the one formula
 truth; verification fails where the closed form is further from it than
 the discord tolerance.
 
-The brute-force search runs in lockstep over a batch of states: the grid
+Every closed form is written once, on arrays: it takes an :class:`XBatch`
+and returns one value per state, and given one :class:`XState` it is the
+batch of one and returns a float (:func:`~cavitycorr.xstate.one_or_batch`).
+The brute-force search takes an :class:`XBatch` too;
+:func:`discord_bruteforce` and :func:`classical_correlation_bruteforce`
+are its batch of one.  It runs in lockstep over a batch of states: the grid
 is one (states x grid points) array with a row-wise argmin, and each
 golden-section step updates every state's bracket as the one-state search
 would and evaluates one new point per state.  A state whose bracket is
 already narrower than ``ANGLE_TOL`` stops moving, so its result is
 bit-identical alone and inside any batch.  Each call reads the states'
 populations and |c23| once and computes the grid's trig once; one kernel
-serves the grid, the golden-section steps and one-state evaluations.
+serves the grid, the golden-section steps and :func:`_measured_entropy`.
 """
 from __future__ import annotations
 
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elementwise as ew
-from .xstate import XBatch, XState, spectrum
+from .xstate import XBatch, XState, one_or_batch, spectrum
 
 # Outcomes rarer than this contribute nothing to the conditional entropy.
 PROB_FLOOR = 1e-14
@@ -51,52 +56,55 @@ GRID_POINTS = 128
 _GRID_VALUES = 32 * 128
 
 
+@one_or_batch
 def binary_entropy(x) -> float | np.ndarray:
     """-x*log2(x) - (1-x)*log2(1-x), tolerating round-off of 1e-12 outside [0, 1].
 
-    Elementwise for an array ``x``.
+    Elementwise for a 1-d array ``x``; a float for one number.
     """
-    if not isinstance(x, np.ndarray):
-        x = float(x)
     ew.raise_first([((x != x) | (x < -1e-12) | (x > 1.0 + 1e-12), lambda i:
                      f"binary entropy argument must lie in [0, 1], got {ew.at(x, i)!r}")])
-    x = ew.minimum(ew.maximum(x, 0.0), 1.0)
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
     return 0.0 - _xlog2x(x) - _xlog2x(1.0 - x)
 
 
 def _xlog2x(v, log2=ew.log2):
     """v*log2(v), with 0*log2(0) = 0."""
     live = v > 0.0
-    return ew.where(live, v * log2(ew.where(live, v, 1.0)), 0.0)
+    return np.where(live, v * log2(np.where(live, v, 1.0)), 0.0)
 
 
 def _h(x):
     """Vectorized binary entropy, inputs assumed in [0, 1] up to round-off."""
     x = x.clip(0.0, 1.0)
-    terms = _xlog2x(np.array([x, 1.0 - x]), ew.simd_log2)
+    terms = _xlog2x(np.array([x, 1.0 - x]), np.log2)
     return 0.0 - terms[0] - terms[1]
 
 
-# Every closed form below takes an XState and returns a float, or an
-# XBatch and returns an array with one element per state.
+# Every closed form below is written on an XBatch and returns an array with
+# one element per state; given one XState it returns a float.
 
+@one_or_batch
 def concurrence(state: XState | XBatch) -> float | np.ndarray:
     """Entanglement monotone; for X states 2*max(0, |c23| - sqrt(p11*p44))."""
-    return 2.0 * ew.maximum(0.0, state.abs_c23() - ew.sqrt(state.p11 * state.p44))
+    return 2.0 * np.maximum(0.0, state.abs_c23() - np.sqrt(state.p11 * state.p44))
 
 
+@one_or_batch
 def entropy_joint(state: XState | XBatch) -> float | np.ndarray:
     """von Neumann entropy of the two-atom state, from the closed-form spectrum."""
-    terms = [_xlog2x(lam, ew.simd_log2) for lam in spectrum(state)]
+    terms = [_xlog2x(lam, np.log2) for lam in spectrum(state)]
     # left to right, as numpy sums a short array; zero terms drop out exactly
     return -(((terms[0] + terms[1]) + terms[2]) + terms[3])
 
 
+@one_or_batch
 def entropy_a(state: XState | XBatch) -> float | np.ndarray:
     """Entropy of atom A's marginal (its excited-state weight is p11 + p22)."""
     return binary_entropy(state.p11 + state.p22)
 
 
+@one_or_batch
 def entropy_b(state: XState | XBatch) -> float | np.ndarray:
     """Entropy of atom B's marginal (its excited-state weight is p11 + p33)."""
     return binary_entropy(state.p11 + state.p33)
@@ -107,10 +115,12 @@ def mutual_information_from(s_a, s_b, s_ab):
     return s_a + s_b - s_ab
 
 
+@one_or_batch
 def mutual_information(state: XState | XBatch) -> float | np.ndarray:
     return mutual_information_from(entropy_a(state), entropy_b(state), entropy_joint(state))
 
 
+@one_or_batch
 def closed_min_conditional_entropy(state: XState | XBatch) -> float | np.ndarray:
     """Closed-form candidate minimum of the measured conditional entropy.
 
@@ -119,19 +129,19 @@ def closed_min_conditional_entropy(state: XState | XBatch) -> float | np.ndarray
     0.00294 bits at worst (the state is in the module docstring).
     """
     p11, p22, p33, p44 = state.p11, state.p22, state.p33, state.p44
-    pol = ew.sqrt(ew.power(2.0 * p11 + 2.0 * p22 - 1.0, 2)
-                  + 4.0 * ew.power(state.abs_c23(), 2))
-    equatorial = binary_entropy(ew.minimum((1.0 + pol) / 2.0, 1.0))
+    pol = np.sqrt(np.float_power(2.0 * p11 + 2.0 * p22 - 1.0, 2)
+                  + 4.0 * np.float_power(state.abs_c23(), 2))
+    equatorial = binary_entropy(np.minimum((1.0 + pol) / 2.0, 1.0))
 
     def z_branch(weight, gap):
         # weight * h((1 + gap/weight) / 2); outcomes below the floor add 0
         live = weight > PROB_FLOOR
-        w = ew.where(live, weight, 1.0)
-        return ew.where(live, w * binary_entropy(ew.minimum((1.0 + gap / w) / 2.0, 1.0)), 0.0)
+        w = np.where(live, weight, 1.0)
+        return np.where(live, w * binary_entropy(np.minimum((1.0 + gap / w) / 2.0, 1.0)), 0.0)
 
     z_value = (0.0 + z_branch(p22 + p44, abs(p22 - p44))
                + z_branch(p11 + p33, abs(p11 - p33)))
-    return ew.minimum(equatorial, z_value)
+    return np.minimum(equatorial, z_value)
 
 
 def discord_from(s_b, s_ab, m):
@@ -141,9 +151,10 @@ def discord_from(s_b, s_ab, m):
     fault still shows to the callers' checks.
     """
     d = s_b - s_ab + m
-    return ew.where((d >= -1e-9) & (d < 0.0), 0.0, d)
+    return np.where((d >= -1e-9) & (d < 0.0), 0.0, d)
 
 
+@one_or_batch
 def discord_closed(state: XState | XBatch) -> float | np.ndarray:
     """Closed-form quantum discord for X states."""
     return discord_from(entropy_b(state), entropy_joint(state),
@@ -197,17 +208,14 @@ def conditional_entropy_measured(state: XState, basis: MeasurementBasis) -> floa
     return total
 
 
-def _constants(states: XState | XBatch, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+def _constants(states: XBatch, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """Each state's populations ``[[p11, p33], [p22, p44]]`` and its |c23|.
 
     Shaped to broadcast against ``ndim`` theta axes, the first of which
-    runs over the states of a batch: the populations as (2, 2, 1, *shape),
-    |c23| as ``shape``.
+    runs over the states: the populations as (2, 2, 1, *shape), |c23| as
+    ``shape``.
     """
-    if isinstance(states, XState):
-        shape = (1,) * ndim
-    else:
-        shape = (len(states),) + (1,) * (ndim - 1)
+    shape = (len(states),) + (1,) * (ndim - 1)
     pops = np.array([[states.p11, states.p33], [states.p22, states.p44]], dtype=float)
     return pops.reshape((2, 2, 1) + shape), np.reshape(states.abs_c23(), shape)
 
@@ -239,11 +247,10 @@ def _entropy(pops, abs_c23, sin2_cos2, sin_cos) -> np.ndarray:
     return out[0] + out[1]
 
 
-def _measured_entropy(states: XState | XBatch, theta):
+def _measured_entropy(states: XBatch, theta):
     """Measured conditional entropy at the polar angles ``theta`` of B's basis.
 
-    For one state ``theta`` may have any shape; for a batch its first axis
-    runs over the states.
+    The first axis of ``theta`` runs over the states.
     """
     theta = np.asarray(theta, dtype=float)
     return _entropy(*_constants(states, theta.ndim), *_trig(theta))
@@ -288,27 +295,24 @@ def _grid_min(pops, abs_c23, thetas, trig) -> tuple[np.ndarray, np.ndarray]:
     return thetas[i], vals[np.arange(len(i)), i]
 
 
-def _min_conditional_entropy(states: XState | XBatch
-                             ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+def _min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of the measured conditional entropy over B's measurement angle.
 
-    Returns ``(minimum, theta)``: floats for an :class:`XState`, arrays
-    with one element per state for an :class:`XBatch`.  Each state's
-    ``GRID_POINTS``-point theta grid is one row of a 2-d array, evaluated
-    a block of rows at a time; the row-wise argmin (ties to the smallest
+    Returns ``(minimum, theta)``, arrays with one element per state.  Each
+    state's ``GRID_POINTS``-point theta grid is one row of a 2-d array,
+    evaluated a block of rows at a time; the row-wise argmin (ties to the smallest
     theta) is then refined by three re-centred golden-section rounds, run
     in lockstep over the batch.  The states' populations and |c23| are read,
     and the grid's trig computed, once per call.  A state's result does not
     depend on the batch it is in.
     """
-    batch = XBatch.of(states) if isinstance(states, XState) else states
-    pops, abs_c23 = _constants(batch, 1)
+    pops, abs_c23 = _constants(states, 1)
     thetas = np.linspace(0.0, math.pi / 2, GRID_POINTS)
     trig = _trig(thetas[None])   # one row of angles, shared by every row of states
     rows = max(1, _GRID_VALUES // GRID_POINTS)
     theta, best = (np.concatenate(parts) for parts in zip(*(
         _grid_min(pops[..., r:r + rows, None], abs_c23[r:r + rows, None], thetas, trig)
-        for r in range(0, len(batch), rows))))
+        for r in range(0, len(states), rows))))
 
     dth = (math.pi / 2) / (GRID_POINTS - 1)
     for _ in range(3):
@@ -316,18 +320,18 @@ def _min_conditional_entropy(states: XState | XBatch
                             np.maximum(0.0, theta - dth), np.minimum(math.pi / 2, theta + dth))
         better = ft < best
         theta, best = np.where(better, t, theta), np.where(better, ft, best)
-    if isinstance(states, XState):
-        return float(best[0]), float(theta[0])
     return best, theta
 
 
 def classical_correlation_bruteforce(state: XState) -> tuple[float, MeasurementBasis]:
     """Marginal entropy of A minus the minimized measured conditional entropy."""
-    m, theta = _min_conditional_entropy(state)
-    return entropy_a(state) - m, MeasurementBasis(theta, 0.0)
+    one = XBatch.of(state)
+    m, theta = _min_conditional_entropy(one)
+    return float((entropy_a(one) - m)[0]), MeasurementBasis(float(theta[0]), 0.0)
 
 
 def discord_bruteforce(state: XState) -> float:
     """Quantum discord from the brute-force measurement minimization."""
-    m, _ = _min_conditional_entropy(state)
-    return discord_from(entropy_b(state), entropy_joint(state), m)
+    one = XBatch.of(state)
+    m, _ = _min_conditional_entropy(one)
+    return float(discord_from(entropy_b(one), entropy_joint(one), m)[0])

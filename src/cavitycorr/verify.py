@@ -1,4 +1,8 @@
-"""Seeded cross-validation of the closed-form paths against their oracles."""
+"""Seeded cross-validation of the closed-form paths against their oracles.
+
+Each chunk of samples is checked with one call of each route, on arrays;
+every value that enters the report is checked finite first.
+"""
 from __future__ import annotations
 
 import math
@@ -67,8 +71,9 @@ class VerificationReport:
     max_identity_gap: float = 0.0
     failures: list[str] = field(default_factory=list)
 
-    # One verdict per check line; ``passed`` is their conjunction.  A NaN
-    # deviation never enters the maxima, so it shows in neither.
+    # One verdict per check line; ``passed`` is their conjunction.  Every
+    # deviation is checked finite before it enters a maximum (a non-finite
+    # one raises ValueError), so each verdict compares numbers.
     @property
     def evolve_ok(self) -> bool:
         return self.max_evolve_dev <= self.tol_evolve
@@ -124,7 +129,8 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
     ``SWEEP_CHUNK`` at a time, as arrays; the report does not depend on
     that size.  The brute-force measures come from :func:`correlation_batch`,
     as in a ``--discord brute`` sweep, so a non-finite or out-of-range
-    value raises ``ValueError``.
+    value raises ``ValueError``; so does a non-finite closed-form discord,
+    from one :func:`discord_closed` call per chunk, naming its sample.
     """
     for name, count in (("samples", samples), ("seed", seed), ("n_max", n_max)):
         if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
@@ -145,42 +151,41 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
                                 tol_evolve, tol_discord)
     report.min_population = math.inf
 
-    def describe(state, extra=""):
+    def describe(state):
         return (f"state=({state.p11:.12g}, {state.p22:.12g}, {state.p33:.12g}, "
-                f"{state.p44:.12g}, {state.c23.real:.12g}{state.c23.imag:+.12g}j)"
-                f"{extra}")
+                f"{state.p44:.12g}, {state.c23.real:.12g}{state.c23.imag:+.12g}j)")
 
     for start, states, ns, gts in _seeded_chunks(rng, samples, n_max, gt_max):
-        drawn = list(states)
         brute = correlation_batch(gts, states, DiscordMethod.BRUTE_FORCE)
+        discord = discord_closed(states)
+        ew.raise_first([(~np.isfinite(discord), lambda i: (
+            f"sample {start + i}: closed-form discord must be finite, got "
+            f"{ew.at(discord, i)!r} at n={int(ns[i])} gt={float(gts[i]):.12g} "
+            + describe(states[i])))])
         closed = evolve_batch(states, ns, gts)
         oracle = sequential_pass_batch(states, ns, gts)
-        # both batches are validated finite, so these elementwise maxima
-        # and minima equal Python's max and min of each sample's values
         dev = np.max([abs(closed.p11 - oracle.p11), abs(closed.p22 - oracle.p22),
                       abs(closed.p33 - oracle.p33), abs(closed.p44 - oracle.p44),
                       np.hypot(closed.re_c23 - oracle.re_c23,
                                closed.im_c23 - oracle.im_c23)], axis=0)
         drift = abs((((closed.p11 + closed.p22) + closed.p33) + closed.p44) - 1.0)
         floor = np.min([closed.p11, closed.p22, closed.p33, closed.p44], axis=0)
-        excess = np.maximum(0.0, ew.power(closed.abs_c23(), 2) - closed.p22 * closed.p33)
-
-        # one state per call: a caller may replace ``discord_closed`` by a
-        # one-state function, as the benchmark's NaN-hiding check does
-        ddev = abs(np.array([discord_closed(state) for state in drawn]) - brute.discord)
+        excess = np.maximum(0.0, np.float_power(closed.abs_c23(), 2) - closed.p22 * closed.p33)
+        ddev = abs(discord - brute.discord)
         gap = abs(brute.discord + brute.classical_correlation - brute.mutual_information)
 
-        # folded in sample order as before, so a NaN never enters a maximum
-        report.max_evolve_dev = max(report.max_evolve_dev, *dev.tolist())
-        report.max_trace_drift = max(report.max_trace_drift, *drift.tolist())
-        report.min_population = min(report.min_population, *floor.tolist())
-        report.max_coherence_excess = max(report.max_coherence_excess, *excess.tolist())
-        report.max_discord_dev = max(report.max_discord_dev, *ddev.tolist())
-        report.max_identity_gap = max(report.max_identity_gap, *gap.tolist())
+        # every value above is finite: the evolved batches are validated and
+        # both discords checked
+        report.max_evolve_dev = float(np.max(dev, initial=report.max_evolve_dev))
+        report.max_trace_drift = float(np.max(drift, initial=report.max_trace_drift))
+        report.min_population = float(np.min(floor, initial=report.min_population))
+        report.max_coherence_excess = float(np.max(excess, initial=report.max_coherence_excess))
+        report.max_discord_dev = float(np.max(ddev, initial=report.max_discord_dev))
+        report.max_identity_gap = float(np.max(gap, initial=report.max_identity_gap))
 
         broken = (drift > 1e-12) | (floor < -1e-12) | (excess > 1e-12)
         for i in np.flatnonzero((dev > tol_evolve) | broken | (ddev > tol_discord)).tolist():
-            k, state, n, gt = start + i, drawn[i], int(ns[i]), float(gts[i])
+            k, state, n, gt = start + i, states[i], int(ns[i]), float(gts[i])
             if dev[i] > tol_evolve:
                 report.failures.append(
                     f"FAIL sample {k}: evolve deviation {dev[i]:.12g} > {tol_evolve:.12g} "

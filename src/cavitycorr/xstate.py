@@ -12,6 +12,7 @@ state of a batch at once, and :func:`make_xstate` is its batch of one.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,6 @@ class XState:
     @property
     def im_c23(self) -> float:
         return self.c23.imag
-
-    def abs_c23(self) -> float:
-        return abs(self.c23)
 
     def as_matrix(self) -> np.ndarray:
         """Dense 4x4 complex matrix in the |11>,|10>,|01>,|00> basis."""
@@ -118,6 +116,24 @@ class XBatch:
         return np.hypot(self.re_c23, self.im_c23)
 
 
+def one_or_batch(closed_form):
+    """``closed_form``, written on batches, made to take one state too.
+
+    A batch or a 1-d array goes through unchanged.  One :class:`XState`
+    (or, for a function of numbers, one number or 0-d array) is evaluated
+    as the batch of one, and element 0 of the result comes back as a
+    float, or as a list of floats where ``closed_form`` returns a list of
+    arrays.
+    """
+    @functools.wraps(closed_form)
+    def one_or_many(x):
+        if isinstance(x, XBatch) or isinstance(x, np.ndarray) and x.ndim:
+            return closed_form(x)
+        out = closed_form(XBatch.of(x) if isinstance(x, XState) else np.array([float(x)]))
+        return [float(v[0]) for v in out] if isinstance(out, list) else float(out[0])
+    return one_or_many
+
+
 def make_xstate(p11: float, p22: float, p33: float, p44: float, c23: complex) -> XState:
     """Validate and build an :class:`XState`: the batch of one of :func:`make_xbatch`.
 
@@ -173,6 +189,8 @@ def werner_state(r: float) -> XState:
     """
     if ew.is_bool(r):
         raise ValueError(f"mixing parameter r must be a number, not a bool, got {r!r}")
+    if np.ndim(r) or np.asarray(r).dtype.kind not in "iuf":
+        raise ValueError(f"mixing parameter r must be a real number, got {r!r}")
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"mixing parameter r must lie in [0, 1], got {r!r}")
@@ -181,6 +199,7 @@ def werner_state(r: float) -> XState:
     return make_xstate(outer, inner, inner, outer, r * 0.5)
 
 
+@one_or_batch
 def spectrum(state: XState | XBatch) -> list:
     """Eigenvalues ``[l0, l1, l2, l3]`` of an X state or of each state of a batch.
 
@@ -192,8 +211,8 @@ def spectrum(state: XState | XBatch) -> list:
     outer_sum = p11 + p44
     outer_gap = abs(p11 - p44)
     inner_sum = p22 + p33
-    inner_gap = ew.sqrt(ew.power(p22 - p33, 2) + 4.0 * ew.power(state.abs_c23(), 2))
+    inner_gap = np.sqrt(np.float_power(p22 - p33, 2) + 4.0 * np.float_power(state.abs_c23(), 2))
     lams = [0.5 * (outer_sum + outer_gap), 0.5 * (outer_sum - outer_gap),
             0.5 * (inner_sum + inner_gap), 0.5 * (inner_sum - inner_gap)]
-    return [ew.where((lam < 0.0) & (lam >= -ATOL), 0.0, lam) for lam in lams]
+    return [np.where((lam < 0.0) & (lam >= -ATOL), 0.0, lam) for lam in lams]
 

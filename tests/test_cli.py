@@ -332,6 +332,21 @@ class TestGateHoles:
         assert code != 0
         assert "overall: PASS" not in out
 
+    def test_nan_closed_form_discord_fails(self, capsys, monkeypatch):
+        # a NaN closed-form discord compares false against the tolerance, so
+        # it must stop verify before the report's maxima, naming its sample
+        real = verify.discord_closed
+        monkeypatch.setattr(verify, "discord_closed",
+                            lambda states: np.where(states.p44 > 0.4, np.nan, real(states)))
+        code, out, err = run(capsys, "verify", "--samples", "60", "--seed", "1")
+        assert (code, out) == (1, "")
+        _, states, ns, _ = next(verify._seeded_chunks(np.random.default_rng(1), 60, 12, 20.0))
+        first = int(np.argmax(states.p44 > 0.4))
+        assert states.p44[first] > 0.4
+        assert err.startswith(f"cavitycorr: sample {first}: closed-form discord must be "
+                              f"finite, got nan at n={ns[first]} gt=")
+        assert len(err.splitlines()) == 1 and "state=(" in err
+
     def test_largest_finite_angles_run(self, capsys):
         # steps * gt_max and sqrt(n + 2) * gt_max are finite; their product is not
         code, out, err = run(capsys, "evolve", "--n", "9007199254740992", "--r", "0",

@@ -65,13 +65,21 @@ class TestParams:
             EvolutionParams(0, math.inf)
 
 
+# the message a rejected bool gets, not the one for other non-numbers
+BOOL = "number, not a bool"
+
+
 @pytest.mark.parametrize("call, same_as", [
-    (lambda: werner_state(True), None),
-    (lambda: werner_state(np.bool_(False)), None),
-    (lambda: EvolutionParams(3, True), None),
-    (lambda: EvolutionParams(3, np.bool_(True)), None),
-    (lambda: evolve_batch(werner_state(0.3), 3, np.array([True, False])), None),
-    (lambda: evolve_batch(werner_state(0.3), 3, [False]), None),
+    (lambda: werner_state(True), BOOL),
+    (lambda: werner_state(np.bool_(False)), BOOL),
+    (lambda: EvolutionParams(3, True), BOOL),
+    (lambda: EvolutionParams(3, np.bool_(True)), BOOL),
+    (lambda: evolve_batch(werner_state(0.3), 3, np.array([True, False])), BOOL),
+    (lambda: evolve_batch(werner_state(0.3), 3, [False]), BOOL),
+    (lambda: evolve_batch(werner_state(0.3), 3, np.array([1.5 + 2j])), "real number"),
+    (lambda: EvolutionParams(3, "1.5"), "real number"),
+    (lambda: EvolutionParams(3, 1.5 + 2j), "real number"),
+    (lambda: werner_state("0.5"), "real number"),
     (lambda: werner_state(np.float64(0.3)), lambda: werner_state(0.3)),
     (lambda: werner_state(np.float32(0.25)), lambda: werner_state(0.25)),
     (lambda: evolve(werner_state(0.3), EvolutionParams(3, np.float64(1.7))),
@@ -79,12 +87,14 @@ class TestParams:
     (lambda: list(evolve_batch(werner_state(0.3), np.int64(3), np.array([0.5, 1.0], np.float32))),
      lambda: list(evolve_batch(werner_state(0.3), 3, [0.5, 1.0]))),
 ], ids=["werner-bool", "werner-numpy-bool", "params-bool", "params-numpy-bool",
-        "batch-bool-array", "batch-bool-list", "werner-float64", "werner-float32",
+        "batch-bool-array", "batch-bool-list", "batch-complex-array", "params-string",
+        "params-complex", "werner-string", "werner-float64", "werner-float32",
         "evolve-float64", "batch-float32"])
 def test_bool_angles_and_mixing_rejected_numpy_floats_kept(call, same_as):
-    # a bool would otherwise be read as 0 or 1: werner_state(True) is the Bell state
-    if same_as is None:
-        with pytest.raises(ValueError, match="must be a number, not a bool"):
+    # a bool would otherwise be read as 0 or 1: werner_state(True) is the Bell
+    # state; a complex angle would lose its imaginary part, a string be parsed
+    if isinstance(same_as, str):
+        with pytest.raises(ValueError, match=f"must be a {same_as}"):
             call()
     else:
         assert repr(call()) == repr(same_as())

@@ -21,7 +21,7 @@ from cavitycorr import (
     werner_state,
 )
 from cavitycorr import measures
-from cavitycorr.xstate import XBatch
+from cavitycorr.xstate import XBatch, XState, spectrum
 from cavitycorr.measures import _golden_min, _measured_entropy, _min_conditional_entropy
 from cavitycorr.verify import _sampled_states, sample_xstate
 
@@ -46,6 +46,11 @@ class TestBinaryEntropy:
 
     def test_roundoff_tolerated(self):
         assert binary_entropy(1.0 + 5e-13) == 0.0
+
+    def test_one_number_gives_a_float(self):
+        for x in (0.25, np.float32(0.25), np.array(0.25)):
+            assert binary_entropy(x) == binary_entropy(np.array([0.25]))[0]
+            assert type(binary_entropy(x)) is float
 
     @pytest.mark.parametrize("x", [-0.01, 1.01])
     def test_domain(self, x):
@@ -142,7 +147,7 @@ class TestConditionalEntropy:
             theta = float(rng.uniform(0, math.pi / 2))
             phi = float(rng.uniform(0, 2 * math.pi))
             general = conditional_entropy_measured(s, MeasurementBasis(theta, phi))
-            fast = float(_measured_entropy(s, theta))
+            fast = float(_measured_entropy(XBatch.of(s), [theta])[0])
             assert general == pytest.approx(fast, abs=1e-12)
 
     def test_outcome_relabeling_symmetry(self):
@@ -193,13 +198,12 @@ class TestBruteForce:
     def test_refinement_grid_insensitive(self):
         # doubling the grid may only move the minimum marginally
         rng = seeded_rng(25)
-        for _ in range(100):
-            s = sample_xstate(rng)
-            with mock.patch.object(measures, "GRID_POINTS", 128):
-                coarse, _ = _min_conditional_entropy(s)
-            with mock.patch.object(measures, "GRID_POINTS", 256):
-                fine, _ = _min_conditional_entropy(s)
-            assert abs(coarse - fine) < 1e-5
+        states = XBatch.stack([sample_xstate(rng) for _ in range(100)])
+        with mock.patch.object(measures, "GRID_POINTS", 128):
+            coarse, _ = _min_conditional_entropy(states)
+        with mock.patch.object(measures, "GRID_POINTS", 256):
+            fine, _ = _min_conditional_entropy(states)
+        assert (abs(coarse - fine) < 1e-5).all()
 
 
 def _bits(values):
@@ -228,9 +232,9 @@ class TestBatchedMinimizer:
             whole = _min_conditional_entropy(batch)
             parts = [_min_conditional_entropy(batch[r:r + chunk])
                      for r in range(0, len(batch), chunk)]
-            alone = [_min_conditional_entropy(s) for s in states]
-        chunked = [np.concatenate(column) for column in zip(*parts)]
-        for values in (chunked, list(zip(*alone))):
+            alone = [_min_conditional_entropy(XBatch.of(s)) for s in states]
+        for pieces in (parts, alone):
+            values = [np.concatenate(column) for column in zip(*pieces)]
             assert (_bits(values[0]) == _bits(whole[0])).all()
             assert (_bits(values[1]) == _bits(whole[1])).all()
 
@@ -250,11 +254,14 @@ class TestBatchedMinimizer:
 
     def test_scalar_entry_points_use_the_batch_result(self):
         s = sample_xstate(seeded_rng(29))
-        m, theta = _min_conditional_entropy(s)
-        assert isinstance(m, float) and isinstance(theta, float)
+        m, theta = _min_conditional_entropy(XBatch.of(s))
         value, basis = classical_correlation_bruteforce(s)
-        assert basis == MeasurementBasis(theta, 0.0)
-        assert value == entropy_a(s) - m
+        assert isinstance(value, float) and isinstance(basis.theta, float)
+        assert basis == MeasurementBasis(float(theta[0]), 0.0)
+        assert value == entropy_a(s) - m[0]
+        discord = discord_bruteforce(s)
+        assert isinstance(discord, float)
+        assert discord == measures.discord_from(entropy_b(s), entropy_joint(s), m)[0]
 
     @pytest.mark.parametrize("grid_points", [64, 128, 4096])
     @pytest.mark.parametrize("name", sorted(GRID_EDGE_STATES))
@@ -270,11 +277,11 @@ class TestBatchedMinimizer:
 
         with mock.patch.object(measures, "GRID_POINTS", grid_points), \
                 mock.patch.object(measures, "_entropy", recording):
-            _min_conditional_entropy(state)
+            _min_conditional_entropy(XBatch.of(state))
         grid = calls[0]   # the grid stage runs first, in one block for one state
         assert grid.shape == (1, grid_points)
         thetas = np.linspace(0.0, math.pi / 2, grid_points)
-        alone = [_measured_entropy(state, float(theta)) for theta in thetas]
+        alone = [_measured_entropy(XBatch.of(state), [theta])[0] for theta in thetas]
         assert (_bits(alone) == _bits(grid[0])).all()
 
     def test_grid_edge_states_are_edge_cases(self):
@@ -333,7 +340,7 @@ class TestDiscordClosed:
         total = sum(v[:4])
         s = make_xstate(*(x / total for x in v))
         assert discord_closed(s) - discord_bruteforce(s) >= 0.00294
-        m, theta = _min_conditional_entropy(s)
+        (m,), (theta,) = _min_conditional_entropy(XBatch.of(s))
         assert theta == pytest.approx(1.2673, abs=1e-4)
         assert conditional_entropy_measured(s, MeasurementBasis(theta, 0.0)) == \
             pytest.approx(m, abs=1e-12)
@@ -343,3 +350,46 @@ class TestDiscordClosed:
         d = discord_closed(s)
         assert 0.0 <= d <= 1.0 + 1e-9
         assert d <= mutual_information(s) + 1e-9
+
+
+# Unvalidated states with a NaN or infinite field, as direct construction
+# allows; one of each field kind.
+NONFINITE_STATES = [
+    XState(math.nan, 0.25, 0.25, 0.25, 0.1),
+    XState(0.25, math.inf, 0.25, 0.25, 0.0),
+    XState(0.25, 0.25, 0.25, -math.inf, 0.1j),
+    XState(0.25, 0.25, 0.25, 0.25, complex(math.nan, 0.0)),
+    XState(0.25, 0.25, 0.25, 0.25, complex(0.0, math.inf)),
+]
+
+
+def _outcome(closed_form, x):
+    """The bits of ``closed_form(x)``, or the text of the ``ValueError`` it raised."""
+    try:
+        with np.errstate(all="ignore"):   # the values are compared, not numpy's warnings
+            return _bits(closed_form(x)).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _element_0(closed_form):
+    """``closed_form`` on the batch of one of its argument, element 0 of each result."""
+    def first(x):
+        out = closed_form(XBatch.of(x) if isinstance(x, XState) else np.array([x]))
+        return [v[0] for v in out] if isinstance(out, list) else out[0]
+    return first
+
+
+@pytest.mark.parametrize("closed_form", [
+    binary_entropy, concurrence, entropy_a, entropy_b, entropy_joint, mutual_information,
+    measures.closed_min_conditional_entropy, discord_closed, spectrum,
+], ids=lambda f: f.__name__)
+def test_one_state_equals_element_0_of_its_batch_of_one(closed_form):
+    # same bits or the same exception, for valid states and for NaN and inf
+    if closed_form is binary_entropy:
+        args = [*seeded_rng(31).random(100).tolist(), 0.0, 1.0, 1.0 + 5e-13, -0.01,
+                math.nan, math.inf, -math.inf]
+    else:
+        args = [*_sampled_states(seeded_rng(31).random((6, 100))), *NONFINITE_STATES]
+    for x in args:
+        assert _outcome(closed_form, x) == _outcome(_element_0(closed_form), x), x
