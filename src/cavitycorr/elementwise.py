@@ -32,9 +32,12 @@ def log2(x: np.ndarray) -> np.ndarray:
     return np.log2(x[::-1])[::-1]
 
 
-def is_bool(x) -> bool:
-    """Whether ``x`` is a Python or numpy bool, which the float checks would take as 0 or 1."""
-    return isinstance(x, (bool, np.bool_))
+def is_real(x) -> bool:
+    """Whether ``x`` is one real number: a Python or numpy int or float.
+
+    Bools are not: the float checks would take them as 0 or 1.
+    """
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def at(x, i) -> float:

@@ -129,8 +129,7 @@ def closed_min_conditional_entropy(state: XState | XBatch) -> float | np.ndarray
     0.00294 bits at worst (the state is in the module docstring).
     """
     p11, p22, p33, p44 = state.p11, state.p22, state.p33, state.p44
-    pol = np.sqrt(np.float_power(2.0 * p11 + 2.0 * p22 - 1.0, 2)
-                  + 4.0 * np.float_power(state.abs_c23(), 2))
+    pol = np.sqrt(np.float_power(2.0 * p11 + 2.0 * p22 - 1.0, 2) + 4.0 * state.abs2_c23())
     equatorial = binary_entropy(np.minimum((1.0 + pol) / 2.0, 1.0))
 
     def z_branch(weight, gap):

@@ -73,7 +73,9 @@ class XBatch:
     Use :func:`make_xbatch` to build a validated batch, or
     :meth:`XBatch.of` to wrap one already-built :class:`XState`.  The
     closed forms accept an :class:`XBatch` wherever they accept an
-    :class:`XState`, and then return arrays.
+    :class:`XState`, and then return arrays.  A batch is never written to
+    after construction: its |c23| and |c23|^2 are computed once, on first
+    use (or by :func:`make_xbatch`), and kept as read-only arrays.
     """
 
     p11: np.ndarray
@@ -112,8 +114,25 @@ class XBatch:
         for p11, p22, p33, p44, re, im in zip(*(c.tolist() for c in cols)):
             yield XState(p11, p22, p33, p44, complex(re, im))
 
+    @functools.cached_property
+    def _moduli(self) -> tuple[np.ndarray, np.ndarray]:
+        return _c23_moduli(self.re_c23, self.im_c23)
+
     def abs_c23(self) -> np.ndarray:
-        return np.hypot(self.re_c23, self.im_c23)
+        """|c23| of each state, read-only."""
+        return self._moduli[0]
+
+    def abs2_c23(self) -> np.ndarray:
+        """|c23|^2 of each state, the libm square of :meth:`abs_c23`, read-only."""
+        return self._moduli[1]
+
+
+def _c23_moduli(re_c23, im_c23) -> tuple[np.ndarray, np.ndarray]:
+    """|c23| and |c23|^2 from the coherence's parts, as read-only arrays."""
+    abs_c23 = np.hypot(re_c23, im_c23)
+    abs2 = np.float_power(abs_c23, 2)
+    abs_c23.flags.writeable = abs2.flags.writeable = False
+    return abs_c23, abs2
 
 
 def one_or_batch(closed_form):
@@ -158,7 +177,8 @@ def make_xbatch(p11, p22, p33, p44, re_c23, im_c23) -> XBatch:
     with np.errstate(invalid="ignore", over="ignore"):
         trace = ((p11 + p22) + p33) + p44
         clamped = [np.where(p < 0.0, 0.0, p) for p in pops]
-        abs2 = np.float_power(np.hypot(re_c23, im_c23), 2)
+        moduli = _c23_moduli(re_c23, im_c23)
+        abs2 = moduli[1]
         inner = clamped[1] * clamped[2]
         checks = [(~np.isfinite(p), lambda i, name=name, p=p:
                    f"{name} must be finite, got {float(p[i])!r}")
@@ -176,7 +196,10 @@ def make_xbatch(p11, p22, p33, p44, re_c23, im_c23) -> XBatch:
             f"|c23|^2 must not exceed p22*p33 within {ATOL:g}: "
             f"|c23|^2 = {float(abs2[i])!r}, p22*p33 = {float(inner[i])!r}")))
     ew.raise_first(checks)
-    return XBatch(*clamped, re_c23, im_c23)
+    batch = XBatch(*clamped, re_c23, im_c23)
+    # hand the moduli of the positivity check to the batch, as its first use would
+    batch.__dict__["_moduli"] = moduli
+    return batch
 
 
 def werner_state(r: float) -> XState:
@@ -187,10 +210,9 @@ def werner_state(r: float) -> XState:
     ``werner_state(r) == r*werner_state(1) + (1-r)*werner_state(0)``
     holds exactly in floating point, element by element.
     """
-    if ew.is_bool(r):
-        raise ValueError(f"mixing parameter r must be a number, not a bool, got {r!r}")
-    if np.ndim(r) or np.asarray(r).dtype.kind not in "iuf":
-        raise ValueError(f"mixing parameter r must be a real number, got {r!r}")
+    if not ew.is_real(r):
+        kind = "number, not a bool" if isinstance(r, (bool, np.bool_)) else "real number"
+        raise ValueError(f"mixing parameter r must be a {kind}, got {r!r}")
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"mixing parameter r must lie in [0, 1], got {r!r}")
@@ -211,7 +233,7 @@ def spectrum(state: XState | XBatch) -> list:
     outer_sum = p11 + p44
     outer_gap = abs(p11 - p44)
     inner_sum = p22 + p33
-    inner_gap = np.sqrt(np.float_power(p22 - p33, 2) + 4.0 * np.float_power(state.abs_c23(), 2))
+    inner_gap = np.sqrt(np.float_power(p22 - p33, 2) + 4.0 * state.abs2_c23())
     lams = [0.5 * (outer_sum + outer_gap), 0.5 * (outer_sum - outer_gap),
             0.5 * (inner_sum + inner_gap), 0.5 * (inner_sum - inner_gap)]
     return [np.where((lam < 0.0) & (lam >= -ATOL), 0.0, lam) for lam in lams]

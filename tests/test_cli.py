@@ -137,7 +137,7 @@ class TestVerifyChunks:
             return run_verification(samples=40, seed=11, tol_evolve=0.0).render()
 
         default = report()
-        monkeypatch.setattr(verify, "SWEEP_CHUNK", 7)
+        monkeypatch.setattr(verify, "VERIFY_CHUNK", 7)
         assert "FAIL sample" in default
         assert report() == default
 

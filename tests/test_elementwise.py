@@ -88,7 +88,8 @@ def test_log2_sample_tells_simd_from_libm():
                     "CPU, so the log2 tests cannot tell numpy's SIMD loop from the C library's")
 
 
-@pytest.mark.parametrize("length", [*range(1, 18), 1023, 1024, 1025])
+# the tail lengths of a 1024-sample verify chunk and a 4096-point sweep chunk
+@pytest.mark.parametrize("length", [*range(1, 18), 1023, 1024, 1025, 4095, 4096, 4097])
 def test_log2_matches_math_log2_at_every_tail_length(length):
     x = _log2_sample()
     # spread windows, and windows that start or end at a value the SIMD loop gets wrong

@@ -80,6 +80,8 @@ BOOL = "number, not a bool"
     (lambda: EvolutionParams(3, "1.5"), "real number"),
     (lambda: EvolutionParams(3, 1.5 + 2j), "real number"),
     (lambda: werner_state("0.5"), "real number"),
+    (lambda: werner_state(0.5 + 0j), "real number"),
+    (lambda: werner_state(None), "real number"),
     (lambda: werner_state(np.float64(0.3)), lambda: werner_state(0.3)),
     (lambda: werner_state(np.float32(0.25)), lambda: werner_state(0.25)),
     (lambda: evolve(werner_state(0.3), EvolutionParams(3, np.float64(1.7))),
@@ -88,8 +90,8 @@ BOOL = "number, not a bool"
      lambda: list(evolve_batch(werner_state(0.3), 3, [0.5, 1.0]))),
 ], ids=["werner-bool", "werner-numpy-bool", "params-bool", "params-numpy-bool",
         "batch-bool-array", "batch-bool-list", "batch-complex-array", "params-string",
-        "params-complex", "werner-string", "werner-float64", "werner-float32",
-        "evolve-float64", "batch-float32"])
+        "params-complex", "werner-string", "werner-complex", "werner-none",
+        "werner-float64", "werner-float32", "evolve-float64", "batch-float32"])
 def test_bool_angles_and_mixing_rejected_numpy_floats_kept(call, same_as):
     # a bool would otherwise be read as 0 or 1: werner_state(True) is the Bell
     # state; a complex angle would lose its imaginary part, a string be parsed

@@ -33,6 +33,7 @@ from cavitycorr import (
 )
 from cavitycorr.cli import main
 from cavitycorr.sweep import SWEEP_CHUNK
+from cavitycorr.verify import VERIFY_CHUNK
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,12 +61,18 @@ GOLDEN = {
     # brute-force discord route
     "evolve --n 1 --r 0.3 --gt-max 4 --steps 8 --discord brute":
         "b76e1596a512b328f1003609b60d556ef88ab95e8bd4cd98be7f30bfbe36d296",
-    # 1101 brute-force points and 1100 verify samples: a full chunk and a partial one
+    # sweeps recorded with 1024-point chunks, which they straddled
     "evolve --n 7 --r 0.65 --gt-max 33 --steps 1100 --discord brute":
         "f755ee7f9b9bebf5b9301a7c897b290f16433feae017ab08338b9cfe0904d403",
-    # 2501 grid points: two full chunks and a partial one
     "evolve --n 7 --r 0.65 --gt-max 33 --steps 2500":
         "c06d463d6f40017c6b2165e74f162d242bbefcc3cdeb398ea3cd917e6937f0b9",
+    # full SWEEP_CHUNK chunks and a partial one, closed form and brute force
+    # (test_chunk_straddling_sweep_spans_several_chunks), also recorded with
+    # 1024-point chunks
+    "evolve --n 7 --r 0.65 --gt-max 33 --steps 8292":
+        "34d9c08eca0155d9d94e624c93eebe6d7cd8b9cfd8403826407fa4c3b898d711",
+    "evolve --n 3 --r 0.4 --gt-max 20 --steps 4196 --discord brute":
+        "c90b9d0f2f8b5ba1dbd052f0ea9d487b9f6668bfdf1740a29fabdf9fb0ab9e12",
     # verify reports: closed forms against the Fock oracle and the brute force
     "verify --samples 60 --n-max 12 --gt-max 20 --seed 0":
         "26e225815ac4f7a66407ca874970be297898e7c83e9e83eb9e857fdd7f4bb23d",
@@ -75,6 +82,7 @@ GOLDEN = {
         "f75755ef8baac8f1babdbb972a716f26705f79becdb1789f793218cd443671fb",
     "verify --samples 1000 --seed 42":
         "5a94d8f7cf59e1bf1882334235298dfefbfd6b1f990474119a72d3927d174620",
+    # 1100 samples: a full VERIFY_CHUNK chunk and a partial one
     "verify --samples 1100 --seed 7":
         "acebebf599f825af8b83147f11164ba35cda3905b12c2e7bee8695d9dc61366b",
 }
@@ -111,8 +119,16 @@ def test_benchmark_golden_hashes_unchanged(name, capsys):
 
 
 def test_chunk_straddling_sweep_spans_several_chunks():
-    points = 2500 + 1
-    assert points > SWEEP_CHUNK and points % SWEEP_CHUNK != 0
+    # golden command: (points or samples, chunk size, full chunks it must fill)
+    straddling = {
+        "evolve --n 7 --r 0.65 --gt-max 33 --steps 8292": (8293, SWEEP_CHUNK, 2),
+        "evolve --n 3 --r 0.4 --gt-max 20 --steps 4196 --discord brute":
+            (4197, SWEEP_CHUNK, 1),
+        "verify --samples 1100 --seed 7": (1100, VERIFY_CHUNK, 1),
+    }
+    for command, (points, chunk, full) in straddling.items():
+        assert command in GOLDEN
+        assert points // chunk == full and points % chunk != 0, command
 
 
 def _columns(batch):

@@ -327,9 +327,8 @@ class TestFirstOnset:
 
 
 _SERIES = [(0.0, 0.1), (1.0, 0.9), (2.0, 0.1), (3.0, 0.9)]
-
-
-@pytest.mark.parametrize("call, message", [
+# (call with the float parameter v, the message that rejects v), per parameter
+_FLOAT_PARAMETERS = [
     (lambda v: time_series(SweepConfig(n=1, r=v, gt_max=1.0, steps=2)).discord,
      "r must lie in [0, 1], got "),
     (lambda v: time_series(SweepConfig(n=1, r=0.5, gt_max=v, steps=2)).discord,
@@ -340,7 +339,11 @@ _SERIES = [(0.0, 0.1), (1.0, 0.9), (2.0, 0.1), (3.0, 0.9)]
     (lambda v: detect_collapse_revival(_SERIES, 0.5, v),
      "collapse_threshold and min_duration must be positive and finite, got "),
     (lambda v: first_onset(_SERIES, v), "eps must be positive, got "),
-])
+]
+_PARAMETER_IDS = ["r", "gt_max", "window", "collapse_threshold", "min_duration", "eps"]
+
+
+@pytest.mark.parametrize("call, message", _FLOAT_PARAMETERS)
 def test_float_parameters_reject_bools(call, message):
     # a bool would otherwise pass the range checks as 0 or 1
     for flag in (True, np.True_):
@@ -348,6 +351,15 @@ def test_float_parameters_reject_bools(call, message):
             call(flag)
         assert repr(flag) in str(err.value)
     assert np.array_equal(call(np.float64(0.5)), call(0.5))
+
+
+@pytest.mark.parametrize("value", ["0.5", 0.5 + 0j, None], ids=["str", "complex", "None"])
+@pytest.mark.parametrize("call, message", _FLOAT_PARAMETERS, ids=_PARAMETER_IDS)
+def test_float_parameters_reject_non_numbers(call, message, value):
+    # not a bare TypeError from comparing the value with a float
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        call(value)
+    assert repr(value) in str(err.value)
 
 
 class TestSweepBatch:

@@ -3,7 +3,7 @@
 The reference draws one sample at a time, exactly as the benchmark's
 replay (perfbench/checks.py, ``replay_verify``) spells it out: four
 exponential weights, the coherence's radius and phase, then n and gt.
-The float parameters of ``run_verification`` reject bools.
+The float parameters of ``run_verification`` reject bools and non-numbers.
 """
 import math
 import re
@@ -11,12 +11,11 @@ import re
 import numpy as np
 import pytest
 
-from cavitycorr.sweep import SWEEP_CHUNK
-from cavitycorr.verify import _seeded_chunks, run_verification, sample_xstate
+from cavitycorr.verify import VERIFY_CHUNK, _seeded_chunks, run_verification, sample_xstate
 from cavitycorr.xstate import XState
 
 GT_MAX = 20.0
-SAMPLES = (1, 1023, 1024, 1025, 2100)
+SAMPLES = (1, VERIFY_CHUNK - 1, VERIFY_CHUNK, VERIFY_CHUNK + 1, 2 * VERIFY_CHUNK + 52)
 # samples drawn through sample_xstate per seed, each followed by its n and gt
 ONE_AT_A_TIME = 64
 
@@ -55,8 +54,8 @@ def test_seeded_chunks_reproduce_the_per_sample_formula(n_max):
         want_states, want_n, want_gt = _reference(seed, n_max, max(SAMPLES))
         for samples in SAMPLES:
             chunks = list(_seeded_chunks(np.random.default_rng(seed), samples, n_max, GT_MAX))
-            assert [c[0] for c in chunks] == list(range(0, samples, SWEEP_CHUNK))
-            assert all(len(states) == len(n) == len(gt) <= SWEEP_CHUNK
+            assert [c[0] for c in chunks] == list(range(0, samples, VERIFY_CHUNK))
+            assert all(len(states) == len(n) == len(gt) <= VERIFY_CHUNK
                        for _, states, n, gt in chunks)
             states = _bits(np.concatenate([_columns(c[1]) for c in chunks], axis=1))
             assert (states == want_states[:, :samples]).all(), (seed, samples)
@@ -75,11 +74,15 @@ def test_seeded_chunks_reproduce_the_per_sample_formula(n_max):
             assert _bits(float(rng.uniform(0.0, GT_MAX))) == want_gt[k]
 
 
-@pytest.mark.parametrize("name, message", [
+# each float parameter, and the message that rejects a bad value
+_FLOAT_PARAMETERS = [
     ("gt_max", "n_max must be >= 0 and gt_max positive and finite"),
     ("tol_evolve", "tol_evolve must be finite and >= 0, got "),
     ("tol_discord", "tol_discord must be finite and >= 0, got "),
-])
+]
+
+
+@pytest.mark.parametrize("name, message", _FLOAT_PARAMETERS)
 def test_float_parameters_reject_bools(name, message):
     # gt_max=True would otherwise run, and be printed as gt_max=1
     args = {"samples": 3, "seed": 1, "n_max": 2}
@@ -88,3 +91,12 @@ def test_float_parameters_reject_bools(name, message):
             run_verification(**(args | {name: flag}))
     assert (run_verification(**(args | {name: np.float64(1.0)})).render()
             == run_verification(**(args | {name: 1.0})).render())
+
+
+@pytest.mark.parametrize("value", ["1", 1 + 0j, None], ids=["str", "complex", "None"])
+@pytest.mark.parametrize("name, message", _FLOAT_PARAMETERS,
+                         ids=[name for name, _ in _FLOAT_PARAMETERS])
+def test_float_parameters_reject_non_numbers(name, message, value):
+    # not a bare TypeError from comparing the value with a float
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_verification(samples=3, seed=1, n_max=2, **{name: value})

@@ -170,3 +170,53 @@ class TestOverflow:
                 make_xbatch(*(np.full(1, 0.25) for _ in range(4)),
                             np.full(1, c23.real), np.full(1, c23.imag))
         assert str(batch.value) == str(scalar.value)
+
+
+class TestCachedModuli:
+    """Every batch computes |c23| and |c23|^2 at most once, with numpy's bits, read-only."""
+
+    @staticmethod
+    def columns(count=3000):
+        # exponential weights and a coherence up to the positivity bound, at
+        # random scales, so that np.hypot and sqrt(re^2 + im^2) differ on some
+        rng = np.random.default_rng(20261018)
+        w = -np.log(rng.random((4, count)))
+        w /= ((w[0] + w[1]) + w[2]) + w[3]
+        c23 = (np.sqrt(w[1] * w[2] * rng.random(count))
+               * np.exp(2j * math.pi * rng.random(count)) * 10.0 ** -rng.integers(0, 8, count))
+        return (*w, c23.real.copy(), c23.imag.copy())
+
+    def batches(self):
+        cols = self.columns()
+        made = make_xbatch(*cols)
+        states = list(made)
+        return {"make_xbatch": made, "of": XBatch.of(states[7]),
+                "stack": XBatch.stack(states[:50]), "slice": made[100:900],
+                "slice of a slice": made[100:900][::3], "direct": XBatch(*cols)}
+
+    @pytest.mark.parametrize("kind", ["make_xbatch", "of", "stack", "slice",
+                                      "slice of a slice", "direct"])
+    def test_bits_equal_numpy_and_are_computed_once(self, kind):
+        batch = self.batches()[kind]
+        want = np.hypot(np.array(batch.re_c23), np.array(batch.im_c23))
+        assert (batch.abs_c23().view(np.int64) == want.view(np.int64)).all()
+        assert (batch.abs2_c23().view(np.int64)
+                == np.float_power(want, 2).view(np.int64)).all()
+        assert batch.abs_c23() is batch.abs_c23()
+        assert batch.abs2_c23() is batch.abs2_c23()
+        for cached in (batch.abs_c23(), batch.abs2_c23()):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                np.multiply(cached, 2.0, out=cached)
+
+    def test_make_xbatch_hands_over_the_moduli_of_its_check(self):
+        cols = self.columns()
+        batch = make_xbatch(*cols)
+        re, im = cols[4], cols[5]
+        # the sample tells hypot from the naive modulus, so a cache filled
+        # from anything but the raw parts shows here
+        assert (np.hypot(re, im) != np.sqrt(re * re + im * im)).any()
+        assert (batch.abs_c23().view(np.int64) == np.hypot(re, im).view(np.int64)).all()
+        assert (batch.abs2_c23().view(np.int64)
+                == np.float_power(np.hypot(re, im), 2).view(np.int64)).all()
