@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 
 import numpy as np
 
@@ -38,6 +39,15 @@ def is_real(x) -> bool:
     Bools are not: the float checks would take them as 0 or 1.
     """
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def is_finite_real(x) -> bool:
+    """Whether ``x`` is one real number (:func:`is_real`) within the float range.
+
+    An int too large for a float is not, so a check never reaches the
+    ``OverflowError`` of ``math.isfinite`` or ``float`` on it.
+    """
+    return is_real(x) and abs(x) <= sys.float_info.max
 
 
 def at(x, i) -> float:

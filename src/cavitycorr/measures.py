@@ -11,9 +11,13 @@ discord comes in two routes that cross-validate each other:
   |c23|) = (2.07e-4, 0.02674, 0.94597, 0.02708, 0.14056), scaled to trace 1;
 * a brute-force minimization of the measured conditional entropy over all
   rank-1 projective measurements on atom B.  For X states that entropy
-  depends only on the polar angle theta of B's basis, so the search is
-  one-dimensional: a fixed ``GRID_POINTS``-point theta grid, then three
-  re-centred golden-section rounds around the best grid point.
+  depends only on the polar angle theta of B's basis, and it is
+  mirror-symmetric, H(theta) = H(pi/2 - theta): the basis at pi/2 - theta
+  is the one at theta with its outcomes swapped and phi = pi, and phi drops
+  out.  So the search is one-dimensional on [0, ``THETA_MAX``] = [0, pi/4]:
+  a fixed ``GRID_POINTS``-point theta grid, then one golden-section round
+  around the best grid point.  The returned angle lies in [0, pi/4]; its
+  mirror angle gives the same entropy.
 
 Both routes turn their minimum m into discord with the one formula
 :func:`discord_from`, D = S_B - S_AB + m.  The brute force is the ground
@@ -49,11 +53,13 @@ PROB_FLOOR = 1e-14
 # Angular tolerance of the golden-section refinement stage.
 ANGLE_TOL = 1e-6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Points of the brute-force theta grid on [0, pi/2].
-GRID_POINTS = 128
-# Grid values evaluated per call in the brute-force grid stage: 32 states of
-# a 128-point grid, so its temporaries stay near 128 KB whatever the batch.
-_GRID_VALUES = 32 * 128
+# Upper end of the brute-force theta range; H(theta) = H(pi/2 - theta).
+THETA_MAX = math.pi / 4
+# Points of the brute-force theta grid on [0, THETA_MAX].
+GRID_POINTS = 64
+# Grid values evaluated per call in the brute-force grid stage: 64 states of
+# a 64-point grid, so its temporaries stay near 128 KB whatever the batch.
+_GRID_VALUES = 64 * 64
 
 
 @one_or_batch
@@ -297,29 +303,28 @@ def _grid_min(pops, abs_c23, thetas, trig) -> tuple[np.ndarray, np.ndarray]:
 def _min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of the measured conditional entropy over B's measurement angle.
 
-    Returns ``(minimum, theta)``, arrays with one element per state.  Each
-    state's ``GRID_POINTS``-point theta grid is one row of a 2-d array,
-    evaluated a block of rows at a time; the row-wise argmin (ties to the smallest
-    theta) is then refined by three re-centred golden-section rounds, run
-    in lockstep over the batch.  The states' populations and |c23| are read,
-    and the grid's trig computed, once per call.  A state's result does not
-    depend on the batch it is in.
+    Returns ``(minimum, theta)``, arrays with one element per state, theta
+    in [0, ``THETA_MAX``].  Each state's ``GRID_POINTS``-point theta grid is
+    one row of a 2-d array, evaluated a block of rows at a time; the
+    row-wise argmin (ties to the smallest theta) is then refined by one
+    golden-section round over the grid intervals beside it, run in lockstep
+    over the batch.  The states' populations and |c23| are read, and the
+    grid's trig computed, once per call.  A state's result does not depend
+    on the batch it is in.
     """
     pops, abs_c23 = _constants(states, 1)
-    thetas = np.linspace(0.0, math.pi / 2, GRID_POINTS)
+    thetas = np.linspace(0.0, THETA_MAX, GRID_POINTS)
     trig = _trig(thetas[None])   # one row of angles, shared by every row of states
     rows = max(1, _GRID_VALUES // GRID_POINTS)
     theta, best = (np.concatenate(parts) for parts in zip(*(
         _grid_min(pops[..., r:r + rows, None], abs_c23[r:r + rows, None], thetas, trig)
         for r in range(0, len(states), rows))))
 
-    dth = (math.pi / 2) / (GRID_POINTS - 1)
-    for _ in range(3):
-        t, ft = _golden_min(lambda t: _entropy(pops, abs_c23, *_trig(t)),
-                            np.maximum(0.0, theta - dth), np.minimum(math.pi / 2, theta + dth))
-        better = ft < best
-        theta, best = np.where(better, t, theta), np.where(better, ft, best)
-    return best, theta
+    dth = THETA_MAX / (GRID_POINTS - 1)
+    t, ft = _golden_min(lambda t: _entropy(pops, abs_c23, *_trig(t)),
+                        np.maximum(0.0, theta - dth), np.minimum(THETA_MAX, theta + dth))
+    better = ft < best
+    return np.where(better, ft, best), np.where(better, t, theta)
 
 
 def classical_correlation_bruteforce(state: XState) -> tuple[float, MeasurementBasis]:

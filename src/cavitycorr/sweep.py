@@ -3,6 +3,7 @@ collapse-revival detection on their envelopes."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -127,7 +128,7 @@ class SweepConfig:
         if (not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool)
                 or self.steps < 1):
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if not ew.is_real(self.gt_max) or not math.isfinite(self.gt_max) or self.gt_max <= 0.0:
+        if not ew.is_finite_real(self.gt_max) or self.gt_max <= 0.0:
             raise ValueError(f"gt_max must be finite and positive, got {self.gt_max!r}")
         check_photon_number(self.n)
         if not ew.is_real(self.r) or not 0.0 <= self.r <= 1.0:
@@ -224,7 +225,8 @@ def envelope(series, window: float) -> np.ndarray:
         raise ValueError("envelope of an empty series is undefined")
     if not ew.is_real(window) or not window > 0.0:
         raise ValueError(f"window must be positive, got {window!r}")
-    if window >= gts[-1] - gts[0]:
+    # a Python float, as numpy cannot compare with an int beyond the float range
+    if window >= float(gts[-1] - gts[0]):
         raise ValueError(f"window {window!r} must be smaller than the gt span")
     half = window / 2.0
     lo = np.searchsorted(gts, gts - half, side="left")
@@ -249,8 +251,8 @@ def detect_collapse_revival(env, collapse_threshold: float,
     last) is a revival; a series with no qualifying collapse yields no
     events at all.
     """
-    if (not ew.is_real(collapse_threshold) or not ew.is_real(min_duration)
-            or not (0.0 < collapse_threshold < math.inf and 0.0 < min_duration < math.inf)):
+    if (not ew.is_finite_real(collapse_threshold) or not ew.is_finite_real(min_duration)
+            or not (collapse_threshold > 0.0 and min_duration > 0.0)):
         raise ValueError("collapse_threshold and min_duration must be positive and finite, "
                          f"got {collapse_threshold!r} and {min_duration!r}")
     gts, vals = _series(env)
@@ -275,5 +277,6 @@ def first_onset(series, eps: float = 1e-3):
     if not ew.is_real(eps) or not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     gts, vals = _series(series)
-    above = np.flatnonzero(vals > eps)
+    # no float exceeds the largest one, or an int beyond it
+    above = np.flatnonzero(vals > min(eps, sys.float_info.max))
     return float(gts[above[0]]) if len(above) else None

@@ -145,12 +145,12 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if n_max < 0 or not ew.is_real(gt_max) or not math.isfinite(gt_max) or gt_max <= 0.0:
+    if n_max < 0 or not ew.is_finite_real(gt_max) or gt_max <= 0.0:
         raise ValueError("n_max must be >= 0 and gt_max positive and finite")
     if n_max > MAX_PHOTONS:
         raise ValueError(f"n_max must be at most 2**53, got {n_max}")
     for name, tol in (("tol_evolve", tol_evolve), ("tol_discord", tol_discord)):
-        if not ew.is_real(tol) or not 0.0 <= tol < math.inf:
+        if not ew.is_finite_real(tol) or tol < 0.0:
             raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     report = VerificationReport(samples, seed, n_max, gt_max,

@@ -213,9 +213,9 @@ def werner_state(r: float) -> XState:
     if not ew.is_real(r):
         kind = "number, not a bool" if isinstance(r, (bool, np.bool_)) else "real number"
         raise ValueError(f"mixing parameter r must be a {kind}, got {r!r}")
-    r = float(r)
-    if not 0.0 <= r <= 1.0:
+    if not 0.0 <= r <= 1.0:   # before float(r), which overflows on a huge int
         raise ValueError(f"mixing parameter r must lie in [0, 1], got {r!r}")
+    r = float(r)
     outer = (1.0 - r) * 0.25
     inner = r * 0.5 + (1.0 - r) * 0.25
     return make_xstate(outer, inner, inner, outer, r * 0.5)

@@ -21,7 +21,7 @@ from cavitycorr import (
     werner_state,
 )
 from cavitycorr import measures
-from cavitycorr.xstate import XBatch, XState, spectrum
+from cavitycorr.xstate import XBatch, XState, make_xbatch, spectrum
 from cavitycorr.measures import _golden_min, _measured_entropy, _min_conditional_entropy
 from cavitycorr.verify import _sampled_states, sample_xstate
 
@@ -280,7 +280,7 @@ class TestBatchedMinimizer:
             _min_conditional_entropy(XBatch.of(state))
         grid = calls[0]   # the grid stage runs first, in one block for one state
         assert grid.shape == (1, grid_points)
-        thetas = np.linspace(0.0, math.pi / 2, grid_points)
+        thetas = np.linspace(0.0, measures.THETA_MAX, grid_points)
         alone = [_measured_entropy(XBatch.of(state), [theta])[0] for theta in thetas]
         assert (_bits(alone) == _bits(grid[0])).all()
 
@@ -298,6 +298,75 @@ class TestBatchedMinimizer:
         for s, m, theta in zip(states, minima, thetas):
             direct = conditional_entropy_measured(s, MeasurementBasis(float(theta), 0.0))
             assert abs(direct - m) <= 1e-12
+
+
+def full_range_min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the search on the full range [0, pi/2] that the half range replaced.
+
+    A 128-point theta grid, then three re-centred golden-section rounds,
+    on the package's kernel; returns ``(minimum, theta)`` per state.
+    """
+    pops, abs_c23 = measures._constants(states, 1)
+    thetas = np.linspace(0.0, math.pi / 2, 128)
+    vals = measures._entropy(pops[..., None], abs_c23[:, None], *measures._trig(thetas[None]))
+    i = np.argmin(vals, axis=1)
+    theta, best = thetas[i], vals[np.arange(len(i)), i]
+    dth = (math.pi / 2) / 127
+    for _ in range(3):
+        t, ft = _golden_min(lambda t: measures._entropy(pops, abs_c23, *measures._trig(t)),
+                            np.maximum(0.0, theta - dth), np.minimum(math.pi / 2, theta + dth))
+        better = ft < best
+        theta, best = np.where(better, t, theta), np.where(better, ft, best)
+    return best, theta
+
+
+# The documented worst case of the closed form (TestDiscordClosed), before
+# scaling to trace 1.
+WORST_CASE = (2.07e-4, 0.02674, 0.94597, 0.02708, 0.14056)
+
+
+def _near_worst_case(count: int) -> XBatch:
+    """The documented worst case, each of its five values moved by up to 2 %, at trace 1."""
+    v = np.array(WORST_CASE)[:, None] * (1.0 + 0.04 * (seeded_rng(33).random((5, count)) - 0.5))
+    v /= v[:4].sum(axis=0)
+    return make_xbatch(*v, np.zeros(count))
+
+
+class TestHalfRange:
+    # The measured entropy is mirror-symmetric, H(theta) = H(pi/2 - theta),
+    # so the search covers [0, pi/4].  Bound fixed before measuring: 16 ulp
+    # at 2 bits, 16 * 2**-51 = 7.1e-15, for two evaluations' round-off and
+    # the rounding of pi/2 - theta.
+    MIRROR_TOL = 16 * 2.0 ** -51
+    # The half-range minimum against the full-range reference: two
+    # evaluations' round-off plus the curvature term of ANGLE_TOL.
+    REFERENCE_TOL = 1e-14
+
+    def test_mirror_symmetry(self):
+        rng = seeded_rng(32)
+        states = _sampled_states(rng.random((6, 2000)))
+        theta = rng.uniform(0.0, math.pi / 2, (2000, 16))
+        gap = abs(_measured_entropy(states, theta) - _measured_entropy(states, math.pi / 2 - theta))
+        assert gap.max() <= self.MIRROR_TOL
+
+    @pytest.mark.parametrize("states", [
+        _sampled_states(seeded_rng(34).random((6, 2000))),
+        XBatch.stack(list(GRID_EDGE_STATES.values())),
+        _near_worst_case(2000),
+    ], ids=["seeded", "grid edge", "near the worst case"])
+    def test_minimum_matches_full_range_reference(self, states):
+        m, theta = _min_conditional_entropy(states)
+        reference, _ = full_range_min_conditional_entropy(states)
+        assert (abs(m - reference) <= self.REFERENCE_TOL).all()
+        assert ((0.0 <= theta) & (theta <= measures.THETA_MAX)).all()
+
+
+def test_discord_from_sets_only_roundoff_to_zero():
+    # [-1e-9, 0) is round-off and becomes exactly +0.0; a larger deficit
+    # stays, so a real fault shows to the callers' checks
+    assert _bits(measures.discord_from(0.0, 5e-10, 0.0)) == _bits(0.0)
+    assert measures.discord_from(0.0, 2e-9, 0.0) == -2e-9
+    assert measures.discord_from(0.0, 1e-4, 0.0) == -1e-4
 
 
 class TestDiscordClosed:
@@ -335,13 +404,14 @@ class TestDiscordClosed:
     def test_documented_worst_case(self):
         # the state of the module docstring, populations and |c23| scaled
         # to trace 1: the closed form's error there is the stated bound,
-        # and the brute-force angle really attains the brute-force minimum
-        v = (2.07e-4, 0.02674, 0.94597, 0.02708, 0.14056)
+        # and the brute-force angle really attains the brute-force minimum;
+        # the search returns the mirror, in [0, pi/4], of the angle 1.2673
+        v = WORST_CASE
         total = sum(v[:4])
         s = make_xstate(*(x / total for x in v))
         assert discord_closed(s) - discord_bruteforce(s) >= 0.00294
         (m,), (theta,) = _min_conditional_entropy(XBatch.of(s))
-        assert theta == pytest.approx(1.2673, abs=1e-4)
+        assert theta == pytest.approx(math.pi / 2 - 1.2673, abs=1e-4)
         assert conditional_entropy_measured(s, MeasurementBasis(theta, 0.0)) == \
             pytest.approx(m, abs=1e-12)
 

@@ -362,6 +362,23 @@ def test_float_parameters_reject_non_numbers(call, message, value):
     assert repr(value) in str(err.value)
 
 
+# each float parameter given an int too large for a float: its own check
+# rejects it, or (eps) no value lies above it
+@pytest.mark.parametrize("call, message", [
+    *_FLOAT_PARAMETERS[:2],
+    (_FLOAT_PARAMETERS[2][0], "must be smaller than the gt span"),
+    *_FLOAT_PARAMETERS[3:5],
+    (_FLOAT_PARAMETERS[5][0], None),
+], ids=_PARAMETER_IDS)
+def test_float_parameters_take_ints_beyond_the_float_range(call, message):
+    # not a bare OverflowError from converting the int to a float
+    if message is None:
+        assert call(10**400) is None
+        return
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(10**400)
+
+
 class TestSweepBatch:
     def test_batch_validation_matches_record_validation(self):
         cfg = SweepConfig(n=2, r=0.5, gt_max=3.0, steps=4)

@@ -93,6 +93,13 @@ def test_float_parameters_reject_bools(name, message):
             == run_verification(**(args | {name: 1.0})).render())
 
 
+@pytest.mark.parametrize("name, message", _FLOAT_PARAMETERS)
+def test_float_parameters_reject_ints_beyond_the_float_range(name, message):
+    # not a bare OverflowError from converting the int to a float
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_verification(samples=3, seed=1, n_max=2, **{name: 10**400})
+
+
 @pytest.mark.parametrize("value", ["1", 1 + 0j, None], ids=["str", "complex", "None"])
 @pytest.mark.parametrize("name, message", _FLOAT_PARAMETERS,
                          ids=[name for name, _ in _FLOAT_PARAMETERS])

@@ -69,6 +69,11 @@ class TestWerner:
         with pytest.raises(ValueError):
             werner_state(r)
 
+    def test_int_beyond_the_float_range(self):
+        # the range check, not a bare OverflowError from float(r)
+        with pytest.raises(ValueError, match=r"r must lie in \[0, 1\], got 1000"):
+            werner_state(10**400)
+
     @given(st.floats(0.0, 1.0))
     def test_affine_in_r(self, r):
         mixed = werner_state(0.0)
