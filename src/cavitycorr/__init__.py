@@ -11,12 +11,10 @@ from .evolution import (
 )
 from .fock import PassOrder, sequential_pass, sequential_pass_batch
 from .measures import (
-    MeasurementBasis,
     binary_entropy,
     classical_correlation_bruteforce,
     closed_min_conditional_entropy,
     concurrence,
-    conditional_entropy_measured,
     discord_bruteforce,
     discord_closed,
     entropy_a,
@@ -47,9 +45,8 @@ __all__ = [
     "EvolutionParams", "PublishedFormReport", "evolve", "evolve_batch",
     "published_form_report",
     "PassOrder", "sequential_pass", "sequential_pass_batch",
-    "MeasurementBasis", "binary_entropy", "classical_correlation_bruteforce",
-    "closed_min_conditional_entropy", "concurrence",
-    "conditional_entropy_measured", "discord_bruteforce", "discord_closed",
+    "binary_entropy", "classical_correlation_bruteforce",
+    "closed_min_conditional_entropy", "concurrence", "discord_bruteforce", "discord_closed",
     "entropy_a", "entropy_b", "entropy_joint", "mutual_information",
     "CorrelationRecord", "DiscordMethod", "EventKind", "RevivalEvent",
     "SweepBatch", "SweepConfig", "correlation_batch", "detect_collapse_revival",

@@ -16,8 +16,10 @@ discord comes in two routes that cross-validate each other:
   is the one at theta with its outcomes swapped and phi = pi, and phi drops
   out.  So the search is one-dimensional on [0, ``THETA_MAX``] = [0, pi/4]:
   a fixed ``GRID_POINTS``-point theta grid, then one golden-section round
-  around the best grid point.  The returned angle lies in [0, pi/4]; its
-  mirror angle gives the same entropy.
+  around the best grid point.  The search reports the polar angle alone,
+  in [0, pi/4]; its mirror angle gives the same entropy.  The kernel is
+  checked against a dense model built from B's projectors, a test oracle
+  (``conditional_entropy_measured`` in ``tests/conftest.py``).
 
 Both routes turn their minimum m into discord with the one formula
 :func:`discord_from`, D = S_B - S_AB + m.  The brute force is the ground
@@ -29,10 +31,11 @@ and returns one value per state, and given one :class:`XState` it is the
 batch of one and returns a float (:func:`~cavitycorr.xstate.one_or_batch`).
 The brute-force search takes an :class:`XBatch` too;
 :func:`discord_bruteforce` and :func:`classical_correlation_bruteforce`
-are its batch of one.  It runs in lockstep over a batch of states: the grid
-is one (states x grid points) array with a row-wise argmin, and each
-golden-section step updates every state's bracket as the one-state search
-would and evaluates one new point per state.  A state whose bracket is
+are its batch of one, and the latter also returns the minimizing angle.
+It runs in lockstep over a batch of states: the grid is one (states x
+grid points) array with a row-wise argmin, and each golden-section step
+updates every state's bracket as the one-state search would and
+evaluates one new point per state.  A state whose bracket is
 already narrower than ``ANGLE_TOL`` stops moving, so its result is
 bit-identical alone and inside any batch.  Each call reads the states'
 populations and |c23| once and computes the grid's trig once; one kernel
@@ -41,7 +44,6 @@ serves the grid, the golden-section steps and :func:`_measured_entropy`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,53 +168,6 @@ def discord_closed(state: XState | XBatch) -> float | np.ndarray:
                         closed_min_conditional_entropy(state))
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Rank-1 projective measurement of atom B.
-
-    The first projector is onto cos(theta)|0> + e^(i*phi) sin(theta)|1>,
-    the second onto its orthocomplement.
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta!r}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
-
-    def kets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both outcome kets as (|1>, |0>) component pairs."""
-        ph = np.exp(1j * self.phi)
-        b0 = np.array([ph * math.sin(self.theta), math.cos(self.theta)])
-        b1 = np.array([-ph * math.cos(self.theta), math.sin(self.theta)])
-        return b0, b1
-
-
-def conditional_entropy_measured(state: XState, basis: MeasurementBasis) -> float:
-    """Average entropy of atom A conditioned on measuring atom B.
-
-    Built directly from the projectors: for each outcome k, the projected
-    matrix P_k rho P_k is traced over B and normalized by the outcome
-    probability; outcomes below the probability floor contribute nothing.
-    """
-    rho = state.as_matrix()
-    total = 0.0
-    for ket in basis.kets():
-        proj = np.kron(np.eye(2), np.outer(ket, ket.conj()))
-        sub = proj @ rho @ proj
-        p_k = np.trace(sub).real
-        if p_k < PROB_FLOOR:
-            continue
-        rho_k = np.einsum("abcb->ac", sub.reshape(2, 2, 2, 2)) / p_k
-        lams = np.linalg.eigvalsh(rho_k)
-        lams = lams[lams > 0.0]
-        total += p_k * float(-(lams * np.log2(lams)).sum())
-    return total
-
-
 def _constants(states: XBatch, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """Each state's populations ``[[p11, p33], [p22, p44]]`` and its |c23|.
 
@@ -327,11 +282,15 @@ def _min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
     return np.where(better, ft, best), np.where(better, t, theta)
 
 
-def classical_correlation_bruteforce(state: XState) -> tuple[float, MeasurementBasis]:
-    """Marginal entropy of A minus the minimized measured conditional entropy."""
+def classical_correlation_bruteforce(state: XState) -> tuple[float, float]:
+    """Marginal entropy of A minus the minimized measured conditional entropy, and its angle.
+
+    Returns ``(C, theta)``: theta in [0, ``THETA_MAX``] is the polar angle
+    of B's basis that attains the minimum; the azimuth drops out.
+    """
     one = XBatch.of(state)
     m, theta = _min_conditional_entropy(one)
-    return float((entropy_a(one) - m)[0]), MeasurementBasis(float(theta[0]), 0.0)
+    return float((entropy_a(one) - m)[0]), float(theta[0])
 
 
 def discord_bruteforce(state: XState) -> float:

@@ -13,6 +13,7 @@ state of a batch at once, and :func:`make_xstate` is its batch of one.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,17 +54,6 @@ class XState:
     @property
     def im_c23(self) -> float:
         return self.c23.imag
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense 4x4 complex matrix in the |11>,|10>,|01>,|00> basis."""
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = self.p11
-        rho[1, 1] = self.p22
-        rho[2, 2] = self.p33
-        rho[3, 3] = self.p44
-        rho[1, 2] = self.c23
-        rho[2, 1] = np.conj(self.c23)
-        return rho
 
 
 @dataclass(frozen=True)
@@ -160,6 +150,9 @@ def make_xstate(p11: float, p22: float, p33: float, p44: float, c23: complex) ->
     trace is never renormalized.  Raises ``ValueError`` naming the violated
     constraint otherwise.
     """
+    for name, v in zip(("p11", "p22", "p33", "p44", "c23"), (p11, p22, p33, p44, c23)):
+        if isinstance(v, int) and abs(v) > sys.float_info.max:   # float(v) would overflow
+            raise ValueError(f"{name} must be finite, got {v!r}")
     c23 = complex(c23)
     cols = (float(p11), float(p22), float(p33), float(p44), c23.real, c23.imag)
     return make_xbatch(*(np.array([v]) for v in cols))[0]

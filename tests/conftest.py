@@ -49,3 +49,46 @@ def csv_fields(line: str) -> list[float]:
     assert min(p11, p22, p33, p44) >= -1e-9
     assert abs(complex(re_c23, im_c23)) ** 2 <= p22 * p33 + 1e-9
     return fields
+
+
+# The dense projector oracle of the brute-force kernel: the state as a 4x4
+# matrix, and the measured conditional entropy built from B's projectors.
+
+def as_matrix(state) -> np.ndarray:
+    """Dense 4x4 complex matrix of an X state in the |11>,|10>,|01>,|00> basis."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = state.p11
+    rho[1, 1] = state.p22
+    rho[2, 2] = state.p33
+    rho[3, 3] = state.p44
+    rho[1, 2] = state.c23
+    rho[2, 1] = np.conj(state.c23)
+    return rho
+
+
+def conditional_entropy_measured(state, theta: float, phi: float) -> float:
+    """Average entropy of atom A conditioned on a projective measurement of atom B.
+
+    B's first outcome is cos(theta)|0> + e^(i*phi) sin(theta)|1>, the second
+    its orthocomplement.  For each outcome k the projected matrix
+    P_k rho P_k is traced over B and normalized by the outcome probability;
+    an outcome of probability 0 contributes nothing.  The oracle has no
+    floor of its own, so it counts the rare outcomes that the package's
+    ``PROB_FLOOR`` must keep.
+    """
+    ph = np.exp(1j * phi)
+    kets = (np.array([ph * math.sin(theta), math.cos(theta)]),   # (|1>, |0>) components
+            np.array([-ph * math.cos(theta), math.sin(theta)]))
+    rho = as_matrix(state)
+    total = 0.0
+    for ket in kets:
+        proj = np.kron(np.eye(2), np.outer(ket, ket.conj()))
+        sub = proj @ rho @ proj
+        p_k = np.trace(sub).real
+        if p_k <= 0.0:
+            continue
+        rho_k = np.einsum("abcb->ac", sub.reshape(2, 2, 2, 2)) / p_k
+        lams = np.linalg.eigvalsh(rho_k)
+        lams = lams[lams > 0.0]
+        total += p_k * float(-(lams * np.log2(lams)).sum())
+    return total

@@ -3,6 +3,7 @@
 Each test prints one PASS line on success (run with ``pytest -s`` to see
 them); a pytest failure on any criterion is the corresponding FAIL.
 """
+import math
 import time
 
 import numpy as np
@@ -137,6 +138,36 @@ def test_criterion_5_collapse_revival(fock_sweeps):
     print(f"\nACCEPTANCE 5: PASS - revivals n=5: {len(starts[5])} "
           f"(mean spacing {spacing[5]:.2f}), n=10: {len(starts[10])} "
           f"(mean spacing {spacing[10]:.2f})")
+
+
+@pytest.mark.parametrize("n", [50, 100, 200, 10**4])
+def test_revival_spacing_is_the_beat_period(n, capsys):
+    # The populations carry cos^2(sqrt(m) gt), at frequencies 2 sqrt(m); the
+    # beat of 2 sqrt(n) and 2 sqrt(n + 1) has the period
+    # T(n) = pi / (sqrt(n + 1) - sqrt(n)) = pi (sqrt(n + 1) + sqrt(n)).
+    # The envelope command with its default window, threshold and minimum
+    # duration runs over six periods in 20 000 steps, or in as many as give
+    # four grid points per carrier period pi / sqrt(n): at n = 10**4 the
+    # step of a 20 000-step grid is six carrier periods, and it samples an
+    # alias of the carrier (mean spacing 0.504 T at 6 T, 1.00001 T at 6.2 T).
+    # Bound, fixed before measuring, with the grid step h: a revival starts
+    # at the first grid point whose window reaches a carrier peak above the
+    # threshold, so each start lies within one carrier period plus one grid
+    # step of the smooth envelope's crossing.  The mean of k spacings,
+    # (last start - first start) / k, is then off by at most
+    # 2 (h + pi / sqrt(n)) / k.
+    period = math.pi * (math.sqrt(n + 1) + math.sqrt(n))
+    gt_max = 6.0 * period
+    steps = max(20_000, math.ceil(4.0 * gt_max * math.sqrt(n) / math.pi))
+    assert main(["envelope", "--n", str(n), "--r", "0", "--gt-max", repr(gt_max),
+                 "--steps", str(steps), "--measure", "discord"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    starts = [float(row[1]) for row in rows if row[0] == "revival"]
+    k = len(starts) - 1
+    assert k >= 4, f"n={n}: {len(starts)} revivals over six periods"
+    spacing = (starts[-1] - starts[0]) / k
+    tol = 2.0 * (gt_max / steps + math.pi / math.sqrt(n)) / k
+    assert abs(spacing - period) <= tol, (n, spacing / period, tol / period)
 
 
 def test_criterion_6_entangled_start(fock_sweeps):

@@ -20,7 +20,7 @@ from cavitycorr import fock
 from cavitycorr.xstate import XState
 from cavitycorr.verify import run_verification, sample_xstate
 
-from conftest import seeded_rng, xstates
+from conftest import as_matrix, seeded_rng, xstates
 
 
 # Small-n reference: the dense atoms (x) field model, conjugated by full
@@ -69,7 +69,7 @@ def embed(state: XState, n: int, padding: int = 2) -> JointFieldState:
     d = n + 1 + padding
     field = np.zeros((d, d))
     field[n, n] = 1.0
-    return JointFieldState(np.kron(state.as_matrix(), field), d)
+    return JointFieldState(np.kron(as_matrix(state), field), d)
 
 
 def jc_unitary(dim_field: int, gt: float) -> np.ndarray:
@@ -164,13 +164,13 @@ class TestEmbed:
         bell = make_xstate(0, 0.5, 0.5, 0, 0.5)
         joint = embed(bell, 5)
         purity_joint = np.trace(joint.matrix @ joint.matrix).real
-        purity_atoms = np.trace(bell.as_matrix() @ bell.as_matrix()).real
+        purity_atoms = np.trace(as_matrix(bell) @ as_matrix(bell)).real
         assert purity_joint == pytest.approx(purity_atoms, abs=1e-14)
 
     def test_reduction_roundtrip(self):
         s = sample_xstate(seeded_rng(1))
         rho = trace_out_field(embed(s, 7))
-        assert np.allclose(rho, s.as_matrix(), atol=1e-15)
+        assert np.allclose(rho, as_matrix(s), atol=1e-15)
 
 
 class TestJCUnitary:

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavitycorr import (
-    MeasurementBasis,
     binary_entropy,
     classical_correlation_bruteforce,
     concurrence,
-    conditional_entropy_measured,
     discord_bruteforce,
     discord_closed,
     entropy_a,
@@ -25,7 +23,7 @@ from cavitycorr.xstate import XBatch, XState, make_xbatch, spectrum
 from cavitycorr.measures import _golden_min, _measured_entropy, _min_conditional_entropy
 from cavitycorr.verify import _sampled_states, sample_xstate
 
-from conftest import seeded_rng, xstates
+from conftest import as_matrix, conditional_entropy_measured, seeded_rng, xstates
 
 MIXED = make_xstate(0.25, 0.25, 0.25, 0.25, 0)
 BELL = make_xstate(0, 0.5, 0.5, 0, 0.5)
@@ -77,7 +75,7 @@ class TestConcurrence:
         rng = seeded_rng(21)
         for _ in range(50):
             s = sample_xstate(rng)
-            rho = s.as_matrix()
+            rho = as_matrix(s)
             lams = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy)
             roots = np.sqrt(np.abs(np.sort(lams.real)[::-1]))
             expected = max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
@@ -128,16 +126,15 @@ class TestMutualInformation:
 class TestConditionalEntropy:
     def test_maximally_mixed_any_basis(self):
         for theta, phi in ((0.0, 0.0), (0.7, 1.1), (math.pi / 2, 4.0)):
-            value = conditional_entropy_measured(MIXED, MeasurementBasis(theta, phi))
+            value = conditional_entropy_measured(MIXED, theta, phi)
             assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_z_measurement(self):
-        value = conditional_entropy_measured(BELL, MeasurementBasis(0.0, 0.0))
+        value = conditional_entropy_measured(BELL, 0.0, 0.0)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_product(self):
-        value = conditional_entropy_measured(make_xstate(1, 0, 0, 0, 0),
-                                             MeasurementBasis(0.42, 2.0))
+        value = conditional_entropy_measured(make_xstate(1, 0, 0, 0, 0), 0.42, 2.0)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_fast_path_matches_projector_path(self):
@@ -146,7 +143,7 @@ class TestConditionalEntropy:
             s = sample_xstate(rng)
             theta = float(rng.uniform(0, math.pi / 2))
             phi = float(rng.uniform(0, 2 * math.pi))
-            general = conditional_entropy_measured(s, MeasurementBasis(theta, phi))
+            general = conditional_entropy_measured(s, theta, phi)
             fast = float(_measured_entropy(XBatch.of(s), [theta])[0])
             assert general == pytest.approx(fast, abs=1e-12)
 
@@ -157,25 +154,18 @@ class TestConditionalEntropy:
             s = sample_xstate(rng)
             theta = float(rng.uniform(0, math.pi / 2))
             phi = float(rng.uniform(0, math.pi))
-            direct = conditional_entropy_measured(s, MeasurementBasis(theta, phi))
-            swapped = conditional_entropy_measured(
-                s, MeasurementBasis(math.pi / 2 - theta, phi + math.pi))
+            direct = conditional_entropy_measured(s, theta, phi)
+            swapped = conditional_entropy_measured(s, math.pi / 2 - theta, phi + math.pi)
             assert direct == pytest.approx(swapped, abs=1e-10)
 
     def test_phi_independence(self):
         # the only coherence links |10> and |01>, so the measurement phase
         # cancels; 2*pi periodicity in phi follows a fortiori
         s = sample_xstate(seeded_rng(24))
-        ref = conditional_entropy_measured(s, MeasurementBasis(0.9, 0.0))
+        ref = conditional_entropy_measured(s, 0.9, 0.0)
         for phi in (0.3, 2.2, 4.9, 2 * math.pi - 1e-9):
-            value = conditional_entropy_measured(s, MeasurementBasis(0.9, phi))
+            value = conditional_entropy_measured(s, 0.9, phi)
             assert value == pytest.approx(ref, abs=1e-12)
-
-    def test_basis_validation(self):
-        with pytest.raises(ValueError):
-            MeasurementBasis(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            MeasurementBasis(0.0, 2 * math.pi)
 
 
 class TestBruteForce:
@@ -185,10 +175,10 @@ class TestBruteForce:
         assert classical_correlation_bruteforce(CLASSICAL)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_classical_argmin_deterministic(self):
-        value1, basis1 = classical_correlation_bruteforce(werner_state(0.6))
-        value2, basis2 = classical_correlation_bruteforce(werner_state(0.6))
+        value1, theta1 = classical_correlation_bruteforce(werner_state(0.6))
+        value2, theta2 = classical_correlation_bruteforce(werner_state(0.6))
         assert value1 == value2
-        assert basis1 == basis2
+        assert theta1 == theta2
 
     def test_discord_values(self):
         assert discord_bruteforce(MIXED) == pytest.approx(0.0, abs=1e-9)
@@ -255,9 +245,9 @@ class TestBatchedMinimizer:
     def test_scalar_entry_points_use_the_batch_result(self):
         s = sample_xstate(seeded_rng(29))
         m, theta = _min_conditional_entropy(XBatch.of(s))
-        value, basis = classical_correlation_bruteforce(s)
-        assert isinstance(value, float) and isinstance(basis.theta, float)
-        assert basis == MeasurementBasis(float(theta[0]), 0.0)
+        value, angle = classical_correlation_bruteforce(s)
+        assert isinstance(value, float) and isinstance(angle, float)
+        assert angle == theta[0]
         assert value == entropy_a(s) - m[0]
         discord = discord_bruteforce(s)
         assert isinstance(discord, float)
@@ -296,7 +286,7 @@ class TestBatchedMinimizer:
         states = [sample_xstate(rng) for _ in range(200)]
         minima, thetas = _min_conditional_entropy(XBatch.stack(states))
         for s, m, theta in zip(states, minima, thetas):
-            direct = conditional_entropy_measured(s, MeasurementBasis(float(theta), 0.0))
+            direct = conditional_entropy_measured(s, float(theta), 0.0)
             assert abs(direct - m) <= 1e-12
 
 
@@ -361,6 +351,17 @@ class TestHalfRange:
         assert ((0.0 <= theta) & (theta <= measures.THETA_MAX)).all()
 
 
+def test_rare_outcome_counts():
+    # B is found in its ground state with probability 1e-12 at theta = 0, and
+    # that outcome adds 1e-12 bits: the 12th digit of a CSV field of order 1.
+    # Below PROB_FLOOR = 1e-14 an outcome may add at most 1e-14 bits, so
+    # both routes must count it, as the dense oracle does.
+    s = make_xstate(0.5, 5e-13, 0.5 - 1e-12, 5e-13, 0)
+    want = conditional_entropy_measured(s, 0.0, 0.0)
+    assert abs(_measured_entropy(XBatch.of(s), [0.0])[0] - want) <= 1e-14
+    assert abs(measures.closed_min_conditional_entropy(s) - want) <= 1e-14
+
+
 def test_discord_from_sets_only_roundoff_to_zero():
     # [-1e-9, 0) is round-off and becomes exactly +0.0; a larger deficit
     # stays, so a real fault shows to the callers' checks
@@ -412,8 +413,7 @@ class TestDiscordClosed:
         assert discord_closed(s) - discord_bruteforce(s) >= 0.00294
         (m,), (theta,) = _min_conditional_entropy(XBatch.of(s))
         assert theta == pytest.approx(math.pi / 2 - 1.2673, abs=1e-4)
-        assert conditional_entropy_measured(s, MeasurementBasis(theta, 0.0)) == \
-            pytest.approx(m, abs=1e-12)
+        assert conditional_entropy_measured(s, theta, 0.0) == pytest.approx(m, abs=1e-12)
 
     @given(xstates())
     def test_range_and_ordering(self, s):

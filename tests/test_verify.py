@@ -4,15 +4,20 @@ The reference draws one sample at a time, exactly as the benchmark's
 replay (perfbench/checks.py, ``replay_verify``) spells it out: four
 exponential weights, the coherence's radius and phase, then n and gt.
 The float parameters of ``run_verification`` reject bools and non-numbers.
+The state-invariant checks fail just above their 1e-12 bound, and each
+violation gets its failure line.
 """
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from cavitycorr.verify import VERIFY_CHUNK, _seeded_chunks, run_verification, sample_xstate
-from cavitycorr.xstate import XState
+from cavitycorr import verify
+from cavitycorr.verify import (VERIFY_CHUNK, VerificationReport, _seeded_chunks,
+                               run_verification, sample_xstate)
+from cavitycorr.xstate import XBatch, XState
 
 GT_MAX = 20.0
 SAMPLES = (1, VERIFY_CHUNK - 1, VERIFY_CHUNK, VERIFY_CHUNK + 1, 2 * VERIFY_CHUNK + 52)
@@ -107,3 +112,35 @@ def test_float_parameters_reject_non_numbers(name, message, value):
     # not a bare TypeError from comparing the value with a float
     with pytest.raises(ValueError, match=re.escape(message)):
         run_verification(samples=3, seed=1, n_max=2, **{name: value})
+
+
+@pytest.mark.parametrize("name, value", [("max_trace_drift", 2e-12),
+                                         ("min_population", -2e-12),
+                                         ("max_coherence_excess", 2e-12)])
+def test_states_verdict_fails_just_beyond_its_bound(name, value):
+    report = VerificationReport(1, 0, 0, 1.0, 1e-10, 0.0026)
+    assert report.states_ok and report.passed
+    assert dataclasses.replace(report, **{name: value / 2}).states_ok
+    bad = dataclasses.replace(report, **{name: value})
+    assert not bad.states_ok and not bad.passed
+    assert bad.render().splitlines()[3].endswith("FAIL")
+
+
+def test_coherence_excess_gets_its_failure_line(monkeypatch):
+    # make_xbatch rejects an excess above 1e-12, so the evolved batch is
+    # built unvalidated: sample 1 gets |c23|^2 = p22*p33 + 1e-9
+    evolve_batch = verify.evolve_batch
+
+    def excessive(states, n, gt):
+        out = evolve_batch(states, n, gt)
+        re_c23, im_c23 = out.re_c23.copy(), out.im_c23.copy()
+        re_c23[1], im_c23[1] = math.sqrt(out.p22[1] * out.p33[1] + 1e-9), 0.0
+        return XBatch(out.p11, out.p22, out.p33, out.p44, re_c23, im_c23)
+
+    monkeypatch.setattr(verify, "evolve_batch", excessive)
+    report = run_verification(samples=3, seed=1, n_max=2)
+    assert not report.states_ok
+    assert report.max_coherence_excess == pytest.approx(1e-9, rel=1e-6)
+    lines = [line for line in report.failures if "invariants violated" in line]
+    assert len(lines) == 1 and lines[0].startswith("FAIL sample 1: ")
+    assert re.search(r"coherence excess 1(\.0*\d*)?e-09", lines[0])

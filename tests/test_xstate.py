@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from cavitycorr import XBatch, make_xbatch, make_xstate, werner_state
 from cavitycorr.xstate import spectrum
 
-from conftest import xstates
+from conftest import as_matrix, xstates
 
 
 class TestMakeXstate:
@@ -38,6 +38,12 @@ class TestMakeXstate:
         with pytest.raises(ValueError, match="c23"):
             make_xstate(0.25, 0.25, 0.25, 0.25, 0.3)
 
+    def test_coherence_excess_beyond_atol_rejected(self):
+        # |c23|^2 - p22*p33 = 1e-9 is more than round-off; 1e-13 is within ATOL
+        with pytest.raises(ValueError, match="c23"):
+            make_xstate(0.25, 0.25, 0.25, 0.25, math.sqrt(0.0625 + 1e-9))
+        assert make_xstate(0.25, 0.25, 0.25, 0.25, math.sqrt(0.0625 + 1e-13)).c23.real > 0.25
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             make_xstate(math.nan, 0.5, 0.5, 0, 0)
@@ -46,10 +52,21 @@ class TestMakeXstate:
 
     def test_as_matrix_hermitian(self):
         s = make_xstate(0.1, 0.4, 0.3, 0.2, 0.2 + 0.1j)
-        rho = s.as_matrix()
+        rho = as_matrix(s)
         assert np.allclose(rho, rho.conj().T)
         assert rho[1, 2] == 0.2 + 0.1j
         assert abs(np.trace(rho) - 1) < 1e-15
+
+    @pytest.mark.parametrize("index, name", enumerate(["p11", "p22", "p33", "p44", "c23"]))
+    def test_int_beyond_the_float_range(self, index, name):
+        # the argument's ValueError, not a bare OverflowError from float()
+        args = [0.25, 0.25, 0.25, 0.25, 0.0]
+        args[index] = 10**400
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got 1000"):
+            make_xstate(*args)
+        args[index] = -10**400
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got -1000"):
+            make_xstate(*args)
 
 
 class TestWerner:
@@ -106,7 +123,7 @@ class TestEigenvalues:
         assert (lams >= 0.0).all()
         assert (lams <= 1.0 + 1e-12).all()
         # closed form agrees with a dense eigensolver
-        dense = np.linalg.eigvalsh(s.as_matrix())
+        dense = np.linalg.eigvalsh(as_matrix(s))
         assert np.allclose(np.sort(lams), np.sort(dense), atol=1e-12)
 
 
