@@ -71,6 +71,10 @@ CATALOGUE = (
            "checks.append((abs2 - inner > ATOL, lambda i: (",
            "checks.append((abs2 - inner > 1e-6, lambda i: (",
            ("tests/test_xstate.py::TestMakeXstate::test_coherence_excess_beyond_atol_rejected",)),
+    Mutant("make-xstate-takes-bools", "src/cavitycorr/xstate.py",
+           'if not (ew.is_real(v) or name == "c23"',
+           'if not (isinstance(v, (int, float)) or name == "c23"',
+           ("tests/test_xstate.py::TestMakeXstate::test_strings_and_bools_rejected",)),
     Mutant("states-ok-trace-drift", "src/cavitycorr/verify.py",
            "return (self.max_trace_drift <= 1e-12 and",
            "return (self.max_trace_drift <= 1e-6 and",

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -148,6 +149,15 @@ def cmd_envelope(args) -> int:
     env = envelope(np.column_stack([np.concatenate(gts), np.concatenate(vals)]),
                    args.window)
     events = detect_collapse_revival(env, args.threshold, args.min_duration)
+    # The populations oscillate as cos^2(sqrt(m) gt), m <= n + 2: with fewer
+    # than two grid points per carrier period pi / sqrt(n + 2), the grid
+    # samples an alias of the carrier.
+    period = math.pi / math.sqrt(cfg.n + 2)
+    if cfg.gt_max / cfg.steps > period / 2.0:
+        print(f"cavitycorr: warning: the grid step {_fmt(cfg.gt_max / cfg.steps)} is more "
+              f"than half the carrier period pi/sqrt(n + 2) = {_fmt(period)}, so the grid "
+              "samples an alias of the carrier and the events may be spurious",
+              file=sys.stderr)
     lines = [EVENT_HEADER] + [",".join([e.kind.value, _fmt(e.gt_start), _fmt(e.gt_end),
                                         _fmt(e.peak_value)]) for e in events]
     return _write(["\n".join(lines) + "\n"], args.out)

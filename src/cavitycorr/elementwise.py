@@ -50,19 +50,14 @@ def is_finite_real(x) -> bool:
     return is_real(x) and abs(x) <= sys.float_info.max
 
 
-def at(x, i) -> float:
-    """Element ``i`` of ``x`` as a float, where a float ``x`` is its own element 0."""
-    return float(np.ravel(x)[i])
-
-
 def raise_first(checks) -> None:
     """Raise ``ValueError`` for the first failing element, naming its first failing check.
 
     ``checks`` holds (failed, message) pairs in check order.  ``failed`` is
-    a bool for one value or a bool array for a batch; ``message(i)``
-    renders the text for element ``i`` (0 for one value).
+    a 1-d bool array, one entry per element; ``message(i)`` renders the
+    text for element ``i``.
     """
     bad = functools.reduce(operator.or_, [failed for failed, _ in checks])
-    if np.count_nonzero(bad):
+    if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(next(message(i) for failed, message in checks if np.ravel(failed)[i]))
+        raise ValueError(next(message(i) for failed, message in checks if failed[i]))

@@ -105,14 +105,14 @@ def _trig(m, gt):
     return np.cos(angle), np.sin(angle)
 
 
-def _update(state: XState | XBatch, n, gt):
+def _update(states: XBatch, n, gt):
     """Raw elements (p11, p22, p33, p44, re c23, im c23) after both passes.
 
-    ``gt`` is a 1-d array of angles; ``state`` is one state or a batch of
-    ``gt``'s length, and ``n`` an integer or an integer array of that
-    length.  Powers are ``np.float_power``, which calls the C library's
-    ``pow`` per element (see :mod:`cavitycorr.elementwise`), so each
-    element does not depend on the batch around it.
+    ``gt`` is a 1-d array of angles, ``states`` a batch of its length or
+    of one state, and ``n`` an integer or an integer array of its length.
+    Powers are ``np.float_power``, which calls the C library's ``pow`` per
+    element (see :mod:`cavitycorr.elementwise`), so each element does not
+    depend on the batch around it.
     """
     cm, sm = _trig(n - 1, gt)
     c0, s0 = _trig(n, gt)
@@ -125,8 +125,8 @@ def _update(state: XState | XBatch, n, gt):
     s1_2, s1_4 = pw(s1, 2), pw(s1, 4)
     cm_2, sm_2 = pw(cm, 2), pw(sm, 2)
     c2_2, s2_2 = pw(c2, 2), pw(s2, 2)
-    p11, p22, p33, p44 = state.p11, state.p22, state.p33, state.p44
-    re, im = state.re_c23, state.im_c23
+    p11, p22, p33, p44 = states.p11, states.p22, states.p33, states.p44
+    re, im = states.re_c23, states.im_c23
     x = 2.0 * re  # c23 + conj(c23)
 
     q11 = (p11 * c1_4 + p22 * s0_2 * c1_2 + p33 * s0_2 * c0_2
@@ -155,8 +155,9 @@ def evolve_batch(states: XState | XBatch, n, gt) -> XBatch:
     to :func:`evolve` of its state, photon number and angle, and to any
     other batch holding it.
     """
-    n, gt = check_params(n, gt, len(states) if isinstance(states, XBatch) else None)
-    return make_xbatch(*_update(states, n, gt))
+    one = isinstance(states, XState)
+    n, gt = check_params(n, gt, None if one else len(states))
+    return make_xbatch(*_update(XBatch.of(states) if one else states, n, gt))
 
 
 def evolve(state: XState, params: EvolutionParams) -> XState:
@@ -193,12 +194,12 @@ def published_form_report(state: XState, params: EvolutionParams) -> PublishedFo
     row is not the conjugate of the upper one.
     """
     n, gt = params.n, np.array([params.gt])
-    q11, q22, q33, q44, re_q23, im_q23 = _update(state, n, gt)
+    q11, q22, q33, q44, re_q23, im_q23 = _update(XBatch.of(state), n, gt)
     c0, s0 = _trig(n, gt)
     c1, s1 = _trig(n + 1, gt)
     _, s2 = _trig(n + 2, gt)
     pw = np.float_power
-    q44 = q44 + 2.0 * state.re_c23 * (pw(s0, 2) - pw(s1, 2)) * c1 * c0
+    q44 = q44 + 2.0 * state.c23.real * (pw(s0, 2) - pw(s1, 2)) * c1 * c0
     pops = [float(q[0]) for q in (q11, q22, q33, q44)]
     q23 = complex(re_q23[0], im_q23[0])
     return PublishedFormReport(

@@ -71,7 +71,7 @@ def binary_entropy(x) -> float | np.ndarray:
     Elementwise for a 1-d array ``x``; a float for one number.
     """
     ew.raise_first([((x != x) | (x < -1e-12) | (x > 1.0 + 1e-12), lambda i:
-                     f"binary entropy argument must lie in [0, 1], got {ew.at(x, i)!r}")])
+                     f"binary entropy argument must lie in [0, 1], got {float(x[i])!r}")])
     x = np.minimum(np.maximum(x, 0.0), 1.0)
     return 0.0 - _xlog2x(x) - _xlog2x(1.0 - x)
 

@@ -41,7 +41,7 @@ class DiscordMethod(Enum):
 
 def _check_correlations(concurrence, discord, classical_correlation,
                         mutual_information) -> None:
-    """Invariants of the measures of one grid point (floats) or of a batch (arrays).
+    """Invariants of the measures of a batch of grid points, as 1-d arrays.
 
     Raises ``ValueError`` for the first failing point, naming its first
     failing check.
@@ -49,7 +49,7 @@ def _check_correlations(concurrence, discord, classical_correlation,
     vals = (concurrence, discord, classical_correlation, mutual_information)
 
     def point(i):
-        return tuple(ew.at(v, i) for v in vals)
+        return tuple(float(v[i]) for v in vals)
 
     ew.raise_first([
         (~np.isfinite(concurrence) | ~np.isfinite(discord)
@@ -59,14 +59,14 @@ def _check_correlations(concurrence, discord, classical_correlation,
          | (mutual_information < -1e-9),
          lambda i: f"correlation values must be >= -1e-9, got {point(i)}"),
         (discord > mutual_information + 1e-9,
-         lambda i: f"discord {ew.at(discord, i)!r} exceeds mutual information "
-                   f"{ew.at(mutual_information, i)!r} beyond 1e-9"),
+         lambda i: f"discord {float(discord[i])!r} exceeds mutual information "
+                   f"{float(mutual_information[i])!r} beyond 1e-9"),
     ])
 
 
 @dataclass(frozen=True)
 class CorrelationRecord:
-    """All correlation measures of one state at one grid point."""
+    """All correlation measures of one state at one grid point, checked as a batch of one."""
 
     gt: float
     state: XState
@@ -74,19 +74,19 @@ class CorrelationRecord:
     discord: float
     classical_correlation: float
     mutual_information: float
-    discord_method: DiscordMethod
 
     def __post_init__(self):
-        _check_correlations(self.concurrence, self.discord,
-                            self.classical_correlation, self.mutual_information)
+        _check_correlations(*(np.array([v]) for v in (
+            self.concurrence, self.discord, self.classical_correlation,
+            self.mutual_information)))
 
 
 @dataclass(frozen=True)
 class SweepBatch:
     """Correlation measures of consecutive grid points, as parallel arrays.
 
-    Validated as a whole on construction.  Indexing and iteration give one
-    :class:`CorrelationRecord` per grid point.
+    Validated as a whole on construction.  Indexing, and so iteration,
+    gives one :class:`CorrelationRecord` per grid point.
     """
 
     gt: np.ndarray
@@ -95,7 +95,6 @@ class SweepBatch:
     discord: np.ndarray
     classical_correlation: np.ndarray
     mutual_information: np.ndarray
-    discord_method: DiscordMethod
 
     def __post_init__(self):
         _check_correlations(self.concurrence, self.discord,
@@ -109,11 +108,7 @@ class SweepBatch:
             gt=float(self.gt[i]), state=self.states[i],
             concurrence=float(self.concurrence[i]), discord=float(self.discord[i]),
             classical_correlation=float(self.classical_correlation[i]),
-            mutual_information=float(self.mutual_information[i]),
-            discord_method=self.discord_method)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+            mutual_information=float(self.mutual_information[i]))
 
 
 @dataclass(frozen=True)
@@ -175,8 +170,7 @@ def correlation_batch(gt, states: XBatch,
                       concurrence=concurrence(states),
                       discord=discord_from(s_b, s_ab, m),
                       classical_correlation=s_a - m,
-                      mutual_information=mutual_information_from(s_a, s_b, s_ab),
-                      discord_method=method)
+                      mutual_information=mutual_information_from(s_a, s_b, s_ab))
 
 
 def sweep_batches(cfg: SweepConfig, chunk: int = SWEEP_CHUNK):
@@ -208,7 +202,7 @@ def _series(series) -> tuple[np.ndarray, np.ndarray]:
     bad = ~np.isfinite(gts)
     bad[1:] |= gts[1:] < gts[:-1]
     ew.raise_first([(bad, lambda i: "series gt must be finite and non-decreasing, "
-                                    f"got {ew.at(gts, i)!r} at index {i}")])
+                                    f"got {float(gts[i])!r} at index {i}")])
     return gts, vals
 
 

@@ -166,7 +166,7 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
         discord = discord_closed(states)
         ew.raise_first([(~np.isfinite(discord), lambda i: (
             f"sample {start + i}: closed-form discord must be finite, got "
-            f"{ew.at(discord, i)!r} at n={int(ns[i])} gt={float(gts[i]):.12g} "
+            f"{float(discord[i])!r} at n={int(ns[i])} gt={float(gts[i]):.12g} "
             + describe(states[i])))])
         closed = evolve_batch(states, ns, gts)
         oracle = sequential_pass_batch(states, ns, gts)

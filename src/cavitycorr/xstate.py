@@ -13,7 +13,6 @@ state of a batch at once, and :func:`make_xstate` is its batch of one.
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +45,6 @@ class XState:
 
     def trace(self) -> float:
         return self.p11 + self.p22 + self.p33 + self.p44
-
-    @property
-    def re_c23(self) -> float:
-        return self.c23.real
-
-    @property
-    def im_c23(self) -> float:
-        return self.c23.imag
 
 
 @dataclass(frozen=True)
@@ -98,12 +89,6 @@ class XBatch:
         return XState(float(self.p11[i]), float(self.p22[i]), float(self.p33[i]),
                       float(self.p44[i]), complex(self.re_c23[i], self.im_c23[i]))
 
-    def __iter__(self):
-        """The states in order, each as ``self[i]`` gives it."""
-        cols = (self.p11, self.p22, self.p33, self.p44, self.re_c23, self.im_c23)
-        for p11, p22, p33, p44, re, im in zip(*(c.tolist() for c in cols)):
-            yield XState(p11, p22, p33, p44, complex(re, im))
-
     @functools.cached_property
     def _moduli(self) -> tuple[np.ndarray, np.ndarray]:
         return _c23_moduli(self.re_c23, self.im_c23)
@@ -146,12 +131,17 @@ def one_or_batch(closed_form):
 def make_xstate(p11: float, p22: float, p33: float, p44: float, c23: complex) -> XState:
     """Validate and build an :class:`XState`: the batch of one of :func:`make_xbatch`.
 
-    Populations within ``-ATOL`` of zero are clamped to exactly zero; the
-    trace is never renormalized.  Raises ``ValueError`` naming the violated
-    constraint otherwise.
+    Each population must be a real number (:func:`elementwise.is_real`), and
+    ``c23`` a real or complex one: a bool or a string is rejected, not
+    converted.  Populations within ``-ATOL`` of zero are clamped to exactly
+    zero; the trace is never renormalized.  Raises ``ValueError`` naming the
+    violated constraint otherwise.
     """
     for name, v in zip(("p11", "p22", "p33", "p44", "c23"), (p11, p22, p33, p44, c23)):
-        if isinstance(v, int) and abs(v) > sys.float_info.max:   # float(v) would overflow
+        if not (ew.is_real(v) or name == "c23" and isinstance(v, (complex, np.complexfloating))):
+            kind = "real or complex" if name == "c23" else "real"
+            raise ValueError(f"{name} must be a {kind} number, got {v!r}")
+        if isinstance(v, int) and not ew.is_finite_real(v):   # float(v) would overflow
             raise ValueError(f"{name} must be finite, got {v!r}")
     c23 = complex(c23)
     cols = (float(p11), float(p22), float(p33), float(p44), c23.real, c23.imag)

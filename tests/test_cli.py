@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -171,6 +172,37 @@ class TestEnvelope:
         revivals = [l for l in out.strip().split("\n")[1:]
                     if l.startswith("revival")]
         assert len(revivals) >= 2
+
+    def test_aliasing_grid_warns(self, capsys):
+        # Six beat periods at n = 10**4 in 20 000 steps: each step of 0.1885
+        # spans six carrier periods pi/sqrt(n + 2), and the 12 revivals found
+        # are an alias.  Stdout is the one recorded before the warning existed.
+        code, out, err = run(capsys, "envelope", "--n", "10000", "--r", "0",
+                             "--gt-max", "3770", "--steps", "20000", "--measure", "discord")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4998b9dfb51f37c5f36878982791e1e4e49740426d1d46a6aced2f46693ea048")
+        assert sum(line.startswith("revival") for line in out.splitlines()) == 12
+        assert err == ("cavitycorr: warning: the grid step 0.1885 is more than half the "
+                       "carrier period pi/sqrt(n + 2) = 0.0314127854144, so the grid "
+                       "samples an alias of the carrier and the events may be spurious\n")
+        # the threshold, two grid points per carrier period, lies between
+        # 240 029 and 240 030 steps
+        for steps, warns in (("240029", True), ("240030", False)):
+            code, _, err = run(capsys, "envelope", "--n", "10000", "--r", "0",
+                               "--gt-max", "3770", "--steps", steps, "--measure", "discord")
+            assert code == 0 and err.startswith("cavitycorr: warning:") == warns, steps
+
+    @pytest.mark.parametrize("argv", [
+        # the README's command and the golden envelope commands
+        "envelope --n 5 --r 0 --gt-max 60 --steps 6000 --measure discord",
+        "envelope --n 10 --r 0 --gt-max 60 --steps 6000 --measure discord",
+        "envelope --n 5 --r 0 --gt-max 60 --steps 6000 --measure concurrence --threshold 0.01",
+    ])
+    def test_resolved_grids_do_not_warn(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and out.startswith("kind,gt_start,gt_end,peak_value\n")
+        assert err == ""
 
 
 class TestParsing:

@@ -142,8 +142,7 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             CorrelationRecord(gt=0.0, state=make_xstate(0.25, 0.25, 0.25, 0.25, 0),
                               concurrence=0.0, discord=0.5,
-                              classical_correlation=0.0, mutual_information=0.1,
-                              discord_method=DiscordMethod.CLOSED_FORM)
+                              classical_correlation=0.0, mutual_information=0.1)
 
 
 class TestEnvelope:
@@ -387,14 +386,12 @@ class TestSweepBatch:
         bad[3] = batch.mutual_information[3] + 0.1
         with pytest.raises(ValueError) as from_batch:
             SweepBatch(batch.gt, batch.states, batch.concurrence, bad,
-                       batch.classical_correlation, batch.mutual_information,
-                       batch.discord_method)
+                       batch.classical_correlation, batch.mutual_information)
         with pytest.raises(ValueError) as from_record:
             CorrelationRecord(gt=batch[3].gt, state=batch[3].state,
                               concurrence=batch[3].concurrence, discord=float(bad[3]),
                               classical_correlation=batch[3].classical_correlation,
-                              mutual_information=batch[3].mutual_information,
-                              discord_method=batch.discord_method)
+                              mutual_information=batch[3].mutual_information)
         assert str(from_batch.value) == str(from_record.value)
         assert "exceeds mutual information" in str(from_batch.value)
 

@@ -68,6 +68,20 @@ class TestMakeXstate:
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got -1000"):
             make_xstate(*args)
 
+    @pytest.mark.parametrize("index, name", enumerate(["p11", "p22", "p33", "p44", "c23"]))
+    def test_strings_and_bools_rejected(self, index, name):
+        # float() and complex() would read "0.25" as a number and True as 1
+        kind = "real or complex" if name == "c23" else "real"
+        for bad in ("0.25", "0", True, False, np.bool_(True)):
+            args = [0.25, 0.25, 0.25, 0.25, 0.0]
+            args[index] = bad
+            with pytest.raises(ValueError, match=rf"^{name} must be a {kind} number, got "):
+                make_xstate(*args)
+        # numpy's scalars stay accepted: the benchmark's verify replay passes them
+        args = [0.25, 0.25, 0.25, 0.25, 0.1j]
+        args[index] = np.complex128(0.1j) if name == "c23" else np.float64(0.25)
+        assert make_xstate(*args) == make_xstate(0.25, 0.25, 0.25, 0.25, 0.1j)
+
 
 class TestWerner:
     def test_limits(self):
