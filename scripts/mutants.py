@@ -49,7 +49,7 @@ CATALOGUE = (
            "(discord > mutual_information + 1e-9,",
            "(discord > mutual_information + np.inf,",
            ("tests/test_sweep.py::TestSweepBatch"
-            "::test_batch_validation_matches_record_validation",)),
+            "::test_batch_validation_matches_one_point_validation",)),
     Mutant("fock-off-x-gate", "src/cavitycorr/fock.py",
            "leaking = off_x >= OFF_X_TOL",
            "leaking = off_x >= np.inf",

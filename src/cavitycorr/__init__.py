@@ -23,7 +23,6 @@ from .measures import (
     mutual_information,
 )
 from .sweep import (
-    CorrelationRecord,
     DiscordMethod,
     EventKind,
     RevivalEvent,
@@ -48,7 +47,7 @@ __all__ = [
     "binary_entropy", "classical_correlation_bruteforce",
     "closed_min_conditional_entropy", "concurrence", "discord_bruteforce", "discord_closed",
     "entropy_a", "entropy_b", "entropy_joint", "mutual_information",
-    "CorrelationRecord", "DiscordMethod", "EventKind", "RevivalEvent",
+    "DiscordMethod", "EventKind", "RevivalEvent",
     "SweepBatch", "SweepConfig", "correlation_batch", "detect_collapse_revival",
     "envelope", "first_onset", "sweep_batches", "time_series",
     "VerificationReport", "run_verification", "sample_xstate",

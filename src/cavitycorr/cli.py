@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from .sweep import (
-    CorrelationRecord,
     DiscordMethod,
     SweepBatch,
     SweepConfig,
@@ -47,19 +46,12 @@ def _format_rows(columns, n: int, r: float) -> str:
     return format_rows(np.column_stack(columns), f",{int(n)},{_fmt(r)},")
 
 
-def format_batch(batch: SweepBatch, n: int, r: float) -> str:
+def format_record(batch: SweepBatch, n: int, r: float) -> str:
+    """The CSV records (rows) of a batch, one per grid point, newline-terminated."""
     s = batch.states
     return _format_rows([batch.gt, s.p11, s.p22, s.p33, s.p44, s.re_c23, s.im_c23,
                          batch.concurrence, batch.discord,
                          batch.classical_correlation, batch.mutual_information], n, r)
-
-
-def format_record(record: CorrelationRecord, n: int, r: float) -> str:
-    s = record.state
-    return _format_rows([[v] for v in (
-        record.gt, s.p11, s.p22, s.p33, s.p44, s.c23.real, s.c23.imag,
-        record.concurrence, record.discord, record.classical_correlation,
-        record.mutual_information)], n, r)[:-1]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,7 +116,7 @@ def _write(texts, out_path) -> int:
 def cmd_evolve(args) -> int:
     cfg = SweepConfig(n=args.n, r=args.r, gt_max=args.gt_max, steps=args.steps,
                       discord_method=_METHODS[args.discord])
-    rows = (format_batch(batch, cfg.n, cfg.r) for batch in sweep_batches(cfg))
+    rows = (format_record(batch, cfg.n, cfg.r) for batch in sweep_batches(cfg))
     # the first chunk is made before anything is written, so a bad input
     # leaves no partial output
     first = CSV_HEADER + "\n" + next(rows)

@@ -64,11 +64,10 @@ GRID_POINTS = 64
 _GRID_VALUES = 64 * 64
 
 
-@one_or_batch
-def binary_entropy(x) -> float | np.ndarray:
-    """-x*log2(x) - (1-x)*log2(1-x), tolerating round-off of 1e-12 outside [0, 1].
+def binary_entropy(x: np.ndarray) -> np.ndarray:
+    """-x*log2(x) - (1-x)*log2(1-x) of each element of a 1-d array.
 
-    Elementwise for a 1-d array ``x``; a float for one number.
+    Tolerates round-off of 1e-12 outside [0, 1].
     """
     ew.raise_first([((x != x) | (x < -1e-12) | (x > 1.0 + 1e-12), lambda i:
                      f"binary entropy argument must lie in [0, 1], got {float(x[i])!r}")])

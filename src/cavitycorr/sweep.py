@@ -21,7 +21,7 @@ from .measures import (
     mutual_information_from,
     _min_conditional_entropy,
 )
-from .xstate import XBatch, XState, werner_state
+from .xstate import XBatch, werner_state
 
 # Grid points evaluated together by sweep_batches.  The per-call overhead of
 # the array code fades with the chunk: in-process min times of ``envelope
@@ -65,28 +65,11 @@ def _check_correlations(concurrence, discord, classical_correlation,
 
 
 @dataclass(frozen=True)
-class CorrelationRecord:
-    """All correlation measures of one state at one grid point, checked as a batch of one."""
-
-    gt: float
-    state: XState
-    concurrence: float
-    discord: float
-    classical_correlation: float
-    mutual_information: float
-
-    def __post_init__(self):
-        _check_correlations(*(np.array([v]) for v in (
-            self.concurrence, self.discord, self.classical_correlation,
-            self.mutual_information)))
-
-
-@dataclass(frozen=True)
 class SweepBatch:
     """Correlation measures of consecutive grid points, as parallel arrays.
 
-    Validated as a whole on construction.  Indexing, and so iteration,
-    gives one :class:`CorrelationRecord` per grid point.
+    Validated as a whole on construction.  Point ``i`` is element ``i`` of
+    each array: ``batch.gt[i]``, ``batch.discord[i]``, ``batch.states[i]``.
     """
 
     gt: np.ndarray
@@ -102,13 +85,6 @@ class SweepBatch:
 
     def __len__(self) -> int:
         return len(self.gt)
-
-    def __getitem__(self, i: int) -> CorrelationRecord:
-        return CorrelationRecord(
-            gt=float(self.gt[i]), state=self.states[i],
-            concurrence=float(self.concurrence[i]), discord=float(self.discord[i]),
-            classical_correlation=float(self.classical_correlation[i]),
-            mutual_information=float(self.mutual_information[i]))
 
 
 @dataclass(frozen=True)

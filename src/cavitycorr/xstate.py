@@ -111,20 +111,16 @@ def _c23_moduli(re_c23, im_c23) -> tuple[np.ndarray, np.ndarray]:
 
 
 def one_or_batch(closed_form):
-    """``closed_form``, written on batches, made to take one state too.
+    """``closed_form``, written on an :class:`XBatch`, made to take one :class:`XState` too.
 
-    A batch or a 1-d array goes through unchanged.  One :class:`XState`
-    (or, for a function of numbers, one number or 0-d array) is evaluated
-    as the batch of one, and element 0 of the result comes back as a
-    float, or as a list of floats where ``closed_form`` returns a list of
-    arrays.
+    A batch goes through unchanged.  One state is evaluated as the batch
+    of one, and element 0 of the result comes back as a float.
     """
     @functools.wraps(closed_form)
-    def one_or_many(x):
-        if isinstance(x, XBatch) or isinstance(x, np.ndarray) and x.ndim:
-            return closed_form(x)
-        out = closed_form(XBatch.of(x) if isinstance(x, XState) else np.array([float(x)]))
-        return [float(v[0]) for v in out] if isinstance(out, list) else float(out[0])
+    def one_or_many(state):
+        if isinstance(state, XState):
+            return float(closed_form(XBatch.of(state))[0])
+        return closed_form(state)
     return one_or_many
 
 
@@ -204,19 +200,18 @@ def werner_state(r: float) -> XState:
     return make_xstate(outer, inner, inner, outer, r * 0.5)
 
 
-@one_or_batch
-def spectrum(state: XState | XBatch) -> list:
-    """Eigenvalues ``[l0, l1, l2, l3]`` of an X state or of each state of a batch.
+def spectrum(states: XBatch) -> list:
+    """Eigenvalues ``[l0, l1, l2, l3]`` of each state of a batch, as arrays.
 
     The first pair comes from the diagonal outer block and the second from
     the central 2x2 block, each ordered larger first.  Tiny negatives from
     round-off are clamped to 0.
     """
-    p11, p22, p33, p44 = state.p11, state.p22, state.p33, state.p44
+    p11, p22, p33, p44 = states.p11, states.p22, states.p33, states.p44
     outer_sum = p11 + p44
     outer_gap = abs(p11 - p44)
     inner_sum = p22 + p33
-    inner_gap = np.sqrt(np.float_power(p22 - p33, 2) + 4.0 * state.abs2_c23())
+    inner_gap = np.sqrt(np.float_power(p22 - p33, 2) + 4.0 * states.abs2_c23())
     lams = [0.5 * (outer_sum + outer_gap), 0.5 * (outer_sum - outer_gap),
             0.5 * (inner_sum + inner_gap), 0.5 * (inner_sum - inner_gap)]
     return [np.where((lam < 0.0) & (lam >= -ATOL), 0.0, lam) for lam in lams]

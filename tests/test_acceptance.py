@@ -50,9 +50,8 @@ def fock_sweeps():
     return {n: time_series(cfg) for n, cfg in cfgs.items()}
 
 
-def revival_starts(records):
-    series = [(rec.gt, rec.discord) for rec in records]
-    env = envelope(series, 2.0)
+def revival_starts(batch):
+    env = envelope(np.column_stack([batch.gt, batch.discord]), 2.0)
     events = detect_collapse_revival(env, 0.02, 1.0)
     return [e.gt_start for e in events if e.kind.value == "revival"]
 
@@ -101,16 +100,13 @@ def test_criterion_3_discord_closed_vs_brute(verification, capsys):
 
 
 def test_criterion_4_onset_ordering_and_plateau():
-    records = time_series(SweepConfig(n=0, r=0.0, gt_max=20.0, steps=4000))
-    discord_series = [(rec.gt, rec.discord) for rec in records]
-    conc_series = [(rec.gt, rec.concurrence) for rec in records]
-    d_onset = first_onset(discord_series, 1e-3)
-    c_onset = first_onset(conc_series, 1e-3)
+    batch = time_series(SweepConfig(n=0, r=0.0, gt_max=20.0, steps=4000))
+    conc, disc = batch.concurrence, batch.discord
+    d_onset = first_onset(np.column_stack([batch.gt, disc]), 1e-3)
+    c_onset = first_onset(np.column_stack([batch.gt, conc]), 1e-3)
     assert d_onset is not None and c_onset is not None
     assert d_onset < c_onset, (d_onset, c_onset)
 
-    conc = np.array([rec.concurrence for rec in records])
-    disc = np.array([rec.discord for rec in records])
     found = 0
     i = 0
     while i < len(conc):
@@ -130,7 +126,7 @@ def test_criterion_4_onset_ordering_and_plateau():
 
 
 def test_criterion_5_collapse_revival(fock_sweeps):
-    starts = {n: revival_starts(records) for n, records in fock_sweeps.items()}
+    starts = {n: revival_starts(batch) for n, batch in fock_sweeps.items()}
     for n, s in starts.items():
         assert len(s) >= 2, f"n={n}: expected >= 2 revivals, got {len(s)}"
     spacing = {n: float(np.diff(s).mean()) for n, s in starts.items()}
@@ -230,14 +226,14 @@ def test_oscillations_almost_in_phase(n, r):
 
 def test_criterion_6_entangled_start(fock_sweeps):
     entangled = time_series(SweepConfig(n=10, r=0.2, gt_max=10.0, steps=2000))
-    assert entangled[0].discord > 0.01
-    assert entangled[0].concurrence == 0.0
-    max_entangled = max(rec.concurrence for rec in entangled)
+    assert entangled.discord[0] > 0.01
+    assert entangled.concurrence[0] == 0.0
+    max_entangled = entangled.concurrence.max()
     mixed = fock_sweeps[10]
-    max_mixed = max(rec.concurrence for rec in mixed if rec.gt <= 10.0)
+    max_mixed = mixed.concurrence[mixed.gt <= 10.0].max()
     assert max_entangled > max_mixed, (max_entangled, max_mixed)
     print(f"\nACCEPTANCE 6: PASS - r=0.2 starts with discord "
-          f"{entangled[0].discord:.4f} and zero concurrence; peak concurrence "
+          f"{entangled.discord[0]:.4f} and zero concurrence; peak concurrence "
           f"{max_entangled:.3f} exceeds the r=0 peak {max_mixed:.3f}")
 
 
@@ -302,18 +298,17 @@ def test_criterion_8_invariant_suite(capsys):
 
     # CSV round trip and byte determinism
     cfg = SweepConfig(n=4, r=0.35, gt_max=8.0, steps=200)
-    records = time_series(cfg)
-    lines1 = [CSV_HEADER] + [format_record(rec, cfg.n, cfg.r) for rec in records]
-    lines2 = [CSV_HEADER] + [format_record(rec, cfg.n, cfg.r)
-                             for rec in time_series(cfg)]
-    assert lines1 == lines2
+    batch = time_series(cfg)
+    lines1 = [CSV_HEADER] + format_record(batch, cfg.n, cfg.r).split("\n")[:-1]
+    lines2 = [CSV_HEADER] + format_record(time_series(cfg), cfg.n, cfg.r).split("\n")[:-1]
+    assert lines1 == lines2 and len(lines1) == cfg.steps + 2
     checks += 1
-    for line, rec in zip(lines1[1:], records):
+    for line, discord in zip(lines1[1:], batch.discord):
         fields = csv_fields(line)   # trace, populations and |c23|^2 within 1e-9
         checks += 3
         assert fields[1] == cfg.n and fields[2] == cfg.r
         checks += 1
-        assert abs(fields[10] - rec.discord) <= 1e-11
+        assert abs(fields[10] - discord) <= 1e-11
         checks += 1
         assert fields[10] <= fields[12] + 1e-9
         checks += 1

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cavitycorr
-from cavitycorr.cli import CSV_HEADER, _format_rows, format_batch, format_record, main
+from cavitycorr.cli import CSV_HEADER, _format_rows, format_record, main
 from cavitycorr.csvformat import BLOCK_ROWS
 from cavitycorr.sweep import SweepConfig, time_series
 from cavitycorr import measures, sweep, verify
@@ -98,12 +98,14 @@ class TestEvolve:
             assert fields[10] <= fields[12] + 1e-9  # discord <= mutual information
 
     def test_format_parse_inverse(self):
-        records = time_series(SweepConfig(n=1, r=0.3, gt_max=5.0, steps=7))
-        for rec in records:
-            fields = csv_fields(format_record(rec, 1, 0.3))
+        batch = time_series(SweepConfig(n=1, r=0.3, gt_max=5.0, steps=7))
+        lines = format_record(batch, 1, 0.3).split("\n")
+        assert len(lines) == 9 and lines[-1] == ""
+        for line, gt, discord in zip(lines, batch.gt, batch.discord):
+            fields = csv_fields(line)
             assert fields[1] == 1 and fields[2] == 0.3
-            assert abs(fields[0] - rec.gt) <= 1e-11 * max(1.0, abs(rec.gt))
-            assert abs(fields[10] - rec.discord) <= 1e-11
+            assert abs(fields[0] - gt) <= 1e-11 * max(1.0, abs(gt))
+            assert abs(fields[10] - discord) <= 1e-11
 
 
 class TestVerify:
@@ -208,8 +210,7 @@ class TestEnvelope:
 class TestParsing:
     def test_fmt_is_12_significant_digits(self):
         line = format_record(
-            time_series(SweepConfig(n=0, r=1 / 3, gt_max=1.0, steps=1))[0],
-            0, 1 / 3)
+            time_series(SweepConfig(n=0, r=1 / 3, gt_max=1.0, steps=1)), 0, 1 / 3)
         r_field = line.split(",")[2]
         assert r_field == "0.333333333333"
 
@@ -270,13 +271,6 @@ class TestCsvKernel:
     def test_matches_percent_format(self, values, n, r):
         columns = list(values.T)
         assert _format_rows(columns, n, r) == _reference_rows(columns, n, r)
-
-    def test_record_line_matches_batch_line(self):
-        batch = time_series(SweepConfig(n=3, r=0.45, gt_max=7.0, steps=300))
-        lines = format_batch(batch, 3, 0.45).split("\n")
-        assert len(lines) == 302 and lines[-1] == ""
-        for rec, line in zip(batch, lines):
-            assert format_record(rec, 3, 0.45) == line
 
     def test_import_builds_no_table(self):
         code = ("import sys, cavitycorr, cavitycorr.cli; "

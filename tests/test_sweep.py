@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cavitycorr import (
-    CorrelationRecord,
     DiscordMethod,
     EventKind,
     RevivalEvent,
@@ -16,7 +15,6 @@ from cavitycorr import (
     detect_collapse_revival,
     envelope,
     first_onset,
-    make_xstate,
     sweep_batches,
     time_series,
 )
@@ -85,24 +83,24 @@ def step_signal(rng, npts):
 
 class TestTimeSeries:
     def test_three_records_from_mixed_start(self):
-        records = time_series(SweepConfig(n=0, r=0.0, gt_max=math.pi, steps=2))
-        assert len(records) == 3
-        assert records[0].concurrence == 0.0
-        assert records[0].discord == 0.0
-        assert records[0].gt == 0.0
+        batch = time_series(SweepConfig(n=0, r=0.0, gt_max=math.pi, steps=2))
+        assert len(batch) == 3
+        assert batch.concurrence[0] == 0.0
+        assert batch.discord[0] == 0.0
+        assert batch.gt[0] == 0.0
 
     def test_bell_start(self):
-        records = time_series(SweepConfig(n=0, r=1.0, gt_max=1.0, steps=10))
-        assert records[0].concurrence == pytest.approx(1.0, abs=1e-12)
-        assert records[0].discord == pytest.approx(1.0, abs=1e-9)
+        batch = time_series(SweepConfig(n=0, r=1.0, gt_max=1.0, steps=10))
+        assert batch.concurrence[0] == pytest.approx(1.0, abs=1e-12)
+        assert batch.discord[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_initial_record_is_exactly_werner(self):
-        records = time_series(SweepConfig(n=10, r=0.2, gt_max=50.0, steps=5))
-        state = records[0].state
+        batch = time_series(SweepConfig(n=10, r=0.2, gt_max=50.0, steps=5))
+        state = batch.states[0]
         assert state.p11 == (1 - 0.2) * 0.25
         assert state.c23 == 0.1
-        assert records[0].discord > 0.0
-        assert records[0].concurrence == 0.0
+        assert batch.discord[0] > 0.0
+        assert batch.concurrence[0] == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -120,29 +118,23 @@ class TestTimeSeries:
         assert SweepConfig(n=1, r=0.5, gt_max=1.0, steps=np.int64(2)).steps == 2
 
     def test_records_satisfy_invariants(self):
-        for rec in time_series(SweepConfig(n=3, r=0.5, gt_max=15.0, steps=150)):
-            assert abs(rec.state.trace() - 1.0) < 1e-12
-            assert -1e-9 <= rec.discord <= rec.mutual_information + 1e-9
-            assert rec.classical_correlation >= -1e-9
-            assert 0.0 <= rec.concurrence <= 1.0
+        batch = time_series(SweepConfig(n=3, r=0.5, gt_max=15.0, steps=150))
+        s = batch.states
+        assert (abs(((s.p11 + s.p22) + s.p33) + s.p44 - 1.0) < 1e-12).all()
+        assert ((-1e-9 <= batch.discord)
+                & (batch.discord <= batch.mutual_information + 1e-9)).all()
+        assert (batch.classical_correlation >= -1e-9).all()
+        assert ((0.0 <= batch.concurrence) & (batch.concurrence <= 1.0)).all()
 
     def test_brute_force_method_agrees(self):
         closed = time_series(SweepConfig(n=1, r=0.3, gt_max=4.0, steps=8))
         brute = time_series(SweepConfig(n=1, r=0.3, gt_max=4.0, steps=8,
                                         discord_method=DiscordMethod.BRUTE_FORCE))
-        for a, b in zip(closed, brute):
-            assert abs(a.discord - b.discord) <= 0.0021 + 5e-4
-            # both decompositions split the same mutual information
-            assert a.discord + a.classical_correlation == pytest.approx(
-                a.mutual_information, abs=1e-9)
+        assert (abs(closed.discord - brute.discord) <= 0.0021 + 5e-4).all()
+        # both decompositions split the same mutual information
+        for b in (closed, brute):
             assert b.discord + b.classical_correlation == pytest.approx(
                 b.mutual_information, abs=1e-9)
-
-    def test_record_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            CorrelationRecord(gt=0.0, state=make_xstate(0.25, 0.25, 0.25, 0.25, 0),
-                              concurrence=0.0, discord=0.5,
-                              classical_correlation=0.0, mutual_information=0.1)
 
 
 class TestEnvelope:
@@ -316,11 +308,9 @@ class TestFirstOnset:
             first_onset([(math.nan, 1.0), (1.0, 0.0)], 0.1)
 
     def test_discord_precedes_concurrence(self):
-        records = time_series(SweepConfig(n=0, r=0.0, gt_max=10.0, steps=2000))
-        discord = [(r.gt, r.discord) for r in records]
-        conc = [(r.gt, r.concurrence) for r in records]
-        d_on = first_onset(discord, 1e-3)
-        c_on = first_onset(conc, 1e-3)
+        batch = time_series(SweepConfig(n=0, r=0.0, gt_max=10.0, steps=2000))
+        d_on = first_onset(np.column_stack([batch.gt, batch.discord]), 1e-3)
+        c_on = first_onset(np.column_stack([batch.gt, batch.concurrence]), 1e-3)
         assert d_on is not None and c_on is not None
         assert d_on < c_on
 
@@ -379,7 +369,7 @@ def test_float_parameters_take_ints_beyond_the_float_range(call, message):
 
 
 class TestSweepBatch:
-    def test_batch_validation_matches_record_validation(self):
+    def test_batch_validation_matches_one_point_validation(self):
         cfg = SweepConfig(n=2, r=0.5, gt_max=3.0, steps=4)
         batch = time_series(cfg)
         bad = np.array(batch.discord)
@@ -387,18 +377,20 @@ class TestSweepBatch:
         with pytest.raises(ValueError) as from_batch:
             SweepBatch(batch.gt, batch.states, batch.concurrence, bad,
                        batch.classical_correlation, batch.mutual_information)
-        with pytest.raises(ValueError) as from_record:
-            CorrelationRecord(gt=batch[3].gt, state=batch[3].state,
-                              concurrence=batch[3].concurrence, discord=float(bad[3]),
-                              classical_correlation=batch[3].classical_correlation,
-                              mutual_information=batch[3].mutual_information)
-        assert str(from_batch.value) == str(from_record.value)
+        # the failing point alone, as a batch of one, gets the same message
+        with pytest.raises(ValueError) as from_point:
+            SweepBatch(batch.gt[3:4], batch.states[3:4], batch.concurrence[3:4], bad[3:4],
+                       batch.classical_correlation[3:4], batch.mutual_information[3:4])
+        assert str(from_batch.value) == str(from_point.value)
         assert "exceeds mutual information" in str(from_batch.value)
 
     def test_records_match_single_point_evaluation(self):
         batch = time_series(SweepConfig(n=3, r=0.7, gt_max=9.0, steps=9))
-        for rec in batch:
-            assert correlation_batch([rec.gt], XBatch.of(rec.state))[0] == rec
+        fields = ("gt", "concurrence", "discord", "classical_correlation", "mutual_information")
+        for i in range(len(batch)):
+            one = correlation_batch(batch.gt[i:i + 1], XBatch.of(batch.states[i]))
+            assert one.states[0] == batch.states[i]
+            assert [getattr(one, f)[0] for f in fields] == [getattr(batch, f)[i] for f in fields]
 
     def test_chunks_tile_the_grid(self):
         cfg = SweepConfig(n=1, r=0.2, gt_max=2.0, steps=10)

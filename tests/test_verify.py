@@ -20,7 +20,6 @@ from cavitycorr.verify import (VERIFY_CHUNK, VerificationReport, _seeded_chunks,
 from cavitycorr.xstate import XBatch, XState
 
 GT_MAX = 20.0
-SAMPLES = (1, VERIFY_CHUNK - 1, VERIFY_CHUNK, VERIFY_CHUNK + 1, 2 * VERIFY_CHUNK + 52)
 # samples drawn through sample_xstate per seed, each followed by its n and gt
 ONE_AT_A_TIME = 64
 
@@ -53,15 +52,23 @@ def _columns(states):
                      states.re_c23, states.im_c23])
 
 
-@pytest.mark.parametrize("n_max", [0, 12, 2**53])
-def test_seeded_chunks_reproduce_the_per_sample_formula(n_max):
-    for seed in range(50):
-        want_states, want_n, want_gt = _reference(seed, n_max, max(SAMPLES))
-        for samples in SAMPLES:
+# A chunk of 7 crosses every chunk bound with 50 seeds at little cost; the
+# real VERIFY_CHUNK runs one seed per n_max, under the n_max id alone.
+@pytest.mark.parametrize("chunk, seeds, n_max", [
+    pytest.param(chunk, seeds, n_max,
+                 id=str(n_max) if chunk == VERIFY_CHUNK else f"chunk{chunk}-{n_max}")
+    for chunk, seeds in ((7, 50), (VERIFY_CHUNK, 1)) for n_max in (0, 12, 2**53)])
+def test_seeded_chunks_reproduce_the_per_sample_formula(monkeypatch, chunk, seeds, n_max):
+    monkeypatch.setattr(verify, "VERIFY_CHUNK", chunk)
+    sizes = (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 52)
+    for seed in range(seeds):
+        want_states, want_n, want_gt = _reference(seed, n_max, max(sizes))
+        for samples in sizes:
             chunks = list(_seeded_chunks(np.random.default_rng(seed), samples, n_max, GT_MAX))
-            assert [c[0] for c in chunks] == list(range(0, samples, VERIFY_CHUNK))
-            assert all(len(states) == len(n) == len(gt) <= VERIFY_CHUNK
+            assert [c[0] for c in chunks] == list(range(0, samples, chunk))
+            assert all(len(states) == len(n) == len(gt) <= chunk
                        for _, states, n, gt in chunks)
+            assert all(len(c[1]) == chunk for c in chunks[:-1])
             states = _bits(np.concatenate([_columns(c[1]) for c in chunks], axis=1))
             assert (states == want_states[:, :samples]).all(), (seed, samples)
             assert (np.concatenate([c[2] for c in chunks]) == want_n[:samples]).all()

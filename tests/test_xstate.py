@@ -11,6 +11,11 @@ from cavitycorr.xstate import spectrum
 from conftest import as_matrix, xstates
 
 
+def _spectrum(state):
+    """The four eigenvalues of one state, from its batch of one."""
+    return np.array(spectrum(XBatch.of(state)))[:, 0]
+
+
 class TestMakeXstate:
     def test_maximally_mixed(self):
         s = make_xstate(0.25, 0.25, 0.25, 0.25, 0)
@@ -119,20 +124,20 @@ class TestWerner:
 
 class TestEigenvalues:
     def test_maximally_mixed(self):
-        assert np.allclose(spectrum(make_xstate(0.25, 0.25, 0.25, 0.25, 0)),
+        assert np.allclose(_spectrum(make_xstate(0.25, 0.25, 0.25, 0.25, 0)),
                            [0.25, 0.25, 0.25, 0.25])
 
     def test_bell(self):
-        assert np.allclose(spectrum(make_xstate(0, 0.5, 0.5, 0, 0.5)),
+        assert np.allclose(_spectrum(make_xstate(0, 0.5, 0.5, 0, 0.5)),
                            [0, 0, 1, 0], atol=1e-15)
 
     def test_werner(self):
-        assert np.allclose(spectrum(werner_state(0.2)),
+        assert np.allclose(_spectrum(werner_state(0.2)),
                            [0.2, 0.2, 0.4, 0.2], atol=1e-15)
 
     @given(xstates())
     def test_spectrum_properties(self, s):
-        lams = np.array(spectrum(s))
+        lams = _spectrum(s)
         assert abs(lams.sum() - 1.0) < 1e-12
         assert (lams >= 0.0).all()
         assert (lams <= 1.0 + 1e-12).all()
@@ -177,7 +182,6 @@ class TestMakeXbatch:
     @given(xstates())
     def test_one_state_round_trip(self, s):
         assert XBatch.of(s)[0] == s
-        assert spectrum(s) == [float(v[0]) for v in spectrum(XBatch.of(s))]
 
 
 class TestXBatchStack:
