@@ -87,19 +87,10 @@ CATALOGUE = (
            "PROB_FLOOR = 1e-14",
            "PROB_FLOOR = 1e-10",
            ("tests/test_measures.py::test_rare_outcome_counts",)),
-    Mutant("csv-margin", "src/cavitycorr/csvformat.py",
-           "_MARGIN = 0.5 - 2.0 ** -12",
-           "_MARGIN = 0.5",
-           (),
-           equivalent=(
-               "The powers 10**(11 - X) are exact doubles, so y = RN(|x| * 10**(11 - X)) "
-               "is the correctly rounded product, and the tie M + 0.5 (y < 2**40) is a "
-               "double.  Rounding is monotone: y < M + 0.5 implies that the exact product "
-               "is below M + 0.5, and y > M - 0.5 that it is above M - 0.5, so "
-               "|y - M| < 0.5 already makes M the correctly rounded digits; an exact tie "
-               "fails the strict <.  Measured: 6 738 083 values in the band "
-               "0.5 - 2**-12 <= |y - rint(y)|, 1 436 912 of them exact ties, over the "
-               "decades -4..2, formatted byte-identically to '%.12g' under the mutant."))
+    Mutant("series-shape-check", "src/cavitycorr/sweep.py",
+           "if gts.ndim != 1 or gts.shape != vals.shape:",
+           "if gts.ndim != 1 or len(gts) != len(vals):",
+           ("tests/test_sweep.py::test_series_shapes_rejected",)),
 )
 
 

@@ -34,8 +34,8 @@ def _fmt(v: float) -> str:
     return "%.12g" % (v + 0.0)
 
 
-def _format_rows(columns, n: int, r: float) -> str:
-    """CSV rows, newline-terminated, from the 11 float columns besides n and r.
+def _format_rows(columns, n: int, r: float) -> list[str]:
+    """CSV rows of the 11 float columns besides n and r, in ``format_rows``'s blocks.
 
     ``columns`` holds gt, p11..p44, re and im of c23 and the four measures,
     each a sequence of equal length.  Each field is ``_fmt`` of its value.
@@ -46,8 +46,8 @@ def _format_rows(columns, n: int, r: float) -> str:
     return format_rows(np.column_stack(columns), f",{int(n)},{_fmt(r)},")
 
 
-def format_record(batch: SweepBatch, n: int, r: float) -> str:
-    """The CSV records (rows) of a batch, one per grid point, newline-terminated."""
+def format_record(batch: SweepBatch, n: int, r: float) -> list[str]:
+    """The CSV records (rows) of a batch, newline-terminated, in blocks of rows."""
     s = batch.states
     return _format_rows([batch.gt, s.p11, s.p22, s.p33, s.p44, s.re_c23, s.im_c23,
                          batch.concurrence, batch.discord,
@@ -116,11 +116,11 @@ def _write(texts, out_path) -> int:
 def cmd_evolve(args) -> int:
     cfg = SweepConfig(n=args.n, r=args.r, gt_max=args.gt_max, steps=args.steps,
                       discord_method=_METHODS[args.discord])
-    rows = (format_record(batch, cfg.n, cfg.r) for batch in sweep_batches(cfg))
+    chunks = (format_record(batch, cfg.n, cfg.r) for batch in sweep_batches(cfg))
     # the first chunk is made before anything is written, so a bad input
     # leaves no partial output
-    first = CSV_HEADER + "\n" + next(rows)
-    return _write(itertools.chain([first], rows), args.out)
+    first = [CSV_HEADER + "\n", *next(chunks)]
+    return _write(itertools.chain(first, itertools.chain.from_iterable(chunks)), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -138,9 +138,9 @@ def cmd_envelope(args) -> int:
     for batch in sweep_batches(cfg):
         gts.append(batch.gt)
         vals.append(getattr(batch, args.measure))
-    env = envelope(np.column_stack([np.concatenate(gts), np.concatenate(vals)]),
-                   args.window)
-    events = detect_collapse_revival(env, args.threshold, args.min_duration)
+    gt = np.concatenate(gts)
+    env = envelope(gt, np.concatenate(vals), args.window)
+    events = detect_collapse_revival(gt, env, args.threshold, args.min_duration)
     # The populations oscillate as cos^2(sqrt(m) gt), m <= n + 2: with fewer
     # than two grid points per carrier period pi / sqrt(n + 2), the grid
     # samples an alias of the carrier.

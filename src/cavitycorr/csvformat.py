@@ -1,9 +1,10 @@
 """CSV rows whose every field is exactly ``"%.12g" % (x + 0.0)``, made in numpy.
 
 A nonzero |x| in [1e-4, 1e3) has a decade X in -4..2 and is scaled by the
-exact power 10**(11 - X) to y, so that M = rint(y) holds its 12 significant
-digits.  y < 2**40, so its rounding error is at most 2**-14: wherever
-|y - M| < 0.5 - 2**-12, M is the correctly rounded digit string that %.12g
+exact power 10**(11 - X) to y, the exact product P rounded, so M = rint(y)
+holds its 12 significant digits.  Rounding is monotone and y < 2**40 keeps
+each half-integer a double, so y and P lie on one side of each unless y is
+one: where |y - M| < 0.5, M is the correctly rounded digit string that %.12g
 prints.  Each decade bound is a double at or above its power of ten, so
 y >= 1e11; M = 1e12, a carry into the next decade, is left out.  Divisions
 by exact powers of ten (never products with 1e-k) split M into the integer
@@ -14,8 +15,8 @@ trailing zeros and the groups after it empty.  The NUL padding goes in one
 ``bytes.translate``.
 
 Zeros print "0".  Every other value (|x| >= 1e3 or < 1e-4, inf and NaN,
-which get a NaN scale, a rounding too close to a tie, a carry) fails that
-test, leaves "%.12g" in the text and is formatted by one ``%`` on the block.
+which get a NaN scale, a y on a half-integer, a carry) fails that test,
+leaves "%.12g" in the text and is formatted by one ``%`` on the block.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ _DECADES = np.array([5e-324, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0])
 _POWER = 10.0 ** np.array([0, 0, 15, 14, 13, 12, 11, 10, 9, 0])  # 10**(11 - X)
 _SCALE = np.array([1.0, np.nan, *_POWER[2:-1], np.nan])
 _FRACTION = 1e15 / _POWER  # the fraction part as 15 digits
-_MARGIN = 0.5 - 2.0 ** -12
 # ".ddd" and the three "dddd" groups are the leading 3, 7, 11 and 15
 # fraction digits less the digits before them
 _GROUPS = np.array([[1e12], [1e8], [1e4], [1.0]])
@@ -78,7 +78,7 @@ def _format_block(values: np.ndarray, mid: bytes) -> bytes:
     decade = np.searchsorted(_DECADES, a, side="right")
     y = a * _SCALE[decade]
     m = np.rint(y)
-    off = ~((np.abs(y - m) < _MARGIN) & (m < 1e12))
+    off = ~((np.abs(y - m) < 0.5) & (m < 1e12))
     m[off] = 0.0
     power = _POWER[decade]
     whole = np.floor(m / power)
@@ -96,13 +96,13 @@ def _format_block(values: np.ndarray, mid: bytes) -> bytes:
     return (text % tuple(x[off].tolist())).replace(b"\1", mid)
 
 
-def format_rows(values: np.ndarray, mid: str) -> str:
-    """Newline-terminated CSV rows of the float array ``values`` of shape (rows, 11).
+def format_rows(values: np.ndarray, mid: str) -> list[str]:
+    """The CSV rows of the float array ``values`` (rows, 11), one text per ``BLOCK_ROWS``.
 
-    Each field is ``"%.12g" % (v + 0.0)``; ``mid`` goes between the first
-    and second field of every row instead of a comma.
+    Each field is ``"%.12g" % (v + 0.0)``, and each row ends in a newline;
+    ``mid`` goes between the first and second field of a row instead of a comma.
     """
     mid = mid.encode("ascii")
     with np.errstate(invalid="ignore"):  # a signalling NaN prints as "nan" too
-        return b"".join(_format_block(values[i:i + BLOCK_ROWS], mid)
-                        for i in range(0, len(values), BLOCK_ROWS)).decode("ascii")
+        return [_format_block(values[i:i + BLOCK_ROWS], mid).decode("ascii")
+                for i in range(0, len(values), BLOCK_ROWS)]

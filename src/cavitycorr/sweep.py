@@ -168,13 +168,16 @@ def time_series(cfg: SweepConfig) -> SweepBatch:
     return next(sweep_batches(cfg, cfg.steps + 1))
 
 
-def _series(series) -> tuple[np.ndarray, np.ndarray]:
-    """The gt and value columns of an (N, 2) array or sequence of (gt, value) pairs.
+def _series(gt, values) -> tuple[np.ndarray, np.ndarray]:
+    """``gt`` and ``values`` as float arrays, two 1-d arrays of equal length.
 
-    Raises ``ValueError`` at the first gt that is not finite or is smaller
-    than the one before it; the values are not checked.
+    Raises ``ValueError`` naming both shapes otherwise, and at the first gt
+    that is not finite or is below its predecessor; values are not checked.
     """
-    gts, vals = np.asarray(series, dtype=float).reshape(len(series), 2).T
+    gts, vals = np.asarray(gt, dtype=float), np.asarray(values, dtype=float)
+    if gts.ndim != 1 or gts.shape != vals.shape:
+        raise ValueError("series gt and values must be 1-d arrays of equal length, "
+                         f"got shapes {gts.shape} and {vals.shape}")
     bad = ~np.isfinite(gts)
     bad[1:] |= gts[1:] < gts[:-1]
     ew.raise_first([(bad, lambda i: "series gt must be finite and non-decreasing, "
@@ -182,15 +185,13 @@ def _series(series) -> tuple[np.ndarray, np.ndarray]:
     return gts, vals
 
 
-def envelope(series, window: float) -> np.ndarray:
-    """Sliding-window maximum centered at each grid point.
+def envelope(gt, values, window: float) -> np.ndarray:
+    """Sliding-window maxima of ``values`` centered at each grid point, aligned with ``gt``.
 
-    ``series`` is an (N, 2) array of (gt, value) rows or a sequence of
-    pairs, with finite, non-decreasing gt.  Returns an (N, 2) array of
-    (gt, window maximum) rows; windows are truncated at the ends of the
-    series.
+    ``gt`` and ``values`` are 1-d arrays of equal length, with finite,
+    non-decreasing gt; windows are truncated at the ends of the series.
     """
-    gts, vals = _series(series)
+    gts, vals = _series(gt, values)
     if len(gts) == 0:
         raise ValueError("envelope of an empty series is undefined")
     if not ew.is_real(window) or not window > 0.0:
@@ -204,16 +205,15 @@ def envelope(series, window: float) -> np.ndarray:
     # Each window [lo, hi) holds its own point, so lo < hi, and reduceat over
     # the interleaved bounds puts each window's maximum at the even positions.
     bounds = np.column_stack([lo, hi]).ravel()
-    out = np.maximum.reduceat(np.append(vals, -np.inf), bounds)[::2]
-    return np.column_stack([gts, out])
+    return np.maximum.reduceat(np.append(vals, -np.inf), bounds)[::2]
 
 
-def detect_collapse_revival(env, collapse_threshold: float,
+def detect_collapse_revival(gt, env, collapse_threshold: float,
                             min_duration: float) -> list[RevivalEvent]:
     """Alternating collapse/revival events of an envelope series.
 
-    ``env`` is an (N, 2) array of (gt, value) rows, as :func:`envelope`
-    returns, or a sequence of pairs, with finite, non-decreasing gt.
+    ``gt`` and ``env`` are 1-d arrays of equal length, such as a series'
+    gt and the :func:`envelope` of its values, with finite, non-decreasing gt.
     A collapse is a maximal run of points below the threshold whose gt
     span is at least ``min_duration``.  Shorter dips do not count and are
     absorbed into the surrounding activity.  Every maximal stretch between
@@ -225,7 +225,7 @@ def detect_collapse_revival(env, collapse_threshold: float,
             or not (collapse_threshold > 0.0 and min_duration > 0.0)):
         raise ValueError("collapse_threshold and min_duration must be positive and finite, "
                          f"got {collapse_threshold!r} and {min_duration!r}")
-    gts, vals = _series(env)
+    gts, vals = _series(gt, env)
     # Runs below the threshold are [start, end) between the edges of the
     # zero-padded mask.
     below = np.concatenate([[False], vals < collapse_threshold, [False]])
@@ -242,11 +242,11 @@ def detect_collapse_revival(env, collapse_threshold: float,
             for k, (g, v) in enumerate(pieces) if len(g)]
 
 
-def first_onset(series, eps: float = 1e-3):
-    """Smallest grid gt whose value exceeds eps, or None; ``series`` as for :func:`envelope`."""
+def first_onset(gt, values, eps: float = 1e-3):
+    """Smallest gt whose value exceeds eps, or None; the arrays as for :func:`envelope`."""
     if not ew.is_real(eps) or not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    gts, vals = _series(series)
+    gts, vals = _series(gt, values)
     # no float exceeds the largest one, or an int beyond it
     above = np.flatnonzero(vals > min(eps, sys.float_info.max))
     return float(gts[above[0]]) if len(above) else None

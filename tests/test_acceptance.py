@@ -51,8 +51,8 @@ def fock_sweeps():
 
 
 def revival_starts(batch):
-    env = envelope(np.column_stack([batch.gt, batch.discord]), 2.0)
-    events = detect_collapse_revival(env, 0.02, 1.0)
+    env = envelope(batch.gt, batch.discord, 2.0)
+    events = detect_collapse_revival(batch.gt, env, 0.02, 1.0)
     return [e.gt_start for e in events if e.kind.value == "revival"]
 
 
@@ -102,8 +102,8 @@ def test_criterion_3_discord_closed_vs_brute(verification, capsys):
 def test_criterion_4_onset_ordering_and_plateau():
     batch = time_series(SweepConfig(n=0, r=0.0, gt_max=20.0, steps=4000))
     conc, disc = batch.concurrence, batch.discord
-    d_onset = first_onset(np.column_stack([batch.gt, disc]), 1e-3)
-    c_onset = first_onset(np.column_stack([batch.gt, conc]), 1e-3)
+    d_onset = first_onset(batch.gt, disc, 1e-3)
+    c_onset = first_onset(batch.gt, conc, 1e-3)
     assert d_onset is not None and c_onset is not None
     assert d_onset < c_onset, (d_onset, c_onset)
 
@@ -299,8 +299,9 @@ def test_criterion_8_invariant_suite(capsys):
     # CSV round trip and byte determinism
     cfg = SweepConfig(n=4, r=0.35, gt_max=8.0, steps=200)
     batch = time_series(cfg)
-    lines1 = [CSV_HEADER] + format_record(batch, cfg.n, cfg.r).split("\n")[:-1]
-    lines2 = [CSV_HEADER] + format_record(time_series(cfg), cfg.n, cfg.r).split("\n")[:-1]
+    lines1 = [CSV_HEADER] + "".join(format_record(batch, cfg.n, cfg.r)).split("\n")[:-1]
+    lines2 = [CSV_HEADER] + "".join(
+        format_record(time_series(cfg), cfg.n, cfg.r)).split("\n")[:-1]
     assert lines1 == lines2 and len(lines1) == cfg.steps + 2
     checks += 1
     for line, discord in zip(lines1[1:], batch.discord):

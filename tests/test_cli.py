@@ -80,6 +80,15 @@ class TestEvolve:
         assert out == ""
         assert target.read_text().startswith(CSV_HEADER)
 
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        # three chunks, the last one partial, and many blocks of rows
+        args = ("evolve", "--n", "7", "--r", "0.65", "--gt-max", "33", "--steps", "8292")
+        target = tmp_path / "series.csv"
+        assert run(capsys, *args, "--out", str(target))[:2] == (0, "")
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and len(out.split("\n")) == 8295
+        assert target.read_bytes() == out.encode("ascii")
+
     def test_unwritable_out_path(self, capsys):
         code, out, err = run(capsys, "evolve", "--n", "0", "--r", "0",
                              "--gt-max", "2", "--steps", "5",
@@ -99,7 +108,7 @@ class TestEvolve:
 
     def test_format_parse_inverse(self):
         batch = time_series(SweepConfig(n=1, r=0.3, gt_max=5.0, steps=7))
-        lines = format_record(batch, 1, 0.3).split("\n")
+        lines = "".join(format_record(batch, 1, 0.3)).split("\n")
         assert len(lines) == 9 and lines[-1] == ""
         for line, gt, discord in zip(lines, batch.gt, batch.discord):
             fields = csv_fields(line)
@@ -209,8 +218,8 @@ class TestEnvelope:
 
 class TestParsing:
     def test_fmt_is_12_significant_digits(self):
-        line = format_record(
-            time_series(SweepConfig(n=0, r=1 / 3, gt_max=1.0, steps=1)), 0, 1 / 3)
+        line = "".join(format_record(
+            time_series(SweepConfig(n=0, r=1 / 3, gt_max=1.0, steps=1)), 0, 1 / 3))
         r_field = line.split(",")[2]
         assert r_field == "0.333333333333"
 
@@ -226,7 +235,7 @@ def _assert_rows_exact(values, n=3, r=0.25):
     values = np.asarray(values, dtype=float)
     values = np.concatenate([values, np.zeros(-len(values) % 11)]).reshape(-1, 11)
     columns = list(values.T)
-    got = _format_rows(columns, n, r).split("\n")
+    got = "".join(_format_rows(columns, n, r)).split("\n")
     want = _reference_rows(columns, n, r).split("\n")
     # row by row, so that a failure names its rows without a diff of the text
     bad = [(g, w) for g, w in zip(got, want) if g != w]
@@ -250,7 +259,8 @@ def _edge_corpus():
     values += list(10.0 ** rng.uniform(-6, 5, 4000))
     # short decimals, whose trailing zeros are dropped
     values += list(rng.integers(1, 10**6, 4000) / 10.0 ** rng.integers(0, 10, 4000))
-    # 12 digits and a half-unit offset: the rounding margin's neighbourhood
+    # 12 digits and a half-unit offset: the neighbourhood of the strict
+    # half-unit test, ties included
     values += list((rng.integers(10**11, 10**12, 4000) + 0.5)
                    / 10.0 ** rng.integers(9, 16, 4000))
     values = np.array(values)
@@ -270,7 +280,7 @@ class TestCsvKernel:
            st.integers(0, 2**53), st.floats(0.0, 1.0))
     def test_matches_percent_format(self, values, n, r):
         columns = list(values.T)
-        assert _format_rows(columns, n, r) == _reference_rows(columns, n, r)
+        assert "".join(_format_rows(columns, n, r)) == _reference_rows(columns, n, r)
 
     def test_import_builds_no_table(self):
         code = ("import sys, cavitycorr, cavitycorr.cli; "

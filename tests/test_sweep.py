@@ -22,22 +22,22 @@ from cavitycorr import (
 from conftest import seeded_rng
 
 
-def naive_envelope(series, window):
+def naive_envelope(gts, vals, window):
     # independent reference: quadratic scan
     out = []
-    for gt_i, _ in series:
+    for gt_i in gts:
         best = -math.inf
-        for gt_j, v in series:
+        for gt_j, v in zip(gts, vals):
             if abs(gt_j - gt_i) <= window / 2:
                 best = max(best, v)
-        out.append((gt_i, best))
+        out.append(best)
     return out
 
 
-def naive_events(env, threshold, min_duration):
+def naive_events(gts, vals, threshold, min_duration):
     # independent reference: walks each run below the threshold point by point
-    gts = [float(gt) for gt, _ in env]
-    vals = [float(v) for _, v in env]
+    gts = [float(gt) for gt in gts]
+    vals = [float(v) for v in vals]
     npts = len(vals)
     collapses = []
     i = 0
@@ -78,7 +78,7 @@ def step_signal(rng, npts):
         run = vals[i:i + int(rng.integers(1, 9))]
         run[:] = rng.uniform(0.0, 0.5, len(run)) + (0.0 if below else 0.5)
         i, below = i + len(run), not below
-    return np.column_stack([gts, vals])
+    return gts, vals
 
 
 class TestTimeSeries:
@@ -139,18 +139,16 @@ class TestTimeSeries:
 
 class TestEnvelope:
     def test_all_zero(self):
-        series = [(0.1 * i, 0.0) for i in range(50)]
-        assert all(v == 0.0 for _, v in envelope(series, 1.0))
+        assert (envelope(0.1 * np.arange(50), np.zeros(50), 1.0) == 0.0).all()
 
     def test_constant(self):
-        series = [(0.1 * i, 0.7) for i in range(50)]
-        assert all(v == 0.7 for _, v in envelope(series, 1.0))
+        assert (envelope(0.1 * np.arange(50), np.full(50, 0.7), 1.0) == 0.7).all()
 
     def test_abs_sine(self):
         gts = [i * 4 * math.pi / 8 for i in range(9)]  # grid hits the peaks
-        series = [(gt, abs(math.sin(gt))) for gt in gts]
-        env = envelope(series, math.pi)
-        for (gt, value), (_, expected) in zip(env, naive_envelope(series, math.pi)):
+        vals = [abs(math.sin(gt)) for gt in gts]
+        env = envelope(gts, vals, math.pi)
+        for gt, value, expected in zip(gts, env, naive_envelope(gts, vals, math.pi)):
             assert value == expected
             has_peak = any(abs(p - gt) <= math.pi / 2 for p in
                            (math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2, 7 * math.pi / 2))
@@ -160,53 +158,51 @@ class TestEnvelope:
     def test_matches_naive_reference(self):
         rng = seeded_rng(31)
         gts = np.sort(rng.uniform(0, 10, size=200))
-        series = list(zip(gts.tolist(), rng.random(200).tolist()))
-        env = envelope(series, 1.3)
-        assert env.shape == (200, 2)
-        assert np.array_equal(env, naive_envelope(series, 1.3))
+        vals = rng.random(200)
+        env = envelope(gts, vals, 1.3)
+        assert env.shape == (200,)
+        assert np.array_equal(env, naive_envelope(gts, vals, 1.3))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            envelope([], 1.0)
+            envelope([], [], 1.0)
         with pytest.raises(ValueError):
-            envelope([(0.0, 1.0), (1.0, 2.0)], 5.0)  # window wider than span
+            envelope([0.0, 1.0], [1.0, 2.0], 5.0)  # window wider than span
 
     def test_rejects_bad_gt(self):
         # unsorted, the window of gt = 1.0 would take 5.0 from gt = 2.0
         with pytest.raises(ValueError, match="non-decreasing, got 1.0 at index 2"):
-            envelope([(0, 1), (2, 5), (1, 0), (3, 0), (4, 0)], 1.0)
+            envelope([0, 2, 1, 3, 4], [1, 5, 0, 0, 0], 1.0)
         with pytest.raises(ValueError, match="got nan at index 1"):
-            envelope([(0, 1), (math.nan, 5), (2, 0), (3, 0), (4, 0)], 1.0)
+            envelope([0, math.nan, 2, 3, 4], [1, 5, 0, 0, 0], 1.0)
 
     def test_nan_value_propagates(self):
-        env = envelope([(0.0, math.nan), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], 2.5)
-        assert np.isnan(env[:2, 1]).all()
-        assert list(env[2:, 1]) == [0.0, 0.0]
+        env = envelope([0.0, 1.0, 2.0, 3.0], [math.nan, 0.0, 0.0, 0.0], 2.5)
+        assert np.isnan(env[:2]).all()
+        assert list(env[2:]) == [0.0, 0.0]
 
 
 class TestDetect:
     def test_all_zero_single_collapse(self):
-        env = [(0.01 * i, 0.0) for i in range(500)]
-        events = detect_collapse_revival(env, 0.1, 0.5)
+        events = detect_collapse_revival(0.01 * np.arange(500), np.zeros(500), 0.1, 0.5)
         assert len(events) == 1
         assert events[0].kind is EventKind.COLLAPSE
         assert events[0].gt_start == 0.0
         assert events[0].gt_end == pytest.approx(4.99)
 
     def test_everywhere_above_threshold(self):
-        env = [(0.01 * i, 1.0) for i in range(500)]
-        assert detect_collapse_revival(env, 0.1, 0.5) == []
+        assert detect_collapse_revival(0.01 * np.arange(500), np.ones(500), 0.1, 0.5) == []
 
     def test_threshold_above_range(self):
-        env = [(0.01 * i, abs(math.sin(i * 0.01))) for i in range(500)]
-        events = detect_collapse_revival(env, 2.0, 0.5)
+        gts = 0.01 * np.arange(500)
+        events = detect_collapse_revival(gts, np.abs(np.sin(gts)), 2.0, 0.5)
         assert len(events) == 1
         assert events[0].kind is EventKind.COLLAPSE
 
     def test_step_signal(self):
         # 0 on [0,1), 1 on [1,2), 0 on [2,3): collapse, revival, collapse
-        env = [(0.01 * i, 0.0 if (i < 100 or i >= 200) else 1.0) for i in range(300)]
-        events = detect_collapse_revival(env, 0.5, 0.5)
+        env = [0.0 if (i < 100 or i >= 200) else 1.0 for i in range(300)]
+        events = detect_collapse_revival(0.01 * np.arange(300), env, 0.5, 0.5)
         kinds = [e.kind for e in events]
         assert kinds == [EventKind.COLLAPSE, EventKind.REVIVAL, EventKind.COLLAPSE]
         assert events[1].gt_start == pytest.approx(1.0)
@@ -220,8 +216,7 @@ class TestDetect:
             vals[i] = 0.0  # 0.1 wide dip
         for i in range(0, 60):
             vals[i] = 0.0  # 0.6 wide initial collapse
-        env = list(zip((0.01 * i for i in range(300)), vals))
-        events = detect_collapse_revival(env, 0.5, 0.5)
+        events = detect_collapse_revival(0.01 * np.arange(300), vals, 0.5, 0.5)
         kinds = [e.kind for e in events]
         assert kinds == [EventKind.COLLAPSE, EventKind.REVIVAL]
         assert events[1].gt_end == pytest.approx(2.99)
@@ -231,7 +226,7 @@ class TestDetect:
         # of 2*pi; only those nulls are wide enough to count
         gts = np.linspace(0.0, 4 * math.pi, 4001)
         vals = np.abs(np.sin(25 * gts) * np.sin(0.5 * gts))
-        events = detect_collapse_revival(list(zip(gts, vals)), 0.1, 0.3)
+        events = detect_collapse_revival(gts, vals, 0.1, 0.3)
         collapses = [e for e in events if e.kind is EventKind.COLLAPSE]
         revivals = [e for e in events if e.kind is EventKind.REVIVAL]
         assert any(e.gt_start <= 2 * math.pi <= e.gt_end for e in collapses)
@@ -242,21 +237,20 @@ class TestDetect:
         assert starts == sorted(starts)
 
     def test_rejects_bad_thresholds(self):
-        env = [(0.0, 1.0), (1.0, 1.0)]
         with pytest.raises(ValueError):
-            detect_collapse_revival(env, 0.0, 1.0)
+            detect_collapse_revival([0.0, 1.0], [1.0, 1.0], 0.0, 1.0)
         with pytest.raises(ValueError):
-            detect_collapse_revival(env, 0.1, -1.0)
+            detect_collapse_revival([0.0, 1.0], [1.0, 1.0], 0.1, -1.0)
 
     def test_rejects_bad_gt(self):
-        env = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (2.0, 0.0)]
+        env = [0.0, 0.0, 1.0, 0.0]
         with pytest.raises(ValueError, match="at index 2"):
-            detect_collapse_revival(env, 0.1, 0.5)
+            detect_collapse_revival([0.0, 1.0, 0.5, 2.0], env, 0.1, 0.5)
         with pytest.raises(ValueError, match="got inf at index 3"):
-            detect_collapse_revival(env[:2] + [(1.5, 1.0), (math.inf, 0.0)], 0.1, 0.5)
+            detect_collapse_revival([0.0, 1.0, 1.5, math.inf], env, 0.1, 0.5)
 
     def test_empty(self):
-        assert detect_collapse_revival([], 0.1, 0.5) == []
+        assert detect_collapse_revival([], [], 0.1, 0.5) == []
 
     @pytest.mark.parametrize("vals", [
         [0, 0, 0, 1, 1, 1, 1, 1],  # collapse at the start
@@ -268,66 +262,66 @@ class TestDetect:
         [1] * 8,
     ])
     def test_matches_naive_events_on_cases(self, vals):
-        env = [(0.25 * i, 0.1 + 0.8 * v + 0.01 * i) for i, v in enumerate(vals)]
+        gts = 0.25 * np.arange(len(vals))
+        env = 0.1 + 0.8 * np.array(vals) + 0.01 * np.arange(len(vals))
         for min_duration in (0.125, 0.25, 0.5, 0.75, 5.0):
-            events = detect_collapse_revival(env, 0.5, min_duration)
-            assert events == naive_events(env, 0.5, min_duration)
+            events = detect_collapse_revival(gts, env, 0.5, min_duration)
+            assert events == naive_events(gts, env, 0.5, min_duration)
 
     def test_matches_naive_events_on_random_steps(self):
         rng = seeded_rng(7)
         compared = 0
         for _ in range(300):
-            env = step_signal(rng, int(rng.integers(1, 60)))
+            gts, env = step_signal(rng, int(rng.integers(1, 60)))
             for min_duration in (0.25, 0.5, 1.0):
-                expected = naive_events(env, 0.5, min_duration)
-                assert detect_collapse_revival(env, 0.5, min_duration) == expected
+                expected = naive_events(gts, env, 0.5, min_duration)
+                assert detect_collapse_revival(gts, env, 0.5, min_duration) == expected
                 compared += len(expected)
         assert compared > 1000
 
 
 class TestFirstOnset:
     def test_absent(self):
-        assert first_onset([(0.0, 0.0), (1.0, 0.05)], 0.1) is None
+        assert first_onset([0.0, 1.0], [0.0, 0.05], 0.1) is None
 
     def test_step(self):
-        series = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.5), (3.0, 0.6)]
-        assert first_onset(series, 0.1) == 2.0
+        assert first_onset([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.5, 0.6], 0.1) == 2.0
 
     def test_strict_inequality(self):
-        assert first_onset([(0.0, 0.1)], 0.1) is None
+        assert first_onset([0.0], [0.1], 0.1) is None
 
     def test_empty(self):
-        assert first_onset([]) is None
+        assert first_onset([], []) is None
 
     def test_rejects_bad_eps_and_gt(self):
         with pytest.raises(ValueError, match="eps must be positive"):
-            first_onset([(0.0, 1.0)], math.nan)
+            first_onset([0.0], [1.0], math.nan)
         with pytest.raises(ValueError, match="non-decreasing, got 0.5 at index 2"):
-            first_onset([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)], 0.1)
+            first_onset([0.0, 1.0, 0.5], [0.0, 0.0, 1.0], 0.1)
         with pytest.raises(ValueError, match="got nan at index 0"):
-            first_onset([(math.nan, 1.0), (1.0, 0.0)], 0.1)
+            first_onset([math.nan, 1.0], [1.0, 0.0], 0.1)
 
     def test_discord_precedes_concurrence(self):
         batch = time_series(SweepConfig(n=0, r=0.0, gt_max=10.0, steps=2000))
-        d_on = first_onset(np.column_stack([batch.gt, batch.discord]), 1e-3)
-        c_on = first_onset(np.column_stack([batch.gt, batch.concurrence]), 1e-3)
+        d_on = first_onset(batch.gt, batch.discord, 1e-3)
+        c_on = first_onset(batch.gt, batch.concurrence, 1e-3)
         assert d_on is not None and c_on is not None
         assert d_on < c_on
 
 
-_SERIES = [(0.0, 0.1), (1.0, 0.9), (2.0, 0.1), (3.0, 0.9)]
+_GT, _VALUES = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.9, 0.1, 0.9])
 # (call with the float parameter v, the message that rejects v), per parameter
 _FLOAT_PARAMETERS = [
     (lambda v: time_series(SweepConfig(n=1, r=v, gt_max=1.0, steps=2)).discord,
      "r must lie in [0, 1], got "),
     (lambda v: time_series(SweepConfig(n=1, r=0.5, gt_max=v, steps=2)).discord,
      "gt_max must be finite and positive, got "),
-    (lambda v: envelope(_SERIES, v), "window must be positive, got "),
-    (lambda v: detect_collapse_revival(_SERIES, v, 0.5),
+    (lambda v: envelope(_GT, _VALUES, v), "window must be positive, got "),
+    (lambda v: detect_collapse_revival(_GT, _VALUES, v, 0.5),
      "collapse_threshold and min_duration must be positive and finite, got "),
-    (lambda v: detect_collapse_revival(_SERIES, 0.5, v),
+    (lambda v: detect_collapse_revival(_GT, _VALUES, 0.5, v),
      "collapse_threshold and min_duration must be positive and finite, got "),
-    (lambda v: first_onset(_SERIES, v), "eps must be positive, got "),
+    (lambda v: first_onset(_GT, _VALUES, v), "eps must be positive, got "),
 ]
 _PARAMETER_IDS = ["r", "gt_max", "window", "collapse_threshold", "min_duration", "eps"]
 
@@ -366,6 +360,26 @@ def test_float_parameters_take_ints_beyond_the_float_range(call, message):
         return
     with pytest.raises(ValueError, match=re.escape(message)):
         call(10**400)
+
+
+# (gt, values) of the wrong shapes: unequal lengths, 2-d values, and
+# (gt, value) rows passed as gt
+_BAD_SHAPES = [(_GT, _VALUES[:3]), (_GT, _VALUES[:, None]),
+               (np.column_stack([_GT, _VALUES]), _VALUES)]
+
+
+@pytest.mark.parametrize("gt, values", _BAD_SHAPES, ids=["unequal", "2d-values", "2d-gt"])
+@pytest.mark.parametrize("call", [
+    lambda gt, values: envelope(gt, values, 1.0),
+    lambda gt, values: detect_collapse_revival(gt, values, 0.5, 0.5),
+    lambda gt, values: first_onset(gt, values, 0.5),
+], ids=["envelope", "detect_collapse_revival", "first_onset"])
+def test_series_shapes_rejected(call, gt, values):
+    # the plain message, not a numpy error text or a result
+    with pytest.raises(ValueError) as err:
+        call(gt, values)
+    assert str(err.value) == ("series gt and values must be 1-d arrays of equal length, "
+                              f"got shapes {gt.shape} and {values.shape}")
 
 
 class TestSweepBatch:
