@@ -91,6 +91,14 @@ CATALOGUE = (
            "if gts.ndim != 1 or gts.shape != vals.shape:",
            "if gts.ndim != 1 or len(gts) != len(vals):",
            ("tests/test_sweep.py::test_series_shapes_rejected",)),
+    Mutant("discord-method-check", "src/cavitycorr/sweep.py",
+           "if not isinstance(method, str) or method not in DISCORD_METHODS:",
+           "if False:",
+           ("tests/test_sweep.py::TestTimeSeries::test_unknown_method_rejected",)),
+    Mutant("real-array-dtype-gate", "src/cavitycorr/elementwise.py",
+           'if x.dtype.kind not in "iuf":',
+           "if False:",
+           ("tests/test_sweep.py::test_series_dtypes_rejected",)),
 )
 
 

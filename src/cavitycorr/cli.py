@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .sweep import (
-    DiscordMethod,
+    DISCORD_METHODS,
     SweepBatch,
     SweepConfig,
     detect_collapse_revival,
@@ -25,8 +25,6 @@ from .verify import run_verification
 CSV_HEADER = ("gt,n,r,p11,p22,p33,p44,re_c23,im_c23,"
               "concurrence,discord,classical_corr,mutual_info")
 EVENT_HEADER = "kind,gt_start,gt_end,peak_value"
-
-_METHODS = {"closed": DiscordMethod.CLOSED_FORM, "brute": DiscordMethod.BRUTE_FORCE}
 
 
 def _fmt(v: float) -> str:
@@ -72,7 +70,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--r", type=float, required=True, help="Werner mixing parameter")
     ev.add_argument("--gt-max", type=float, required=True, help="largest Rabi angle")
     ev.add_argument("--steps", type=int, required=True, help="number of grid steps")
-    ev.add_argument("--discord", choices=sorted(_METHODS), default="closed",
+    ev.add_argument("--discord", choices=DISCORD_METHODS, default="closed",
                     help="discord evaluation route (default: closed)")
     ev.add_argument("--out", help="output path (default: stdout)")
 
@@ -115,7 +113,7 @@ def _write(texts, out_path) -> int:
 
 def cmd_evolve(args) -> int:
     cfg = SweepConfig(n=args.n, r=args.r, gt_max=args.gt_max, steps=args.steps,
-                      discord_method=_METHODS[args.discord])
+                      discord_method=args.discord)
     chunks = (format_record(batch, cfg.n, cfg.r) for batch in sweep_batches(cfg))
     # the first chunk is made before anything is written, so a bad input
     # leaves no partial output
@@ -150,8 +148,8 @@ def cmd_envelope(args) -> int:
               f"than half the carrier period pi/sqrt(n + 2) = {_fmt(period)}, so the grid "
               "samples an alias of the carrier and the events may be spurious",
               file=sys.stderr)
-    lines = [EVENT_HEADER] + [",".join([e.kind.value, _fmt(e.gt_start), _fmt(e.gt_end),
-                                        _fmt(e.peak_value)]) for e in events]
+    lines = [EVENT_HEADER] + [",".join([kind, _fmt(start), _fmt(end), _fmt(peak)])
+                              for kind, start, end, peak in zip(*(a.tolist() for a in events))]
     return _write(["\n".join(lines) + "\n"], args.out)
 
 

@@ -50,6 +50,24 @@ def is_finite_real(x) -> bool:
     return is_real(x) and abs(x) <= sys.float_info.max
 
 
+def real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array, if it holds integers or floats.
+
+    Bools are rejected, not read as 0 and 1, and so are complex, string and
+    object values and ragged sequences: each raises a plain ``ValueError``
+    naming ``name``.
+    """
+    try:
+        x = np.asarray(x)
+    except ValueError:   # numpy's own text for a ragged sequence
+        raise ValueError(f"{name} must be a real number, got a ragged sequence") from None
+    if x.dtype == bool:
+        raise ValueError(f"{name} must be a number, not a bool")
+    if x.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
 def raise_first(checks) -> None:
     """Raise ``ValueError`` for the first failing element, naming its first failing check.
 

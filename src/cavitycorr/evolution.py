@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import elementwise as ew
 from .xstate import XBatch, XState, make_xbatch
 
 # Drift beyond this marks the published coefficient set as inconsistent
@@ -49,15 +50,9 @@ def check_params(n, gt, size: int | None = None):
     int64), each in [0, 2**53].  sqrt(n + 2) * |gt|, the largest Rabi
     angle that the closed form or the oracle computes, must be finite:
     beyond that, cos and sin give NaN.  Angles must have an integer or
-    float dtype: bools are rejected, not read as 0 and 1, and so are
-    complex, string and object angles.
+    float dtype (:func:`~cavitycorr.elementwise.real_array`).
     """
-    dtype = np.asarray(gt).dtype
-    if dtype == bool:
-        raise ValueError("Rabi angle gt must be a number, not a bool")
-    if dtype.kind not in "iuf":
-        raise ValueError(f"Rabi angle gt must be a real number, got dtype {dtype}")
-    gt = np.asarray(gt, dtype=float)
+    gt = ew.real_array(gt, "Rabi angle gt")
     if gt.ndim != 1 or size not in (None, len(gt)):
         raise ValueError(f"Rabi angles gt must be a 1-d array"
                          f"{'' if size is None else f' of length {size}'}, got shape {gt.shape}")

@@ -16,8 +16,6 @@ result is bit-identical alone and inside any batch.
 """
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .evolution import EvolutionParams, check_params
@@ -31,11 +29,6 @@ _WINDOW = 5
 # Where an X state may be nonzero: the diagonal and the |10>,|01> coherences.
 _X_FORM = np.eye(4, dtype=bool)
 _X_FORM[1, 2] = _X_FORM[2, 1] = True
-
-
-class PassOrder(Enum):
-    A_FIRST = "A-first"
-    B_FIRST = "B-first"
 
 
 def _rotate(re, im, n, gt):
@@ -56,13 +49,14 @@ def _rotate(re, im, n, gt):
     return re, im
 
 
-def sequential_pass_batch(states: XBatch, n, gt,
-                          order: PassOrder = PassOrder.A_FIRST) -> XBatch:
+def sequential_pass_batch(states: XBatch, n, gt) -> XBatch:
     """Exact state ``i`` after both atoms have crossed the cavity at ``n[i]``, ``gt[i]``.
 
-    Atom A occupies the first tensor slot; ``order`` selects which atom
-    flies first.  Raises ``RuntimeError`` if a reduced matrix leaks out of
-    the X form, which would signal an implementation bug.
+    Atom A occupies the first tensor slot and flies first.  The other order
+    is the same physics with the atoms relabelled: swap p22 with p33 and
+    conjugate c23 on the way in and out.  Raises ``RuntimeError`` if a
+    reduced matrix leaks out of the X form, which would signal an
+    implementation bug.
     """
     n, gt = check_params(n, gt, len(states))
     # ket 2a + b starts as |ab> with n photons, at window index 2
@@ -70,7 +64,7 @@ def sequential_pass_batch(states: XBatch, n, gt,
     re[2, range(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1.0
     im = np.zeros_like(re)
     # the flying atom's axis is swapped into slot 2, where _rotate acts
-    for axis in ((2, 3) if order is PassOrder.A_FIRST else (3, 2)):
+    for axis in (2, 3):
         re, im = (x.swapaxes(2, axis) for x in
                   _rotate(re.swapaxes(2, axis), im.swapaxes(2, axis), n, gt))
     re, im = re.reshape(_WINDOW, 4, 4, -1), im.reshape(_WINDOW, 4, 4, -1)
@@ -101,10 +95,9 @@ def sequential_pass_batch(states: XBatch, n, gt,
     return make_xbatch(*(rho_re[range(4), range(4)]), rho_re[1, 2], rho_im[1, 2])
 
 
-def sequential_pass(state: XState, params: EvolutionParams,
-                    order: PassOrder = PassOrder.A_FIRST) -> XState:
+def sequential_pass(state: XState, params: EvolutionParams) -> XState:
     """Exact two-atom state after both atoms have crossed the cavity.
 
     The batch of one of :func:`sequential_pass_batch`.
     """
-    return sequential_pass_batch(XBatch.of(state), [params.n], [params.gt], order)[0]
+    return sequential_pass_batch(XBatch.of(state), [params.n], [params.gt])[0]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,11 +31,8 @@ from .xstate import XBatch, werner_state
 # is a few percent while a chunk's arrays and CSV text keep growing: that
 # evolve's own peak RSS is 31.0, 34.4 and 38.5 MB at 1024, 4096 and 8192.
 SWEEP_CHUNK = 4096
-
-
-class DiscordMethod(Enum):
-    CLOSED_FORM = "closed"
-    BRUTE_FORCE = "brute"
+# The discord routes (brute-force minimizer, closed form), as `--discord` lists them.
+DISCORD_METHODS = ("brute", "closed")
 
 
 def _check_correlations(concurrence, discord, classical_correlation,
@@ -93,7 +89,7 @@ class SweepConfig:
     r: float
     gt_max: float
     steps: int
-    discord_method: DiscordMethod = DiscordMethod.CLOSED_FORM
+    discord_method: str = "closed"   # checked by correlation_batch, on the first chunk
 
     def __post_init__(self):
         if (not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool)
@@ -112,35 +108,20 @@ class SweepConfig:
             raise ValueError(f"gt_max {self.gt_max!r} is too large: the Rabi angles overflow")
 
 
-class EventKind(Enum):
-    COLLAPSE = "collapse"
-    REVIVAL = "revival"
-
-
-@dataclass(frozen=True)
-class RevivalEvent:
-    kind: EventKind
-    gt_start: float
-    gt_end: float
-    peak_value: float
-
-    def __post_init__(self):
-        if self.gt_start > self.gt_end:
-            raise ValueError(f"event must have gt_start <= gt_end, got "
-                             f"[{self.gt_start!r}, {self.gt_end!r}]")
-
-
-def correlation_batch(gt, states: XBatch,
-                      method: DiscordMethod = DiscordMethod.CLOSED_FORM) -> SweepBatch:
+def correlation_batch(gt, states: XBatch, method: str = "closed") -> SweepBatch:
     """Evaluate every correlation measure of each state of a batch, once.
 
-    Both discord routes derive discord (by :func:`discord_from`) and
-    classical correlation from the same minimized conditional entropy m, so
-    their sum equals the mutual information identically.  The brute-force
-    route minimizes the whole batch in one lockstep search.
+    ``method`` is one of :data:`DISCORD_METHODS`, ``"closed"`` or
+    ``"brute"``; anything else raises ``ValueError``.  Both discord routes
+    derive discord (by :func:`discord_from`) and classical correlation from
+    the same minimized conditional entropy m, so their sum equals the
+    mutual information identically.  The brute-force route minimizes the
+    whole batch in one lockstep search.
     """
+    if not isinstance(method, str) or method not in DISCORD_METHODS:
+        raise ValueError(f"discord method must be 'closed' or 'brute', got {method!r}")
     s_a, s_b, s_ab = entropy_a(states), entropy_b(states), entropy_joint(states)
-    m = (_min_conditional_entropy(states)[0] if method is DiscordMethod.BRUTE_FORCE
+    m = (_min_conditional_entropy(states)[0] if method == "brute"
          else closed_min_conditional_entropy(states))
     return SweepBatch(gt=np.asarray(gt, dtype=float), states=states,
                       concurrence=concurrence(states),
@@ -171,10 +152,12 @@ def time_series(cfg: SweepConfig) -> SweepBatch:
 def _series(gt, values) -> tuple[np.ndarray, np.ndarray]:
     """``gt`` and ``values`` as float arrays, two 1-d arrays of equal length.
 
-    Raises ``ValueError`` naming both shapes otherwise, and at the first gt
-    that is not finite or is below its predecessor; values are not checked.
+    Raises ``ValueError`` for input that is not integers or floats
+    (:func:`~cavitycorr.elementwise.real_array`), naming both shapes when
+    the two are not 1-d arrays of equal length, and at the first gt that is
+    not finite or is below its predecessor; values are not checked further.
     """
-    gts, vals = np.asarray(gt, dtype=float), np.asarray(values, dtype=float)
+    gts, vals = ew.real_array(gt, "series gt"), ew.real_array(values, "series values")
     if gts.ndim != 1 or gts.shape != vals.shape:
         raise ValueError("series gt and values must be 1-d arrays of equal length, "
                          f"got shapes {gts.shape} and {vals.shape}")
@@ -208,9 +191,13 @@ def envelope(gt, values, window: float) -> np.ndarray:
     return np.maximum.reduceat(np.append(vals, -np.inf), bounds)[::2]
 
 
-def detect_collapse_revival(gt, env, collapse_threshold: float,
-                            min_duration: float) -> list[RevivalEvent]:
-    """Alternating collapse/revival events of an envelope series.
+def detect_collapse_revival(gt, env, collapse_threshold: float, min_duration: float):
+    """Alternating collapse/revival events of an envelope series, as four arrays.
+
+    Returns ``(kind, gt_start, gt_end, peak_value)``, 1-d arrays with one
+    element per event in gt order: ``kind`` holds the str "collapse" or
+    "revival", and each event spans the points from ``gt_start`` to
+    ``gt_end`` with largest envelope value ``peak_value``.
 
     ``gt`` and ``env`` are 1-d arrays of equal length, such as a series'
     gt and the :func:`envelope` of its values, with finite, non-decreasing gt.
@@ -218,8 +205,8 @@ def detect_collapse_revival(gt, env, collapse_threshold: float,
     span is at least ``min_duration``.  Shorter dips do not count and are
     absorbed into the surrounding activity.  Every maximal stretch between
     qualifying collapses (including one before the first and one after the
-    last) is a revival; a series with no qualifying collapse yields no
-    events at all.
+    last) is a revival; with no qualifying collapse, all four arrays are
+    empty.
     """
     if (not ew.is_finite_real(collapse_threshold) or not ew.is_finite_real(min_duration)
             or not (collapse_threshold > 0.0 and min_duration > 0.0)):
@@ -231,15 +218,17 @@ def detect_collapse_revival(gt, env, collapse_threshold: float,
     below = np.concatenate([[False], vals < collapse_threshold, [False]])
     starts, ends = np.flatnonzero(np.diff(below)).reshape(-1, 2).T
     kept = gts[ends - 1] - gts[starts] >= min_duration
-    if not kept.any():
-        return []
-    # Cut at both ends of each kept collapse: the pieces alternate revival,
-    # collapse, ..., revival, and only the first and last can be empty.
+    # Cut at both ends of each kept collapse: the pieces [lo, hi) alternate
+    # revival, collapse, ..., revival, and only the first and last can be
+    # empty (without a kept collapse, no piece is an event).  The nonempty
+    # pieces tile the series, so reduceat at their starts takes each one's
+    # maximum.
     cuts = np.column_stack([starts[kept], ends[kept]]).ravel()
-    pieces = zip(np.split(gts, cuts), np.split(vals, cuts))
-    return [RevivalEvent(EventKind.COLLAPSE if k % 2 else EventKind.REVIVAL,
-                         float(g[0]), float(g[-1]), float(v.max()))
-            for k, (g, v) in enumerate(pieces) if len(g)]
+    lo, hi = np.append(0, cuts), np.append(cuts, len(gts))
+    piece = np.flatnonzero((lo < hi) & kept.any())
+    lo, hi = lo[piece], hi[piece]
+    return (np.where(piece % 2, "collapse", "revival"), gts[lo], gts[hi - 1],
+            np.maximum.reduceat(vals, lo))
 
 
 def first_onset(gt, values, eps: float = 1e-3):

@@ -14,7 +14,7 @@ from . import elementwise as ew
 from .evolution import MAX_PHOTONS, evolve_batch
 from .fock import sequential_pass_batch
 from .measures import discord_closed
-from .sweep import DiscordMethod, correlation_batch
+from .sweep import correlation_batch
 from .xstate import XBatch, XState, make_xbatch
 
 # Samples drawn and checked together.  Smaller than the sweep's chunk: the
@@ -162,7 +162,7 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
                 f"{state.p44:.12g}, {state.c23.real:.12g}{state.c23.imag:+.12g}j)")
 
     for start, states, ns, gts in _seeded_chunks(rng, samples, n_max, gt_max):
-        brute = correlation_batch(gts, states, DiscordMethod.BRUTE_FORCE)
+        brute = correlation_batch(gts, states, "brute")
         discord = discord_closed(states)
         ew.raise_first([(~np.isfinite(discord), lambda i: (
             f"sample {start + i}: closed-form discord must be finite, got "

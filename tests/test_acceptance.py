@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from cavitycorr import (
-    DiscordMethod,
     EvolutionParams,
     SweepConfig,
     concurrence,
@@ -52,8 +51,8 @@ def fock_sweeps():
 
 def revival_starts(batch):
     env = envelope(batch.gt, batch.discord, 2.0)
-    events = detect_collapse_revival(batch.gt, env, 0.02, 1.0)
-    return [e.gt_start for e in events if e.kind.value == "revival"]
+    kind, gt_start, _, _ = detect_collapse_revival(batch.gt, env, 0.02, 1.0)
+    return gt_start[kind == "revival"].tolist()
 
 
 def test_criterion_1_oracle_equivalence(verification):

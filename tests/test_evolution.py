@@ -77,6 +77,8 @@ BOOL = "number, not a bool"
     (lambda: evolve_batch(werner_state(0.3), 3, np.array([True, False])), BOOL),
     (lambda: evolve_batch(werner_state(0.3), 3, [False]), BOOL),
     (lambda: evolve_batch(werner_state(0.3), 3, np.array([1.5 + 2j])), "real number"),
+    (lambda: evolve_batch(werner_state(0.3), 3, [[0.5, 1.0], [2.0]]), "real number"),
+    (lambda: evolve_batch(werner_state(0.3), 3, [0.5, None]), "real number"),
     (lambda: EvolutionParams(3, "1.5"), "real number"),
     (lambda: EvolutionParams(3, 1.5 + 2j), "real number"),
     (lambda: werner_state("0.5"), "real number"),
@@ -89,7 +91,8 @@ BOOL = "number, not a bool"
     (lambda: list(evolve_batch(werner_state(0.3), np.int64(3), np.array([0.5, 1.0], np.float32))),
      lambda: list(evolve_batch(werner_state(0.3), 3, [0.5, 1.0]))),
 ], ids=["werner-bool", "werner-numpy-bool", "params-bool", "params-numpy-bool",
-        "batch-bool-array", "batch-bool-list", "batch-complex-array", "params-string",
+        "batch-bool-array", "batch-bool-list", "batch-complex-array", "batch-ragged",
+        "batch-object", "params-string",
         "params-complex", "werner-string", "werner-complex", "werner-none",
         "werner-float64", "werner-float32", "evolve-float64", "batch-float32"])
 def test_bool_angles_and_mixing_rejected_numpy_floats_kept(call, same_as):

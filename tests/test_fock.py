@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from cavitycorr import (
     EvolutionParams,
-    PassOrder,
     XBatch,
     evolve,
     evolve_batch,
@@ -25,7 +24,10 @@ from conftest import as_matrix, seeded_rng, xstates
 
 # Small-n reference: the dense atoms (x) field model, conjugated by full
 # single-atom unitaries on the photon window 0 .. n + padding.  Its cost
-# and memory grow as n^2, so it only cross-checks the window oracle.
+# and memory grow as n^2, so it only cross-checks the window oracle.  It
+# flies the atoms in either order; the window oracle flies A first.
+A_FIRST, B_FIRST = "A-first", "B-first"
+
 
 @dataclass(frozen=True, eq=False)
 class JointFieldState:
@@ -116,11 +118,10 @@ def trace_out_field(state: JointFieldState) -> np.ndarray:
 
 
 def dense_sequential_pass(state: XState, params: EvolutionParams,
-                          order: PassOrder = PassOrder.A_FIRST,
-                          padding: int = 2) -> XState:
+                          order: str = A_FIRST, padding: int = 2) -> XState:
     """The reference model's two-atom state after both passages."""
     joint = embed(state, params.n, padding)
-    for atom in (("A", "B") if order is PassOrder.A_FIRST else ("B", "A")):
+    for atom in {A_FIRST: ("A", "B"), B_FIRST: ("B", "A")}[order]:
         joint = jc_unitary_apply(joint, atom, params.gt)
     rho = trace_out_field(joint)
     x_form = np.zeros((4, 4), dtype=bool)
@@ -128,6 +129,18 @@ def dense_sequential_pass(state: XState, params: EvolutionParams,
     assert np.abs(rho[~x_form]).max() < 1e-12
     return make_xstate(rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
                        rho[3, 3].real, rho[1, 2])
+
+
+def relabel(state: XState) -> XState:
+    """The state with the atoms' labels swapped: p22 <-> p33, c23 -> conj(c23)."""
+    return make_xstate(state.p11, state.p33, state.p22, state.p44, np.conj(state.c23))
+
+
+def window_pass(state: XState, params: EvolutionParams, order: str) -> XState:
+    """The window oracle in either order: B first is A first on the relabelled atoms."""
+    if order == A_FIRST:
+        return sequential_pass(state, params)
+    return relabel(sequential_pass(relabel(state), params))
 
 
 def max_deviation(a, b):
@@ -257,37 +270,37 @@ class TestSequentialPass:
     def test_order_matters_for_asymmetric_states(self):
         s = make_xstate(0.6, 0.3, 0.1, 0.0, 0.1j)
         params = EvolutionParams(2, 1.3)
-        for oracle in ORACLES:
-            a_first = oracle(s, params, PassOrder.A_FIRST)
-            b_first = oracle(s, params, PassOrder.B_FIRST)
+        for oracle in (window_pass, dense_sequential_pass):
+            a_first = oracle(s, params, A_FIRST)
+            b_first = oracle(s, params, B_FIRST)
             assert abs(a_first.p22 - b_first.p22) > 1e-3
 
     def test_orders_related_by_atom_swap(self):
         # swapping which atom flies first is the same as relabeling the
-        # atoms on the way in and out (p22 <-> p33, c23 <-> conj(c23))
+        # atoms on the way in and out (p22 <-> p33, c23 <-> conj(c23)); the
+        # dense reference flies both orders, and window_pass's B-first is
+        # this identity, checked against it in test_matches_dense_reference
         rng = seeded_rng(6)
         for _ in range(10):
             s = sample_xstate(rng)
-            swapped = make_xstate(s.p11, s.p33, s.p22, s.p44, np.conj(s.c23))
             params = EvolutionParams(int(rng.integers(0, 7)),
                                      float(rng.uniform(0, 10)))
-            for oracle in ORACLES:
-                b_first = oracle(s, params, PassOrder.B_FIRST)
-                relabeled = oracle(swapped, params, PassOrder.A_FIRST)
-                assert abs(b_first.p22 - relabeled.p33) < 1e-13
-                assert abs(b_first.p33 - relabeled.p22) < 1e-13
-                assert abs(b_first.c23 - np.conj(relabeled.c23)) < 1e-13
+            b_first = dense_sequential_pass(s, params, B_FIRST)
+            relabeled = dense_sequential_pass(relabel(s), params, A_FIRST)
+            assert abs(b_first.p22 - relabeled.p33) < 1e-13
+            assert abs(b_first.p33 - relabeled.p22) < 1e-13
+            assert abs(b_first.c23 - np.conj(relabeled.c23)) < 1e-13
 
 
 class TestWindowOracle:
-    @pytest.mark.parametrize("order", list(PassOrder))
+    @pytest.mark.parametrize("order", [A_FIRST, B_FIRST])
     def test_matches_dense_reference(self, order):
         rng = seeded_rng(7)
         worst = 0.0
         for n in list(range(13)) * 20:
             s = sample_xstate(rng)
             params = EvolutionParams(n, float(rng.uniform(0.0, 20.0)))
-            worst = max(worst, max_deviation(sequential_pass(s, params, order),
+            worst = max(worst, max_deviation(window_pass(s, params, order),
                                              dense_sequential_pass(s, params, order)))
         assert worst <= 1e-15
 
@@ -354,16 +367,16 @@ def as_batch(cases):
     return XBatch.stack(states), np.array(n), np.array(gt)
 
 
-@given(cases=_CASES, chunk=st.integers(1, 12), order=st.sampled_from(list(PassOrder)))
-def test_window_oracle_bit_identical_alone_and_in_any_batch(cases, chunk, order):
+@given(cases=_CASES, chunk=st.integers(1, 12))
+def test_window_oracle_bit_identical_alone_and_in_any_batch(cases, chunk):
     batch, n, gt = as_batch(cases)
-    whole = sequential_pass_batch(batch, n, gt, order)
+    whole = sequential_pass_batch(batch, n, gt)
     for i, (state, ni, gti) in enumerate(cases):
-        alone = sequential_pass(state, EvolutionParams(ni, gti), order)
+        alone = sequential_pass(state, EvolutionParams(ni, gti))
         assert bits([whole[i]]) == bits([alone])
     for lo in range(0, len(cases), chunk):
         part = sequential_pass_batch(batch[lo:lo + chunk], n[lo:lo + chunk],
-                                     gt[lo:lo + chunk], order)
+                                     gt[lo:lo + chunk])
         assert bits(part[i] for i in range(len(part))) == \
             bits(whole[i] for i in range(lo, min(lo + chunk, len(cases))))
 

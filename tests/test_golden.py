@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cavitycorr import (
-    DiscordMethod,
     EvolutionParams,
     SweepConfig,
     closed_min_conditional_entropy,
@@ -169,7 +168,7 @@ def test_values_independent_of_batching(n, r, gt_max, steps, chunk, data):
 
 def test_brute_force_batches_match_whole_grid():
     cfg = SweepConfig(n=2, r=0.4, gt_max=3.0, steps=6,
-                      discord_method=DiscordMethod.BRUTE_FORCE)
+                      discord_method="brute")
     whole = _columns(time_series(cfg))
     chunked = np.concatenate([_columns(b) for b in sweep_batches(cfg, 4)], axis=1)
     assert (_bits(whole) == _bits(chunked)).all()

@@ -5,9 +5,6 @@ import numpy as np
 import pytest
 
 from cavitycorr import (
-    DiscordMethod,
-    EventKind,
-    RevivalEvent,
     SweepBatch,
     SweepConfig,
     XBatch,
@@ -17,7 +14,10 @@ from cavitycorr import (
     first_onset,
     sweep_batches,
     time_series,
+    werner_state,
 )
+from cavitycorr.cli import _fmt, main
+from cavitycorr.sweep import DISCORD_METHODS
 
 from conftest import seeded_rng
 
@@ -35,7 +35,8 @@ def naive_envelope(gts, vals, window):
 
 
 def naive_events(gts, vals, threshold, min_duration):
-    # independent reference: walks each run below the threshold point by point
+    # independent reference: walks each run below the threshold point by
+    # point, and lists the events as (kind, gt_start, gt_end, peak_value)
     gts = [float(gt) for gt in gts]
     vals = [float(v) for v in vals]
     npts = len(vals)
@@ -58,13 +59,18 @@ def naive_events(gts, vals, threshold, min_duration):
     for i, j in collapses:
         if i > prev_end + 1:
             a, b = prev_end + 1, i - 1
-            events.append(RevivalEvent(EventKind.REVIVAL, gts[a], gts[b], max(vals[a:b + 1])))
-        events.append(RevivalEvent(EventKind.COLLAPSE, gts[i], gts[j], max(vals[i:j + 1])))
+            events.append(("revival", gts[a], gts[b], max(vals[a:b + 1])))
+        events.append(("collapse", gts[i], gts[j], max(vals[i:j + 1])))
         prev_end = j
     if prev_end + 1 < npts:
         a = prev_end + 1
-        events.append(RevivalEvent(EventKind.REVIVAL, gts[a], gts[-1], max(vals[a:])))
+        events.append(("revival", gts[a], gts[-1], max(vals[a:])))
     return events
+
+
+def rows(events):
+    """The four event arrays as a list of (kind, gt_start, gt_end, peak_value)."""
+    return list(zip(*(a.tolist() for a in events)))
 
 
 def step_signal(rng, npts):
@@ -129,12 +135,40 @@ class TestTimeSeries:
     def test_brute_force_method_agrees(self):
         closed = time_series(SweepConfig(n=1, r=0.3, gt_max=4.0, steps=8))
         brute = time_series(SweepConfig(n=1, r=0.3, gt_max=4.0, steps=8,
-                                        discord_method=DiscordMethod.BRUTE_FORCE))
+                                        discord_method="brute"))
         assert (abs(closed.discord - brute.discord) <= 0.0021 + 5e-4).all()
         # both decompositions split the same mutual information
         for b in (closed, brute):
             assert b.discord + b.classical_correlation == pytest.approx(
                 b.mutual_information, abs=1e-9)
+
+    def test_brute_method_gives_the_brute_force_cli_rows(self, capsys):
+        # the one grid of these small ones where the two routes differ in
+        # a printed digit
+        argv = ["evolve", "--n", "7", "--r", "0.65", "--gt-max", "33", "--steps", "40"]
+        columns = {}
+        for method in DISCORD_METHODS:
+            assert main(argv + ["--discord", method]) == 0
+            columns[method] = [row.split(",")[10]
+                               for row in capsys.readouterr().out.splitlines()[1:]]
+        assert columns["brute"] != columns["closed"]
+        batch = time_series(SweepConfig(n=7, r=0.65, gt_max=33, steps=40,
+                                        discord_method="brute"))
+        assert [_fmt(d) for d in batch.discord.tolist()] == columns["brute"]
+
+    @pytest.mark.parametrize("method", ["Brute", "closed-form", "", None, 1,
+                                        ("closed",), np.array(["brute", "closed"])],
+                             ids=["Brute", "closed-form", "empty", "None", "int",
+                                  "tuple", "array"])
+    def test_unknown_method_rejected(self, method):
+        # never the closed-form numbers under another name
+        message = f"discord method must be 'closed' or 'brute', got {method!r}"
+        cfg = SweepConfig(n=1, r=0.3, gt_max=4.0, steps=8, discord_method=method)
+        for call in (lambda: time_series(cfg), lambda: next(sweep_batches(cfg, 4)),
+                     lambda: correlation_batch([0.0], XBatch.of(werner_state(0.3)), method)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
 
 
 class TestEnvelope:
@@ -184,30 +218,29 @@ class TestEnvelope:
 
 class TestDetect:
     def test_all_zero_single_collapse(self):
-        events = detect_collapse_revival(0.01 * np.arange(500), np.zeros(500), 0.1, 0.5)
-        assert len(events) == 1
-        assert events[0].kind is EventKind.COLLAPSE
-        assert events[0].gt_start == 0.0
-        assert events[0].gt_end == pytest.approx(4.99)
+        kind, start, end, _ = detect_collapse_revival(0.01 * np.arange(500), np.zeros(500),
+                                                      0.1, 0.5)
+        assert kind.tolist() == ["collapse"]
+        assert start[0] == 0.0
+        assert end[0] == pytest.approx(4.99)
 
     def test_everywhere_above_threshold(self):
-        assert detect_collapse_revival(0.01 * np.arange(500), np.ones(500), 0.1, 0.5) == []
+        events = detect_collapse_revival(0.01 * np.arange(500), np.ones(500), 0.1, 0.5)
+        assert [a.shape for a in events] == [(0,)] * 4
 
     def test_threshold_above_range(self):
         gts = 0.01 * np.arange(500)
-        events = detect_collapse_revival(gts, np.abs(np.sin(gts)), 2.0, 0.5)
-        assert len(events) == 1
-        assert events[0].kind is EventKind.COLLAPSE
+        kind, _, _, _ = detect_collapse_revival(gts, np.abs(np.sin(gts)), 2.0, 0.5)
+        assert kind.tolist() == ["collapse"]
 
     def test_step_signal(self):
         # 0 on [0,1), 1 on [1,2), 0 on [2,3): collapse, revival, collapse
         env = [0.0 if (i < 100 or i >= 200) else 1.0 for i in range(300)]
-        events = detect_collapse_revival(0.01 * np.arange(300), env, 0.5, 0.5)
-        kinds = [e.kind for e in events]
-        assert kinds == [EventKind.COLLAPSE, EventKind.REVIVAL, EventKind.COLLAPSE]
-        assert events[1].gt_start == pytest.approx(1.0)
-        assert events[1].gt_end == pytest.approx(1.99)
-        assert events[1].peak_value == 1.0
+        kind, start, end, peak = detect_collapse_revival(0.01 * np.arange(300), env, 0.5, 0.5)
+        assert kind.tolist() == ["collapse", "revival", "collapse"]
+        assert start[1] == pytest.approx(1.0)
+        assert end[1] == pytest.approx(1.99)
+        assert peak[1] == 1.0
 
     def test_short_dips_are_absorbed(self):
         # a dip shorter than min_duration must not split the revival
@@ -216,25 +249,30 @@ class TestDetect:
             vals[i] = 0.0  # 0.1 wide dip
         for i in range(0, 60):
             vals[i] = 0.0  # 0.6 wide initial collapse
-        events = detect_collapse_revival(0.01 * np.arange(300), vals, 0.5, 0.5)
-        kinds = [e.kind for e in events]
-        assert kinds == [EventKind.COLLAPSE, EventKind.REVIVAL]
-        assert events[1].gt_end == pytest.approx(2.99)
+        kind, _, end, _ = detect_collapse_revival(0.01 * np.arange(300), vals, 0.5, 0.5)
+        assert kind.tolist() == ["collapse", "revival"]
+        assert end[1] == pytest.approx(2.99)
 
     def test_amplitude_modulated_signal(self):
         # fast oscillation under a slow envelope that dies at multiples
         # of 2*pi; only those nulls are wide enough to count
         gts = np.linspace(0.0, 4 * math.pi, 4001)
         vals = np.abs(np.sin(25 * gts) * np.sin(0.5 * gts))
-        events = detect_collapse_revival(gts, vals, 0.1, 0.3)
-        collapses = [e for e in events if e.kind is EventKind.COLLAPSE]
-        revivals = [e for e in events if e.kind is EventKind.REVIVAL]
-        assert any(e.gt_start <= 2 * math.pi <= e.gt_end for e in collapses)
-        assert revivals
-        kinds = [e.kind for e in events]
-        assert all(a != b for a, b in zip(kinds, kinds[1:]))  # alternation
-        starts = [e.gt_start for e in events]
-        assert starts == sorted(starts)
+        kind, start, end, _ = detect_collapse_revival(gts, vals, 0.1, 0.3)
+        collapse = kind == "collapse"
+        assert ((start <= 2 * math.pi) & (2 * math.pi <= end))[collapse].any()
+        assert (kind == "revival").any()
+        assert (collapse[1:] != collapse[:-1]).all()  # alternation
+        assert (np.diff(start) >= 0).all()
+
+    def test_returns_four_arrays_named_after_the_csv_columns(self):
+        gts = 0.25 * np.arange(8)
+        kind, start, end, peak = detect_collapse_revival(
+            gts, [1, 1, 0, 0, 0, 1, 0.5, 1], 0.4, 0.5)
+        assert kind.dtype.kind == "U" and start.dtype == end.dtype == peak.dtype == float
+        assert rows((kind, start, end, peak)) == [("revival", 0.0, 0.25, 1.0),
+                                                  ("collapse", 0.5, 1.0, 0.0),
+                                                  ("revival", 1.25, 1.75, 1.0)]
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
@@ -250,7 +288,7 @@ class TestDetect:
             detect_collapse_revival([0.0, 1.0, 1.5, math.inf], env, 0.1, 0.5)
 
     def test_empty(self):
-        assert detect_collapse_revival([], [], 0.1, 0.5) == []
+        assert rows(detect_collapse_revival([], [], 0.1, 0.5)) == []
 
     @pytest.mark.parametrize("vals", [
         [0, 0, 0, 1, 1, 1, 1, 1],  # collapse at the start
@@ -266,7 +304,7 @@ class TestDetect:
         env = 0.1 + 0.8 * np.array(vals) + 0.01 * np.arange(len(vals))
         for min_duration in (0.125, 0.25, 0.5, 0.75, 5.0):
             events = detect_collapse_revival(gts, env, 0.5, min_duration)
-            assert events == naive_events(gts, env, 0.5, min_duration)
+            assert rows(events) == naive_events(gts, env, 0.5, min_duration)
 
     def test_matches_naive_events_on_random_steps(self):
         rng = seeded_rng(7)
@@ -275,7 +313,7 @@ class TestDetect:
             gts, env = step_signal(rng, int(rng.integers(1, 60)))
             for min_duration in (0.25, 0.5, 1.0):
                 expected = naive_events(gts, env, 0.5, min_duration)
-                assert detect_collapse_revival(gts, env, 0.5, min_duration) == expected
+                assert rows(detect_collapse_revival(gts, env, 0.5, min_duration)) == expected
                 compared += len(expected)
         assert compared > 1000
 
@@ -380,6 +418,31 @@ def test_series_shapes_rejected(call, gt, values):
         call(gt, values)
     assert str(err.value) == ("series gt and values must be 1-d arrays of equal length, "
                               f"got shapes {gt.shape} and {values.shape}")
+
+
+# (gt, values) that are not integers or floats, and the plain message each gets
+_BAD_DTYPES = [
+    ([[0, 1], [2]], [1, 2], "series gt must be a real number, got a ragged sequence"),
+    (["a", "b"], [1, 2], "series gt must be a real number, got dtype <U1"),
+    ([0, 1], [1 + 2j, 2], "series values must be a real number, got dtype complex128"),
+    ([0, 1], [True, False], "series values must be a number, not a bool"),
+    ([0, None], [1, 2], "series gt must be a real number, got dtype object"),
+    ([0, 1], [1, [2]], "series values must be a real number, got a ragged sequence"),
+]
+
+
+@pytest.mark.parametrize("gt, values, message", _BAD_DTYPES,
+                         ids=["ragged", "str", "complex", "bool", "object", "ragged-values"])
+@pytest.mark.parametrize("call", [
+    lambda gt, values: envelope(gt, values, 0.5),
+    lambda gt, values: detect_collapse_revival(gt, values, 0.5, 0.5),
+    lambda gt, values: first_onset(gt, values, 0.5),
+], ids=["envelope", "detect_collapse_revival", "first_onset"])
+def test_series_dtypes_rejected(call, gt, values, message):
+    # not numpy's or Python's own error text, and bools not read as 0 and 1
+    with pytest.raises(ValueError) as err:
+        call(gt, values)
+    assert str(err.value) == message
 
 
 class TestSweepBatch:
