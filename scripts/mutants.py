@@ -8,17 +8,14 @@ copies ``src/``, ``tests/``, ``scripts/``, ``perfbench/`` and
 and runs only its tests, with ``pytest -x``.  It first runs the union of
 those tests on the unmutated copy, which must pass.
 
-An entry with an ``equivalent`` argument changes no output the package
-can produce; the argument is kept in the entry, and the mutant is not run.
-
 Run from the repository root:
 
     python scripts/mutants.py
 
-The exit status is 1 if the unmutated copy fails, or if any mutant not
-marked equivalent survives or breaks its run in another way (pytest's
-exit status other than 1).  ``tests/test_mutants.py`` checks in tier-1
-that each ``old`` text occurs exactly once in ``src/``.
+The exit status is 1 if the unmutated copy fails, or if any mutant
+survives or breaks its run in another way (pytest's exit status other
+than 1).  ``tests/test_mutants.py`` checks in tier-1 that each ``old``
+text occurs exactly once in ``src/``.
 """
 from __future__ import annotations
 
@@ -41,7 +38,6 @@ class Mutant(NamedTuple):
     old: str           # occurs exactly once in src/
     new: str
     tests: tuple[str, ...]   # pytest node ids expected to fail
-    equivalent: str = ""     # why the mutant changes no output, if it does not
 
 
 CATALOGUE = (
@@ -71,10 +67,11 @@ CATALOGUE = (
            "checks.append((abs2 - inner > ATOL, lambda i: (",
            "checks.append((abs2 - inner > 1e-6, lambda i: (",
            ("tests/test_xstate.py::TestMakeXstate::test_coherence_excess_beyond_atol_rejected",)),
-    Mutant("make-xstate-takes-bools", "src/cavitycorr/xstate.py",
-           'if not (ew.is_real(v) or name == "c23"',
-           'if not (isinstance(v, (int, float)) or name == "c23"',
-           ("tests/test_xstate.py::TestMakeXstate::test_strings_and_bools_rejected",)),
+    Mutant("xbatch-shape-check", "src/cavitycorr/xstate.py",
+           "if cols[0].ndim != 1 or any(x.shape != cols[0].shape for x in cols):",
+           "if cols[0].ndim != 1 or any(len(x) != len(cols[0]) for x in cols):",
+           ("tests/test_xstate.py::TestMakeXbatch::test_malformed_columns_rejected",
+            "tests/test_xstate.py::TestMakeXstate::test_sequence_rejected")),
     Mutant("states-ok-trace-drift", "src/cavitycorr/verify.py",
            "return (self.max_trace_drift <= 1e-12 and",
            "return (self.max_trace_drift <= 1e-6 and",
@@ -99,6 +96,10 @@ CATALOGUE = (
            'if x.dtype.kind not in "iuf":',
            "if False:",
            ("tests/test_sweep.py::test_series_dtypes_rejected",)),
+    Mutant("correlation-batch-gt-length", "src/cavitycorr/sweep.py",
+           "if gt.shape != (len(states),):",
+           "if gt.ndim != 1:",
+           ("tests/test_sweep.py::TestSweepBatch::test_correlation_batch_gt_rejected",)),
 )
 
 
@@ -122,20 +123,16 @@ def _pytest(tree: Path, tests) -> tuple[int, str]:
 
 def run(mutants) -> bool:
     """Run each mutant's tests on a mutated copy; True when every gate holds."""
-    live = [m for m in mutants if not m.equivalent]
     with tempfile.TemporaryDirectory(prefix="cavitycorr-mutants-") as tmp:
         pristine = Path(tmp) / "pristine"
         _copy(pristine)
-        subset = sorted({t for m in live for t in m.tests})
-        status, output = _pytest(pristine, subset) if subset else (0, "")
+        subset = sorted({t for m in mutants for t in m.tests})
+        status, output = _pytest(pristine, subset)
         print(f"unmutated copy: pytest exit {status} on {len(subset)} test ids")
         if status != 0:
             print(output)
         ok = status == 0
         for m in mutants:
-            if m.equivalent:
-                print(f"{m.name:30s} equivalent, not run")
-                continue
             tree = Path(tmp) / m.name
             shutil.copytree(pristine, tree)
             path = tree / m.file

@@ -112,7 +112,8 @@ def correlation_batch(gt, states: XBatch, method: str = "closed") -> SweepBatch:
     """Evaluate every correlation measure of each state of a batch, once.
 
     ``method`` is one of :data:`DISCORD_METHODS`, ``"closed"`` or
-    ``"brute"``; anything else raises ``ValueError``.  Both discord routes
+    ``"brute"``, and ``gt`` a 1-d array of integers or floats, one angle
+    per state; anything else raises ``ValueError``.  Both discord routes
     derive discord (by :func:`discord_from`) and classical correlation from
     the same minimized conditional entropy m, so their sum equals the
     mutual information identically.  The brute-force route minimizes the
@@ -120,10 +121,14 @@ def correlation_batch(gt, states: XBatch, method: str = "closed") -> SweepBatch:
     """
     if not isinstance(method, str) or method not in DISCORD_METHODS:
         raise ValueError(f"discord method must be 'closed' or 'brute', got {method!r}")
+    gt = ew.real_array(gt, "gt")
+    if gt.shape != (len(states),):
+        raise ValueError(f"gt must be a 1-d array of one angle per state, shape "
+                         f"({len(states)},), got shape {gt.shape}")
     s_a, s_b, s_ab = entropy_a(states), entropy_b(states), entropy_joint(states)
     m = (_min_conditional_entropy(states)[0] if method == "brute"
          else closed_min_conditional_entropy(states))
-    return SweepBatch(gt=np.asarray(gt, dtype=float), states=states,
+    return SweepBatch(gt=gt, states=states,
                       concurrence=concurrence(states),
                       discord=discord_from(s_b, s_ab, m),
                       classical_correlation=s_a - m,

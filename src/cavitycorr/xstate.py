@@ -56,7 +56,7 @@ class XBatch:
     closed forms accept an :class:`XBatch` wherever they accept an
     :class:`XState`, and then return arrays.  A batch is never written to
     after construction: its |c23| and |c23|^2 are computed once, on first
-    use (or by :func:`make_xbatch`), and kept as read-only arrays.
+    use (in :func:`make_xbatch`, by its check), and kept as read-only arrays.
     """
 
     p11: np.ndarray
@@ -91,7 +91,10 @@ class XBatch:
 
     @functools.cached_property
     def _moduli(self) -> tuple[np.ndarray, np.ndarray]:
-        return _c23_moduli(self.re_c23, self.im_c23)
+        abs_c23 = np.hypot(self.re_c23, self.im_c23)
+        abs2 = np.float_power(abs_c23, 2)
+        abs_c23.flags.writeable = abs2.flags.writeable = False
+        return abs_c23, abs2
 
     def abs_c23(self) -> np.ndarray:
         """|c23| of each state, read-only."""
@@ -100,14 +103,6 @@ class XBatch:
     def abs2_c23(self) -> np.ndarray:
         """|c23|^2 of each state, the libm square of :meth:`abs_c23`, read-only."""
         return self._moduli[1]
-
-
-def _c23_moduli(re_c23, im_c23) -> tuple[np.ndarray, np.ndarray]:
-    """|c23| and |c23|^2 from the coherence's parts, as read-only arrays."""
-    abs_c23 = np.hypot(re_c23, im_c23)
-    abs2 = np.float_power(abs_c23, 2)
-    abs_c23.flags.writeable = abs2.flags.writeable = False
-    return abs_c23, abs2
 
 
 def one_or_batch(closed_form):
@@ -127,38 +122,35 @@ def one_or_batch(closed_form):
 def make_xstate(p11: float, p22: float, p33: float, p44: float, c23: complex) -> XState:
     """Validate and build an :class:`XState`: the batch of one of :func:`make_xbatch`.
 
-    Each population must be a real number (:func:`elementwise.is_real`), and
-    ``c23`` a real or complex one: a bool or a string is rejected, not
-    converted.  Populations within ``-ATOL`` of zero are clamped to exactly
-    zero; the trace is never renormalized.  Raises ``ValueError`` naming the
-    violated constraint otherwise.
+    Each argument, ``c23`` split into its parts, becomes a one-element
+    column there, so a bool, a string or a sequence raises its ``ValueError``.
     """
-    for name, v in zip(("p11", "p22", "p33", "p44", "c23"), (p11, p22, p33, p44, c23)):
-        if not (ew.is_real(v) or name == "c23" and isinstance(v, (complex, np.complexfloating))):
-            kind = "real or complex" if name == "c23" else "real"
-            raise ValueError(f"{name} must be a {kind} number, got {v!r}")
-        if isinstance(v, int) and not ew.is_finite_real(v):   # float(v) would overflow
-            raise ValueError(f"{name} must be finite, got {v!r}")
-    c23 = complex(c23)
-    cols = (float(p11), float(p22), float(p33), float(p44), c23.real, c23.imag)
-    return make_xbatch(*(np.array([v]) for v in cols))[0]
+    c23 = np.asarray(c23)
+    return make_xbatch(*([v] for v in (p11, p22, p33, p44, np.real(c23), np.imag(c23))))[0]
 
 
 def make_xbatch(p11, p22, p33, p44, re_c23, im_c23) -> XBatch:
-    """Validate and build an :class:`XBatch` from equal-length 1-d float arrays.
+    """Validate and build an :class:`XBatch`: the one state gate.
 
-    Every state gets the checks and clamping of :func:`make_xstate`, as
-    whole-array tests.  If any state fails, the ``ValueError`` names the
-    first failing check of the first failing state.
+    The six columns must be 1-d arrays of equal length holding integers or
+    floats (:func:`elementwise.real_array`): bool, complex, string and
+    object columns, ragged sequences and scalars raise ``ValueError``.
+    Populations within ``-ATOL`` of zero are clamped to exactly zero; the
+    trace is never renormalized.  If any state fails a check, the
+    ``ValueError`` names the first failing check of the first failing state.
     """
-    names = ("p11", "p22", "p33", "p44")
-    pops = (p11, p22, p33, p44)
+    names = ("p11", "p22", "p33", "p44", "c23", "c23")
+    cols = [ew.real_array(x, name)
+            for x, name in zip((p11, p22, p33, p44, re_c23, im_c23), names)]
+    if cols[0].ndim != 1 or any(x.shape != cols[0].shape for x in cols):
+        raise ValueError("p11..p44, re_c23 and im_c23 must be 1-d arrays of equal length, "
+                         f"got shapes {', '.join(str(x.shape) for x in cols)}")
+    *pops, re_c23, im_c23 = cols
     with np.errstate(invalid="ignore", over="ignore"):
-        trace = ((p11 + p22) + p33) + p44
-        clamped = [np.where(p < 0.0, 0.0, p) for p in pops]
-        moduli = _c23_moduli(re_c23, im_c23)
-        abs2 = moduli[1]
-        inner = clamped[1] * clamped[2]
+        trace = ((pops[0] + pops[1]) + pops[2]) + pops[3]
+        batch = XBatch(*(np.where(p < 0.0, 0.0, p) for p in pops), re_c23, im_c23)
+        abs2 = batch.abs2_c23()   # fills the batch's cache
+        inner = batch.p22 * batch.p33
         checks = [(~np.isfinite(p), lambda i, name=name, p=p:
                    f"{name} must be finite, got {float(p[i])!r}")
                   for name, p in zip(names, pops)]
@@ -175,9 +167,6 @@ def make_xbatch(p11, p22, p33, p44, re_c23, im_c23) -> XBatch:
             f"|c23|^2 must not exceed p22*p33 within {ATOL:g}: "
             f"|c23|^2 = {float(abs2[i])!r}, p22*p33 = {float(inner[i])!r}")))
     ew.raise_first(checks)
-    batch = XBatch(*clamped, re_c23, im_c23)
-    # hand the moduli of the positivity check to the batch, as its first use would
-    batch.__dict__["_moduli"] = moduli
     return batch
 
 

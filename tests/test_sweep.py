@@ -469,6 +469,23 @@ class TestSweepBatch:
             assert one.states[0] == batch.states[i]
             assert [getattr(one, f)[0] for f in fields] == [getattr(batch, f)[i] for f in fields]
 
+    @pytest.mark.parametrize("gt, message", [
+        ([0.0, 1.0, 2.0], "gt must be a 1-d array of one angle per state, shape (1,), "
+                          "got shape (3,)"),
+        ([], "gt must be a 1-d array of one angle per state, shape (1,), got shape (0,)"),
+        ([[0.5]], "gt must be a 1-d array of one angle per state, shape (1,), "
+                  "got shape (1, 1)"),
+        (0.5, "gt must be a 1-d array of one angle per state, shape (1,), got shape ()"),
+        ([True], "gt must be a number, not a bool"),
+        (["a"], "gt must be a real number, got dtype <U1"),
+        ([0.5j], "gt must be a real number, got dtype complex128"),
+    ], ids=["long", "empty", "2-d", "scalar", "bool", "str", "complex"])
+    def test_correlation_batch_gt_rejected(self, gt, message):
+        # one angle per state, not a batch whose arrays disagree in length
+        with pytest.raises(ValueError) as err:
+            correlation_batch(gt, XBatch.of(werner_state(0.3)))
+        assert str(err.value) == message
+
     def test_chunks_tile_the_grid(self):
         cfg = SweepConfig(n=1, r=0.2, gt_max=2.0, steps=10)
         sizes = [len(b) for b in sweep_batches(cfg, 4)]
