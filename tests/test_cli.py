@@ -351,8 +351,11 @@ class TestGateHoles:
             with pytest.raises(ValueError,
                                match=re.escape(f"{name} must be an integer, got {value!r}")):
                 run_verification(**(args | {name: value}))
-        assert (run_verification(**(args | {name: np.int64(2)})).render()
-                == run_verification(**(args | {name: 2})).render())
+        # n_max from 2**32 on draws n from whole words, its rejection
+        # threshold 2**64 % (n_max + 1) beyond an np.int64
+        for count in (2, 2**32, 2**53) if name == "n_max" else (2,):
+            assert (run_verification(**(args | {name: np.int64(count)})).render()
+                    == run_verification(**(args | {name: count})).render())
 
     def test_nan_brute_force_discord_fails(self, capsys, monkeypatch):
         # a NaN from the minimizer must not be skipped by the report's maxima

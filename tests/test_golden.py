@@ -89,6 +89,10 @@ GOLDEN = {
     # 1100 samples: a full VERIFY_CHUNK chunk and a partial one
     "verify --samples 1100 --seed 7":
         "4c1c9f447ba1bbbed22413d4072a4f92cd92999673e2b3ca999f02e4c8b25be0",
+    # n_max = 2**31: about half of the 32-bit draws of n are rejected, so the
+    # samples after each rejection shift in the raw stream
+    "verify --samples 1100 --seed 7 --n-max 2147483648":
+        "39f997083a1dc09c06fa0b2e2de79c845ac4adae4b0cba3872f95cad961edd41",
 }
 
 
@@ -129,6 +133,7 @@ def test_chunk_straddling_sweep_spans_several_chunks():
         "evolve --n 3 --r 0.4 --gt-max 20 --steps 4196 --discord brute":
             (4197, SWEEP_CHUNK, 1),
         "verify --samples 1100 --seed 7": (1100, VERIFY_CHUNK, 1),
+        "verify --samples 1100 --seed 7 --n-max 2147483648": (1100, VERIFY_CHUNK, 1),
     }
     for command, (points, chunk, full) in straddling.items():
         assert command in GOLDEN

@@ -3,6 +3,8 @@
 The reference draws one sample at a time, exactly as the benchmark's
 replay (perfbench/checks.py, ``replay_verify``) spells it out: four
 exponential weights, the coherence's radius and phase, then n and gt.
+The batched draw reads the generator's raw stream, and must leave the
+generator in the reference's state, its 32-bit buffer included.
 The float parameters of ``run_verification`` reject bools and non-numbers.
 The state-invariant checks fail just above their 1e-12 bound, and each
 violation gets its failure line.
@@ -29,13 +31,14 @@ def _bits(values):
 
 
 def _reference(seed, n_max, samples):
-    """Bits of the state columns (p11..p44, re, im), n and the bits of gt, per sample.
+    """Bits of the state columns (p11..p44, re, im), n and the bits of gt, per sample,
+    and the generator's state after each sample.
 
     ``make_xstate``, which the replay also calls, keeps a valid state's
     values as they are, so it is left out here.
     """
     rng = np.random.default_rng(seed)
-    rows = []
+    rows, states = [], []
     for _ in range(samples):
         w = -np.log(rng.random(4))
         w /= w.sum()
@@ -43,8 +46,18 @@ def _reference(seed, n_max, samples):
         c23 = radius * np.exp(2j * math.pi * rng.random())
         rows.append((w[0], w[1], w[2], w[3], c23.real, c23.imag,
                      int(rng.integers(0, n_max + 1)), float(rng.uniform(0.0, GT_MAX))))
+        states.append(rng.bit_generator.state)
     cols = list(zip(*rows))
-    return _bits(cols[:6]), np.array(cols[6], dtype=np.int64), _bits(cols[7])
+    return _bits(cols[:6]), np.array(cols[6], dtype=np.int64), _bits(cols[7]), states
+
+
+def _rejected(seed, n_max, samples, state):
+    """Whether ``samples`` samples that end in ``state`` took more raw words than
+    one draw of n each would (a 64-bit draw takes a word, a 32-bit one half
+    a word, n_max = 0 none): some draw of n was rejected."""
+    n_words = 0 if n_max == 0 else samples if n_max >= 2**32 else (samples + 1) // 2
+    return (np.random.PCG64(seed).advance(7 * samples + n_words).state["state"]
+            != state["state"])
 
 
 def _columns(states):
@@ -52,19 +65,30 @@ def _columns(states):
                      states.re_c23, states.im_c23])
 
 
-# A chunk of 7 crosses every chunk bound with 50 seeds at little cost; the
-# real VERIFY_CHUNK runs one seed per n_max, under the n_max id alone.
+# A chunk of 7 crosses every chunk bound with 50 seeds at little cost, and
+# starts every other chunk with the 32-bit buffer full; the real VERIFY_CHUNK
+# runs two seeds per n_max, under the n_max id alone.  n_max = 2**31 rejects
+# about half of the 32-bit draws, 2**32 - 1 takes the raw half, 2**32 is the
+# smallest 64-bit bound, and 2**53 rejects a 64-bit draw with probability
+# about 4.9e-4: seed 47 at sample 30 and seed 1 at sample 587 (found by search).
+REJECTING = (2**31, 2**53)
+
+
 @pytest.mark.parametrize("chunk, seeds, n_max", [
     pytest.param(chunk, seeds, n_max,
                  id=str(n_max) if chunk == VERIFY_CHUNK else f"chunk{chunk}-{n_max}")
-    for chunk, seeds in ((7, 50), (VERIFY_CHUNK, 1)) for n_max in (0, 12, 2**53)])
+    for chunk, seeds in ((7, range(50)), (VERIFY_CHUNK, (0, 1)))
+    for n_max in (0, 12, 2**31, 2**32 - 1, 2**32, 2**53)])
 def test_seeded_chunks_reproduce_the_per_sample_formula(monkeypatch, chunk, seeds, n_max):
     monkeypatch.setattr(verify, "VERIFY_CHUNK", chunk)
     sizes = (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 52)
-    for seed in range(seeds):
-        want_states, want_n, want_gt = _reference(seed, n_max, max(sizes))
+    rejected = False
+    for seed in seeds:
+        want_states, want_n, want_gt, want_rng = _reference(seed, n_max, max(sizes))
+        rejected |= _rejected(seed, n_max, max(sizes), want_rng[-1])
         for samples in sizes:
-            chunks = list(_seeded_chunks(np.random.default_rng(seed), samples, n_max, GT_MAX))
+            rng = np.random.default_rng(seed)
+            chunks = list(_seeded_chunks(rng, samples, n_max, GT_MAX))
             assert [c[0] for c in chunks] == list(range(0, samples, chunk))
             assert all(len(states) == len(n) == len(gt) <= chunk
                        for _, states, n, gt in chunks)
@@ -74,6 +98,8 @@ def test_seeded_chunks_reproduce_the_per_sample_formula(monkeypatch, chunk, seed
             assert (np.concatenate([c[2] for c in chunks]) == want_n[:samples]).all()
             assert (_bits(np.concatenate([c[3] for c in chunks]))
                     == want_gt[:samples]).all()
+            # the raw stream's position and the 32-bit buffer, as the reference leaves them
+            assert rng.bit_generator.state == want_rng[samples - 1], (seed, samples)
 
         rng = np.random.default_rng(seed)
         for k in range(ONE_AT_A_TIME):
@@ -84,6 +110,7 @@ def test_seeded_chunks_reproduce_the_per_sample_formula(monkeypatch, chunk, seed
             assert (got == want_states[:, k]).all(), (seed, k)
             assert int(rng.integers(0, n_max + 1)) == want_n[k]
             assert _bits(float(rng.uniform(0.0, GT_MAX))) == want_gt[k]
+    assert rejected == (n_max in REJECTING)
 
 
 # each float parameter, and the message that rejects a bad value
