@@ -49,7 +49,13 @@ CATALOGUE = (
     Mutant("fock-off-x-gate", "src/cavitycorr/fock.py",
            "leaking = off_x >= OFF_X_TOL",
            "leaking = off_x >= np.inf",
-           ("tests/test_fock.py::TestWindowOracle::test_off_x_leakage_is_caught_per_state",)),
+           ("tests/test_fock.py::TestWindowOracle::test_off_x_leakage_is_caught_per_state",
+            "tests/test_fock.py::TestWindowOracle"
+            "::test_in_window_leakage_is_caught_by_the_off_x_check")),
+    Mutant("fock-occupied-window-gate", "src/cavitycorr/fock.py",
+           "if re[_OUTSIDE].any() or im[_OUTSIDE].any():",
+           "if False:",
+           ("tests/test_fock.py::TestWindowOracle::test_photon_window_leakage_is_caught_per_state",)),
     Mutant("envelope-right-edge", "src/cavitycorr/sweep.py",
            'hi = np.searchsorted(gts, gts + half, side="right")',
            'hi = np.searchsorted(gts, gts + half, side="left")',

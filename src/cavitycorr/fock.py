@@ -10,6 +10,19 @@ as five amplitudes per atom configuration, and the two-atom state is
 rho = sum_ij rho_ij tr_field(U|i><j|U^dagger).  Nothing here grows with n
 or uses the closed-form coefficient table.
 
+The interaction conserves excitations (excited atoms plus photons), so a
+ket with e excited atoms only ever holds the photon numbers n+e-2 .. n+e,
+window indices e .. e+2: its occupied window.  Each trace runs over those
+three photon numbers only, which the two kets of every traced pair share.
+Only the pairs (i, i) and (1, 2) are traced: tr_field(U|2><1|U^dagger) is
+the adjoint of tr_field(U|1><2|U^dagger), its atom axes swapped and its
+imaginary part negated.  The populations weight their kets as reals.  Both
+shortcuts give the bits of the full five-photon, six-pair trace with
+complex weights: the terms they drop are exact zeros, and every sum starts
+from +0.0, so a dropped zero cannot change even a zero's sign.  A gate
+keeps the window exact: any amplitude outside its ket's occupied window
+must be exactly 0, else ``RuntimeError``, as for a leak out of the X form.
+
 Complex amplitudes are kept as real and imaginary float arrays with one
 element per state, and every sum has a fixed operand order, so a state's
 result is bit-identical alone and inside any batch.
@@ -29,6 +42,11 @@ _WINDOW = 5
 # Where an X state may be nonzero: the diagonal and the |10>,|01> coherences.
 _X_FORM = np.eye(4, dtype=bool)
 _X_FORM[1, 2] = _X_FORM[2, 1] = True
+# Excited atoms in ket 2a + b (level 0 is excited): |ee>, |eg>, |ge>, |gg>.
+# _OUTSIDE[j, ket] marks the window indices outside the ket's occupied
+# window e .. e + 2 (see the module docstring).
+_EXCITED = (2, 1, 1, 0)
+_OUTSIDE = np.array([[not e <= j <= e + 2 for e in _EXCITED] for j in range(_WINDOW)])
 
 
 def _rotate(re, im, n, gt):
@@ -55,7 +73,8 @@ def sequential_pass_batch(states: XBatch, n, gt) -> XBatch:
     Atom A occupies the first tensor slot and flies first.  The other order
     is the same physics with the atoms relabelled: swap p22 with p33 and
     conjugate c23 on the way in and out.  Raises ``RuntimeError`` if a
-    reduced matrix leaks out of the X form, which would signal an
+    reduced matrix leaks out of the X form, or an amplitude out of its
+    ket's occupied photon window, either of which would signal an
     implementation bug.
     """
     n, gt = check_params(n, gt, len(states))
@@ -68,20 +87,32 @@ def sequential_pass_batch(states: XBatch, n, gt) -> XBatch:
         re, im = (x.swapaxes(2, axis) for x in
                   _rotate(re.swapaxes(2, axis), im.swapaxes(2, axis), n, gt))
     re, im = re.reshape(_WINDOW, 4, 4, -1), im.reshape(_WINDOW, 4, 4, -1)
+    if re[_OUTSIDE].any() or im[_OUTSIDE].any():
+        raise RuntimeError(
+            "amplitude outside its ket's occupied photon window; "
+            "the dynamics conserve excitations, so this is a bug"
+        )
 
     def traced(i, j):
-        """tr_field(U|i><j|U^dagger) as (re, im), each shaped (4, 4, state)."""
-        a_re, a_im, b_re, b_im = re[:, i, :, None], im[:, i, :, None], re[:, j, None], im[:, j, None]
+        """tr_field(U|i><j|U^dagger) as (re, im), each shaped (4, 4, state).
+
+        Summed over the occupied window of ket i, which ket j shares.
+        """
+        w = slice(_EXCITED[i], _EXCITED[i] + 3)
+        a_re, a_im, b_re, b_im = re[w, i, :, None], im[w, i, :, None], re[w, j, None], im[w, j, None]
         return sum(a_re * b_re + a_im * b_im), sum(a_im * b_re - a_re * b_im)
 
     rho_re, rho_im = 0.0, 0.0
-    for i, j, w_re, w_im in ((0, 0, states.p11, 0.0), (1, 1, states.p22, 0.0),
-                             (2, 2, states.p33, 0.0), (3, 3, states.p44, 0.0),
-                             (1, 2, states.re_c23, states.im_c23),
-                             (2, 1, states.re_c23, -states.im_c23)):
-        o_re, o_im = traced(i, j)
-        rho_re = rho_re + (w_re * o_re - w_im * o_im)
-        rho_im = rho_im + (w_re * o_im + w_im * o_re)
+    for i, p in enumerate((states.p11, states.p22, states.p33, states.p44)):
+        o_re, o_im = traced(i, i)
+        rho_re = rho_re + p * o_re
+        rho_im = rho_im + p * o_im
+    # tr(U|2><1|U^dagger) is the adjoint of tr(U|1><2|U^dagger)
+    c_re, c_im = traced(1, 2)
+    for o_re, o_im, w_im in ((c_re, c_im, states.im_c23),
+                             (c_re.swapaxes(0, 1), -c_im.swapaxes(0, 1), -states.im_c23)):
+        rho_re = rho_re + (states.re_c23 * o_re - w_im * o_im)
+        rho_im = rho_im + (states.re_c23 * o_im + w_im * o_re)
 
     off_x = np.max([*np.hypot(rho_re, rho_im)[~_X_FORM],
                     np.hypot(rho_re[1, 2] - rho_re[2, 1], rho_im[1, 2] + rho_im[2, 1]),

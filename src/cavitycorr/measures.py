@@ -60,7 +60,8 @@ THETA_MAX = math.pi / 4
 # Points of the brute-force theta grid on [0, THETA_MAX].
 GRID_POINTS = 64
 # Grid values evaluated per call in the brute-force grid stage: 64 states of
-# a 64-point grid, so its temporaries stay near 128 KB whatever the batch.
+# a 64-point grid, so each of its (2, 64, 64) temporaries takes 64 KiB and a
+# block's working set stays under 0.5 MiB whatever the batch.
 _GRID_VALUES = 64 * 64
 
 
@@ -82,10 +83,22 @@ def _xlog2x(v, log2=ew.log2):
 
 
 def _h(x):
-    """Vectorized binary entropy, inputs assumed in [0, 1] up to round-off."""
-    x = x.clip(0.0, 1.0)
-    terms = _xlog2x(np.array([x, 1.0 - x]), np.log2)
-    return 0.0 - terms[0] - terms[1]
+    """Vectorized binary entropy, inputs assumed in [0, 1] up to round-off.
+
+    The operations of ``_xlog2x`` on ``[x, 1 - x]`` in their order, done in
+    place in two arrays of its own; ``x`` is not written.
+    """
+    t = np.empty((2,) + x.shape)
+    x.clip(0.0, 1.0, out=t[0])
+    np.subtract(1.0, t[0], out=t[1])
+    live = t > 0.0
+    terms = np.where(live, t, 1.0)
+    np.log2(terms, out=terms)
+    np.multiply(t, terms, out=terms)
+    np.copyto(terms, 0.0, where=np.logical_not(live, out=live))
+    out = np.subtract(0.0, terms[0], out=terms[0])
+    out -= terms[1]
+    return out
 
 
 # Every closed form below is written on an XBatch and returns an array with
@@ -193,16 +206,36 @@ def _entropy(pops, abs_c23, sin2_cos2, sin_cos) -> np.ndarray:
     drops out: the only coherence links |10> and |01>, so the measurement
     phase enters the conditional states of A only through the magnitude
     sin(theta)cos(theta)|c23|.
+
+    It works in place, in arrays of its own, with the operations and
+    operand order of the out-of-place formulas, and never writes its
+    inputs: every grid block shares one set of trig arrays.  A grid
+    block's temporaries then peak near 7 of its (2, states, angles) arrays
+    instead of 13, few enough that glibc keeps the memory between calls
+    rather than returning it and faulting it back in.
     """
     off = sin_cos * abs_c23
+    np.multiply(4.0, np.square(off, out=off), out=off)
     # diagonal of A's conditional state, for both outcomes along the first
     # axis: B found excited, then ground
-    s11, s00 = sin2_cos2 * pops[0] + sin2_cos2[::-1] * pops[1]
+    s = sin2_cos2 * pops[0]
+    s += sin2_cos2[::-1] * pops[1]
+    s11, s00 = s
     p_k = s11 + s00
-    gap = np.sqrt(np.square(s11 - s00) + 4.0 * np.square(off))
+    # gap = sqrt((s11 - s00)^2 + 4 off^2), then top, overwrite s11; s00
+    # takes the denominator
+    gap = np.subtract(s11, s00, out=s11)
+    np.square(gap, out=gap)
+    gap += off
+    del off
+    np.sqrt(gap, out=gap)
+    top = np.add(p_k, gap, out=gap)
+    top /= np.maximum(np.multiply(2.0, p_k, out=s00), PROB_FLOOR, out=s00)
     # outcomes below the floor contribute nothing, whatever ``top`` is there
-    top = (p_k + gap) / np.maximum(2.0 * p_k, PROB_FLOOR)
-    out = np.where(p_k > PROB_FLOOR, p_k * _h(top), 0.0)
+    out = _h(top)
+    np.multiply(p_k, out, out=out)
+    dead = p_k > PROB_FLOOR
+    np.copyto(out, 0.0, where=np.logical_not(dead, out=dead))
     return out[0] + out[1]
 
 

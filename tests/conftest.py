@@ -3,7 +3,10 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 
-from cavitycorr import make_xstate
+from cavitycorr import fock, make_xstate
+from cavitycorr.evolution import check_params
+from cavitycorr.measures import PROB_FLOOR
+from cavitycorr.xstate import make_xbatch
 
 settings.register_profile(
     "default", deadline=None,
@@ -30,6 +33,18 @@ def xstates(draw):
     radius = math.sqrt(pops[1] * pops[2] * frac)
     c23 = radius * complex(math.cos(phase), math.sin(phase))
     return make_xstate(*pops, c23)
+
+
+# States at the edges of the oracles' arithmetic: pure, rank-deficient,
+# zero coherence, and a measurement outcome rarer than PROB_FLOOR.
+DEGENERATE_STATES = {
+    "|gg>": make_xstate(0, 0, 0, 1, 0),
+    "|ee>": make_xstate(1, 0, 0, 0, 0),
+    "Bell psi+": make_xstate(0, 0.5, 0.5, 0, 0.5),
+    "maximally mixed": make_xstate(0.25, 0.25, 0.25, 0.25, 0),
+    "zero coherence": make_xstate(0.1, 0.2, 0.3, 0.4, 0),
+    "outcome below the floor": make_xstate(0.6, 0, 0.4 - 1e-15, 1e-15, 0),
+}
 
 
 def seeded_rng(seed: int = 20240817) -> np.random.Generator:
@@ -92,3 +107,60 @@ def conditional_entropy_measured(state, theta: float, phi: float) -> float:
         lams = lams[lams > 0.0]
         total += p_k * float(-(lams * np.log2(lams)).sum())
     return total
+
+
+# Out-of-place references of the in-place oracles: the brute-force kernel
+# and the Fock oracle's trace as they were before they computed in place.
+# Tests require the package to give the same bits, signed zeros included.
+
+def _xlog2x_reference(v):
+    live = v > 0.0
+    return np.where(live, v * np.log2(np.where(live, v, 1.0)), 0.0)
+
+
+def h_reference(x):
+    """Binary entropy of each element, one new array per operation."""
+    x = x.clip(0.0, 1.0)
+    terms = _xlog2x_reference(np.array([x, 1.0 - x]))
+    return 0.0 - terms[0] - terms[1]
+
+
+def entropy_reference(pops, abs_c23, sin2_cos2, sin_cos):
+    """``measures._entropy`` with one new array per operation."""
+    off = sin_cos * abs_c23
+    s11, s00 = sin2_cos2 * pops[0] + sin2_cos2[::-1] * pops[1]
+    p_k = s11 + s00
+    gap = np.sqrt(np.square(s11 - s00) + 4.0 * np.square(off))
+    top = (p_k + gap) / np.maximum(2.0 * p_k, PROB_FLOOR)
+    out = np.where(p_k > PROB_FLOOR, p_k * h_reference(top), 0.0)
+    return out[0] + out[1]
+
+
+def sequential_pass_reference(states, n, gt):
+    """``fock.sequential_pass_batch`` traced over all five photon numbers.
+
+    Each of the six ket pairs, (2, 1) included, is traced on its own and
+    weighted by its complex weight, the populations as p + 0i.
+    """
+    n, gt = check_params(n, gt, len(states))
+    re = np.zeros((fock._WINDOW, 4, 2, 2, len(states)))
+    re[2, range(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1.0
+    im = np.zeros_like(re)
+    for axis in (2, 3):
+        re, im = (x.swapaxes(2, axis) for x in
+                  fock._rotate(re.swapaxes(2, axis), im.swapaxes(2, axis), n, gt))
+    re, im = re.reshape(fock._WINDOW, 4, 4, -1), im.reshape(fock._WINDOW, 4, 4, -1)
+
+    def traced(i, j):
+        a_re, a_im, b_re, b_im = re[:, i, :, None], im[:, i, :, None], re[:, j, None], im[:, j, None]
+        return sum(a_re * b_re + a_im * b_im), sum(a_im * b_re - a_re * b_im)
+
+    rho_re, rho_im = 0.0, 0.0
+    for i, j, w_re, w_im in ((0, 0, states.p11, 0.0), (1, 1, states.p22, 0.0),
+                             (2, 2, states.p33, 0.0), (3, 3, states.p44, 0.0),
+                             (1, 2, states.re_c23, states.im_c23),
+                             (2, 1, states.re_c23, -states.im_c23)):
+        o_re, o_im = traced(i, j)
+        rho_re = rho_re + (w_re * o_re - w_im * o_im)
+        rho_im = rho_im + (w_re * o_im + w_im * o_re)
+    return make_xbatch(*(rho_re[range(4), range(4)]), rho_re[1, 2], rho_im[1, 2])

@@ -17,9 +17,15 @@ from cavitycorr import (
 )
 from cavitycorr import fock
 from cavitycorr.xstate import XState
-from cavitycorr.verify import run_verification, sample_xstate
+from cavitycorr.verify import _seeded_chunks, run_verification, sample_xstate
 
-from conftest import as_matrix, seeded_rng, xstates
+from conftest import (
+    DEGENERATE_STATES,
+    as_matrix,
+    seeded_rng,
+    sequential_pass_reference,
+    xstates,
+)
 
 
 # Small-n reference: the dense atoms (x) field model, conjugated by full
@@ -338,6 +344,60 @@ class TestWindowOracle:
         with pytest.raises(RuntimeError, match="off-X leakage"):
             sequential_pass_batch(batch, [3, 3], [0.7, 0.7])
 
+    def test_in_window_leakage_is_caught_by_the_off_x_check(self, monkeypatch):
+        # a broken propagation that, after the last pass, swaps the other
+        # atom's levels under the flying atom's excited level in state 1:
+        # every amplitude keeps its photon number, so it stays inside its
+        # ket's occupied window and only the off-X check sees the leak
+        rotate, passes = fock._rotate, []
+
+        def leaky(re, im, n, gt):
+            re, im = rotate(re, im, n, gt)
+            passes.append(gt)
+            if len(passes) == 2:
+                for part in (re, im):  # shaped (field, ket, atom, atom, state)
+                    part[:, :, 0, :, 1] = part[:, :, 0, ::-1, 1].copy()
+                    assert not part[fock._OUTSIDE].any()
+            return re, im
+
+        monkeypatch.setattr(fock, "_rotate", leaky)
+        batch = XBatch.stack([werner_state(0.5)] * 2)
+        with pytest.raises(RuntimeError, match="off-X leakage"):
+            sequential_pass_batch(batch, [3, 3], [0.7, 0.7])
+
+    def test_photon_window_leakage_is_caught_per_state(self, monkeypatch):
+        # a broken propagation that puts amplitude two photons above |gg, n>
+        # in state 1, where excitation conservation allows none: the trace
+        # reads only the occupied window, so it would miss the leak and
+        # return the right state; only the window check sees it
+        rotate = fock._rotate
+
+        def leaky(re, im, n, gt):
+            re, im = rotate(re, im, n, gt)
+            re[4, 3, :, :, 1] += 0.25   # ket 3 = |gg> occupies indices 0 .. 2
+            return re, im
+
+        monkeypatch.setattr(fock, "_rotate", leaky)
+        batch = XBatch.stack([werner_state(0.5)] * 2)
+        with pytest.raises(RuntimeError, match="occupied photon window"):
+            sequential_pass_batch(batch, [3, 3], [0.7, 0.7])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 2**53])
+    def test_window_trace_bits_match_five_window_reference(self, n):
+        # the trace over each ket's occupied window, the (2, 1) pair as the
+        # adjoint of (1, 2) and the real population weights give the bits
+        # of all five photon numbers and six complex-weighted pairs
+        states = XBatch.stack(list(DEGENERATE_STATES.values()) * 4)
+        gt = np.repeat([0.0, 0.7, math.pi / 2, 123.4], len(DEGENERATE_STATES))
+        ns = np.full(len(states), n)
+        _assert_same_bits(sequential_pass_batch(states, ns, gt),
+                          sequential_pass_reference(states, ns, gt))
+
+    def test_window_trace_bits_match_five_window_reference_on_a_seeded_chunk(self):
+        _, states, ns, gts = next(_seeded_chunks(seeded_rng(24), 1024, 12, 20.0))
+        _assert_same_bits(sequential_pass_batch(states, ns, gts),
+                          sequential_pass_reference(states, ns, gts))
+
     def test_rejects_bad_parameters(self):
         batch = XBatch.stack([werner_state(0.5)] * 2)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -350,6 +410,12 @@ class TestWindowOracle:
             sequential_pass_batch(batch, [1.0, 2.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="shape"):
             sequential_pass_batch(batch, [1, 2, 3], [0.5, 0.5, 0.5])
+
+
+def _assert_same_bits(got: XBatch, want: XBatch) -> None:
+    """Every column equal bit for bit, signed zeros included."""
+    for f in ("p11", "p22", "p33", "p44", "re_c23", "im_c23"):
+        assert (getattr(got, f).view(np.int64) == getattr(want, f).view(np.int64)).all(), f
 
 
 _PHOTONS = st.one_of(st.integers(0, 40), st.sampled_from([10**6, 2**40, 2**53]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,12 +19,20 @@ from cavitycorr import (
     mutual_information,
     werner_state,
 )
-from cavitycorr import measures
+from cavitycorr import measures, verify
 from cavitycorr.xstate import XBatch, XState, make_xbatch
 from cavitycorr.measures import _golden_min, _measured_entropy, _min_conditional_entropy
 from cavitycorr.verify import _sampled_states, sample_xstate
 
-from conftest import as_matrix, conditional_entropy_measured, seeded_rng, xstates
+from conftest import (
+    DEGENERATE_STATES,
+    as_matrix,
+    conditional_entropy_measured,
+    entropy_reference,
+    h_reference,
+    seeded_rng,
+    xstates,
+)
 
 MIXED = make_xstate(0.25, 0.25, 0.25, 0.25, 0)
 BELL = make_xstate(0, 0.5, 0.5, 0, 0.5)
@@ -355,6 +364,77 @@ def test_rare_outcome_counts():
     want = conditional_entropy_measured(s, 0.0, 0.0)
     assert abs(_measured_entropy(XBatch.of(s), [0.0])[0] - want) <= 1e-14
     assert abs(measures.closed_min_conditional_entropy(s) - want) <= 1e-14
+
+
+def _seeded_chunk() -> XBatch:
+    """The states of a seeded 1024-sample ``verify`` chunk."""
+    return next(verify._seeded_chunks(seeded_rng(24), 1024, 12, 20.0))[1]
+
+
+def _kernel_arguments(states: XBatch) -> dict[str, tuple]:
+    """``_entropy``'s arguments in the minimizer's two shapes: a grid block
+    (states x grid points) and one angle per state, as in the golden section."""
+    pops, abs_c23 = measures._constants(states, 1)
+    grid = np.linspace(0.0, measures.THETA_MAX, measures.GRID_POINTS)
+    angles = seeded_rng(25).uniform(0.0, measures.THETA_MAX, len(states))
+    return {"grid": (pops[..., None], abs_c23[:, None], *measures._trig(grid[None])),
+            "one angle per state": (pops, abs_c23, *measures._trig(angles))}
+
+
+class TestInPlaceKernel:
+    """``_entropy`` and ``_h`` compute in place and give the bits of the
+    out-of-place reference in ``tests/conftest.py``, signed zeros included."""
+
+    BATCHES = {"seeded chunk": _seeded_chunk,
+               "degenerate states": lambda: XBatch.stack(list(DEGENERATE_STATES.values()))}
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_kernel_bits_match_reference(self, batch):
+        for shape, args in _kernel_arguments(self.BATCHES[batch]()).items():
+            assert (_bits(measures._entropy(*args)) == _bits(entropy_reference(*args))).all(), shape
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_minimizer_bits_match_reference(self, batch):
+        states = self.BATCHES[batch]()
+        got = _min_conditional_entropy(states)
+        with mock.patch.object(measures, "_entropy", entropy_reference):
+            want = _min_conditional_entropy(states)
+        for g, w in zip(got, want):
+            assert (_bits(g) == _bits(w)).all()
+
+    def test_h_bits_match_reference_at_the_edges(self):
+        x = np.array([-1e-13, -0.0, 0.0, 5e-324, 1e-15, 0.25, 0.5, 1.0 - 1e-16, 1.0,
+                      1.0 + 1e-13, math.nan])
+        assert (_bits(measures._h(x)) == _bits(h_reference(x))).all()
+
+    def test_kernel_leaves_its_inputs_unchanged(self):
+        # every grid block shares one set of trig arrays, so writing into
+        # them would corrupt the blocks after it
+        for shape, args in _kernel_arguments(_seeded_chunk()).items():
+            before = [_bits(a).copy() for a in args]
+            measures._entropy(*args)
+            assert all((_bits(a) == b).all() for a, b in zip(args, before)), shape
+        x = np.array([-1e-13, 0.3, 1.0 + 1e-13])
+        measures._h(x)
+        assert (_bits(x) == _bits([-1e-13, 0.3, 1.0 + 1e-13])).all()
+
+    def test_grid_block_working_set(self):
+        # A block of r states on the g-point grid computes in (2, r, g)
+        # float64 arrays of B = 2*r*g*8 bytes.  In place, the kernel holds
+        # at most the stacked diagonals (2B), p_k (B), 4*off^2 (B/2, freed
+        # before _h), _h's [x, 1 - x] (2B) and its log2 operand (2B), and a
+        # boolean mask (B/4): 7.25B.  The bound allows 8B.  The out-of-place
+        # kernel held about 13B.
+        states = _sampled_states(seeded_rng(26).random((6, 60)))
+        block = 2 * len(states) * measures.GRID_POINTS * 8
+        _min_conditional_entropy(states)
+        tracemalloc.start()
+        try:
+            _min_conditional_entropy(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * block
 
 
 def test_discord_from_sets_only_roundoff_to_zero():
