@@ -106,9 +106,13 @@ CATALOGUE = (
            "if gt.shape != (len(states),):",
            "if gt.ndim != 1:",
            ("tests/test_sweep.py::TestSweepBatch::test_correlation_batch_gt_rejected",)),
-    Mutant("verify-draw-32-bit-rejection", "src/cavitycorr/verify.py",
-           "return m >> np.uint64(32), (m & _LOW) >= np.uint64(2**32 % bound)",
-           "return m >> np.uint64(32), (m & _LOW) >= 0",
+    Mutant("verify-draw-rejection", "src/cavitycorr/verify.py",
+           "if m & mask >= threshold:",
+           "if True:",
+           ("tests/test_verify.py::test_seeded_chunks_reproduce_the_per_sample_formula",)),
+    Mutant("verify-draw-read-ahead", "src/cavitycorr/verify.py",
+           "read(least - (len(words) - pos))",
+           "read(least - (len(words) - pos) + 1)",
            ("tests/test_verify.py::test_seeded_chunks_reproduce_the_per_sample_formula",)),
 )
 

@@ -43,63 +43,9 @@ def sample_xstate(rng: np.random.Generator) -> XState:
     return _sampled_states(rng.random((6, 1)))[0]
 
 
-_LOW = np.uint64(0xFFFFFFFF)
-
-
 def _doubles(words: np.ndarray) -> np.ndarray:
     """numpy's uniform double from each raw 64-bit word: its top 53 bits times 2**-53."""
     return (words >> np.uint64(11)).astype(float) * 2.0**-53
-
-
-def _lemire(x: np.ndarray, bound: int, wide: bool) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw on [0, bound) from each raw ``x``: (value, accepted).
-
-    Lemire's method: the value is the high half of ``x * bound`` and ``x``
-    is rejected when the low half falls below ``2**k % bound``, with k = 64
-    for the ``wide`` draw from whole words and k = 32 from 32-bit halves.
-    With ``bound == 2**32`` the value is the raw half and nothing is rejected.
-    """
-    if not wide:
-        m = x * np.uint64(bound)
-        return m >> np.uint64(32), (m & _LOW) >= np.uint64(2**32 % bound)
-    # the 128-bit product from 32-bit limbs
-    xh, xl = x >> np.uint64(32), x & _LOW
-    bh, bl = np.uint64(bound >> 32), np.uint64(bound & 0xFFFFFFFF)
-    ll, lh, hl = xl * bl, xl * bh, xh * bl
-    mid = (ll >> np.uint64(32)) + (lh & _LOW) + (hl & _LOW)
-    low = (mid << np.uint64(32)) | (ll & _LOW)
-    high = xh * bh + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
-    return high, low >= np.uint64(2**64 % bound)
-
-
-def _positions(ok: np.ndarray, per: int, held: bool, count: int):
-    """(first word, n's draw, gt word) of the leading samples, of ``count``, that the words hold.
-
-    Numbered as in :func:`_draw`; ``ok`` flags every draw of the words.  A
-    sample's n is the held half if it is accepted, and otherwise the first
-    accepted draw from the word after its uniforms on; taking a word's low
-    half holds its high half for the next sample.  gt is the word after n's.
-    """
-    ok = ok.tolist()
-    size = len(ok) // per
-    at, draw, gt_at = [], [], []
-    word, hold = 2, 1 if held else -1    # the sample's first word, the held draw or -1
-    for _ in range(count):
-        if hold >= 0 and ok[hold]:
-            d, g, hold = hold, word + 6, -1
-        else:
-            d = per * (word + 6)
-            while d < len(ok) and not ok[d]:
-                d += 1
-            g = d // per + 1
-            hold = d + 1 if d % per < per - 1 else -1
-        if g >= size:
-            break
-        at.append(word)
-        draw.append(d)
-        gt_at.append(g)
-        word = g + 1
-    return tuple(np.array(x, dtype=np.int64) for x in (at, draw, gt_at))
 
 
 def _draw(rng: np.random.Generator, count: int, n_max: int, gt_max):
@@ -109,49 +55,65 @@ def _draw(rng: np.random.Generator, count: int, n_max: int, gt_max):
     ``rng.uniform(0.0, gt_max)`` per sample would give, and ``rng`` is left
     in the same state, its 32-bit buffer included.  Each sample takes six
     words for its uniforms, then n's draws, then one word for gt (``0.0 +
-    gt_max * d`` is ``gt_max * d``).  numpy draws nothing for n_max = 0,
-    whole words for bounds above 2**32, and otherwise 32-bit halves through
-    PCG64's buffer: the low half of a new word, the high half kept for the
-    next draw.  A rejected draw takes the next half or word, and the
-    samples after it shift.
+    gt_max * d`` is ``gt_max * d``).  numpy draws nothing for n_max = 0.
+    Otherwise one loop over the words, as Python ints, draws n by Lemire's
+    method: ``x * bound`` is rejected while its low k bits fall below
+    ``2**k % bound``, and n is its high bits.  k = 64 for whole words when
+    the bound is above 2**32; otherwise k = 32 for the halves of PCG64's
+    buffer, the low half of a new word drawn and its high half held for
+    the next draw.  The loop records where each sample starts, and numpy
+    gathers the uniforms and gt there.  No word is read that the
+    per-sample calls would not read.
     """
     bitgen = rng.bit_generator
     if n_max == 0:
         words = bitgen.random_raw(7 * count).reshape(count, 7)
         return (_doubles(words[:, :6].T), np.zeros(count, dtype=np.int64),
                 gt_max * _doubles(words[:, 6]))
-    wide = n_max >= 2**32
-    per = 1 if wide else 2    # n's draws per word
+    # a Python int, so that no product or remainder overflows an np.int64 n_max
+    bound = int(n_max) + 1
+    k = 64 if bound > 2**32 else 32
+    mask, threshold = (1 << k) - 1, (1 << k) % bound
     state = bitgen.state
-    held, half = (0, 0) if wide else (state["has_uint32"], state["uinteger"])
-    # Words 0 and 1 stand in for the buffer, which holds the high half of
-    # word 0; the samples start at word 2.  Word q is draw q of a 64-bit n,
-    # or draws 2q (its low half) and 2q + 1 of a 32-bit one.  After each
-    # sample the buffer, held or used, holds the high half of n's word.
-    ext = np.array([half << 32, 0], dtype=np.uint64)
-    left, parts = count, []
-    while left:
+    held, half = (0, 0) if k == 64 else (state["has_uint32"], state["uinteger"])
+    raw, words, at, n = [], [], [], []
+    pos = 0
+
+    def read(size):
+        raw.append(bitgen.random_raw(size))
+        words.extend(raw[-1].tolist())
+
+    for left in range(count, 0, -1):
         # read no more words than the samples left must take
-        least = 8 * left if wide else 7 * left + (left - held + 1) // 2
-        ext = np.concatenate([ext, bitgen.random_raw(max(2 + least, len(ext) + 1) - len(ext))])
-        # a word's 32-bit halves, the low one first, whatever the byte order
-        units = ext if wide else ext.astype("<u8", copy=False).view("<u4").astype(np.uint64)
-        # a Python int: 2**64 % bound overflows for a numpy one
-        value, ok = _lemire(units, int(n_max) + 1, wide)
-        at, draw, gt_at = _positions(ok, per, held, left)
-        if len(at):
-            parts.append((_doubles(ext[at + np.arange(6)[:, None]]), value[draw].astype(np.int64),
-                          gt_max * _doubles(ext[gt_at])))
-            last = int(draw[-1])
-            held, half = last % per < per - 1, int(ext[last // per]) >> 32
-            ext = ext[gt_at[-1] - 1:]
-            left -= len(at)
-    if not wide:
+        least = 8 * left if k == 64 else 7 * left + (left - held + 1) // 2
+        if len(words) - pos < least:
+            read(least - (len(words) - pos))
+        at.append(pos)
+        pos += 6
+        while True:
+            if held:
+                x, held = half, 0
+            else:
+                if pos == len(words):
+                    read(1)
+                x, pos = words[pos], pos + 1
+                if k == 32:
+                    x, half, held = x & 0xFFFFFFFF, x >> 32, 1
+            m = x * bound
+            if m & mask >= threshold:
+                break
+        n.append(m >> k)
+        if pos == len(words):
+            read(1)
+        pos += 1
+    if k == 32:
         state = bitgen.state
-        state["has_uint32"], state["uinteger"] = int(held), half
+        state["has_uint32"], state["uinteger"] = held, half
         bitgen.state = state
-    u, n, gt = zip(*parts)
-    return np.concatenate(u, axis=1), np.concatenate(n), np.concatenate(gt)
+    # a sample's gt is the word before the next sample's first
+    stream, at = np.concatenate(raw), np.array(at + [pos])
+    return (_doubles(stream[at[:-1] + np.arange(6)[:, None]]), np.array(n, dtype=np.int64),
+            gt_max * _doubles(stream[at[1:] - 1]))
 
 
 def _seeded_chunks(rng, samples, n_max, gt_max):
@@ -159,9 +121,10 @@ def _seeded_chunks(rng, samples, n_max, gt_max):
 
     ``states`` is an :class:`XBatch`, ``n`` and ``gt`` are arrays.  Each
     sample is what its state's six uniforms, then n, then gt drawn from
-    ``rng`` would give, read from its raw stream by :func:`_draw`, so the
-    samples do not depend on the chunk size and each state is the one
-    :func:`sample_xstate` would draw.
+    ``rng`` would give: :func:`_draw` reads each chunk's raw words, and
+    leaves ``rng`` where those calls would, so the samples do not depend
+    on the chunk size and each state is the one :func:`sample_xstate`
+    would draw.
     """
     chunk = VERIFY_CHUNK
     for start in range(0, samples, chunk):
@@ -253,8 +216,10 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if n_max < 0 or not ew.is_finite_real(gt_max) or gt_max <= 0.0:
-        raise ValueError("n_max must be >= 0 and gt_max positive and finite")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if not ew.is_finite_real(gt_max) or gt_max <= 0.0:
+        raise ValueError(f"gt_max must be positive and finite, got {gt_max!r}")
     if n_max > MAX_PHOTONS:
         raise ValueError(f"n_max must be at most 2**53, got {n_max}")
     for name, tol in (("tol_evolve", tol_evolve), ("tol_discord", tol_discord)):

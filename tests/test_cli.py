@@ -343,6 +343,12 @@ class TestGateHoles:
         assert out == ""
         assert "seed must be >= 0, got -1" in err
 
+    def test_negative_n_max_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--samples", "3", "--seed", "1", "--n-max", "-1")
+        assert code == 1
+        assert out == ""
+        assert "n_max must be >= 0, got -1" in err
+
     @pytest.mark.parametrize("name", ["samples", "seed", "n_max"])
     def test_non_integer_count_rejected(self, name):
         # a bool or a float would otherwise run, and be printed as given
