@@ -98,6 +98,17 @@ CATALOGUE = (
            "if not isinstance(method, str) or method not in DISCORD_METHODS:",
            "if False:",
            ("tests/test_sweep.py::TestTimeSeries::test_unknown_method_rejected",)),
+    Mutant("scalar-bool-exclusion", "src/cavitycorr/elementwise.py",
+           "if isinstance(x, types) and not isinstance(x, bool):",
+           "if isinstance(x, types):",
+           ("tests/test_elementwise.py::test_scalar",
+            "tests/test_sweep.py::TestTimeSeries::test_non_integer_steps_rejected",
+            "tests/test_verify.py::test_float_parameters_reject_bools")),
+    Mutant("scalar-open-lower-end", "src/cavitycorr/elementwise.py",
+           "and (v > lower if open_lower else v >= lower)",
+           "and (v >= lower if open_lower else v >= lower)",
+           ("tests/test_elementwise.py::test_scalar",
+            "tests/test_sweep.py::TestDetect::test_rejects_bad_thresholds")),
     Mutant("real-array-dtype-gate", "src/cavitycorr/elementwise.py",
            'if x.dtype.kind not in "iuf":',
            "if False:",

@@ -1,4 +1,8 @@
-"""The closed forms' libm-exact ``log2`` on arrays, and check helpers.
+"""The closed forms' libm-exact ``log2`` on arrays, and the input gates.
+
+The gates are :func:`scalar` for one integer or real parameter,
+:func:`real_array` for arrays of angles and values, and
+:func:`raise_first` for per-element checks of a batch.
 
 Every closed form is written once, on 1-d arrays with plain numpy calls;
 one state is the batch of one.  Two numpy calls are chosen for their bits:
@@ -33,21 +37,28 @@ def log2(x: np.ndarray) -> np.ndarray:
     return np.log2(x[::-1])[::-1]
 
 
-def is_real(x) -> bool:
-    """Whether ``x`` is one real number: a Python or numpy int or float.
+def scalar(x, name: str, kind: type, lower, upper=None, *, open_lower: bool = False):
+    """``x`` as a Python ``int`` or ``float`` (``kind``), if it is one in its range.
 
-    Bools are not: the float checks would take them as 0 or 1.
+    An integer is an int or a numpy integer; a real is an int or float of
+    Python or numpy within the float range, so finite.  Neither is a bool,
+    which the range would take as 0 or 1.  The range is ``x > lower`` if
+    ``open_lower``, else ``x >= lower``, and ``x <= upper`` if ``upper`` is
+    given.  Anything else raises ``ValueError``, such as "steps must be an
+    integer >= 1, got 0" or "r must be a finite real number in [0, 1], got nan".
     """
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-
-
-def is_finite_real(x) -> bool:
-    """Whether ``x`` is one real number (:func:`is_real`) within the float range.
-
-    An int too large for a float is not, so a check never reaches the
-    ``OverflowError`` of ``math.isfinite`` or ``float`` on it.
-    """
-    return is_real(x) and abs(x) <= sys.float_info.max
+    types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if isinstance(x, types) and not isinstance(x, bool):
+        # as a Python number, which compares with any bound without a warning
+        v = float(x) if isinstance(x, (float, np.floating)) else int(x)
+        if ((kind is int or abs(v) <= sys.float_info.max)
+                and (v > lower if open_lower else v >= lower)
+                and (upper is None or v <= upper)):
+            return kind(v)
+    bounds = (f"in [{lower}, {upper}]" if upper is not None
+              else f"{'>' if open_lower else '>='} {lower}")
+    raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite real number'} "
+                     f"{bounds}, got {x!r}")
 
 
 def real_array(x, name: str) -> np.ndarray:

@@ -32,24 +32,19 @@ DIAGNOSTIC_TOL = 1e-9
 MAX_PHOTONS = 2**53
 
 
-def check_photon_number(n) -> None:
-    """Reject anything but an integer photon number in [0, 2**53]."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"photon number n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"photon number n must be nonnegative, got {n}")
-    if n > MAX_PHOTONS:
-        raise ValueError(f"photon number n must be at most 2**53, got {n}")
+def check_photon_number(n) -> int:
+    """``n`` as an int, if it is an integer photon number in [0, 2**53]."""
+    return ew.scalar(n, "photon number n", int, 0, MAX_PHOTONS)
 
 
 def check_params(n, gt, size: int | None = None):
     """``n`` and ``gt`` after checking them for the update, ``gt`` as a float array.
 
     ``gt`` must be a finite 1-d array, of length ``size`` if given, and
-    ``n`` an integer or an integer array of ``gt``'s length (returned as
-    int64), each in [0, 2**53].  sqrt(n + 2) * |gt|, the largest Rabi
-    angle that the closed form or the oracle computes, must be finite:
-    beyond that, cos and sin give NaN.  Angles must have an integer or
+    ``n`` an integer (returned as an int) or an integer array of ``gt``'s
+    length (returned as int64), each in [0, 2**53].  sqrt(n + 2) * |gt|,
+    the largest Rabi angle that the closed form or the oracle computes,
+    must be finite: beyond that, cos and sin give NaN.  Angles must have an integer or
     float dtype (:func:`~cavitycorr.elementwise.real_array`).
     """
     gt = ew.real_array(gt, "Rabi angle gt")
@@ -59,7 +54,7 @@ def check_params(n, gt, size: int | None = None):
     if not np.isfinite(gt).all():
         raise ValueError(f"Rabi angle gt must be finite, got {float(gt[~np.isfinite(gt)][0])!r}")
     if np.ndim(n) == 0:
-        check_photon_number(n)
+        n = check_photon_number(n)
     else:
         n = np.asarray(n)
         if n.dtype.kind not in "iu" or n.shape != gt.shape:

@@ -3,7 +3,6 @@ collapse-revival detection on their envelopes."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,14 +91,13 @@ class SweepConfig:
     discord_method: str = "closed"   # checked by correlation_batch, on the first chunk
 
     def __post_init__(self):
-        if (not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool)
-                or self.steps < 1):
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if not ew.is_finite_real(self.gt_max) or self.gt_max <= 0.0:
-            raise ValueError(f"gt_max must be finite and positive, got {self.gt_max!r}")
-        check_photon_number(self.n)
-        if not ew.is_real(self.r) or not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must lie in [0, 1], got {self.r!r}")
+        # frozen: the checked values, as Python numbers, replace the given ones
+        for name, value in (("steps", ew.scalar(self.steps, "steps", int, 1)),
+                            ("gt_max", ew.scalar(self.gt_max, "gt_max", float, 0,
+                                                 open_lower=True)),
+                            ("n", check_photon_number(self.n)),
+                            ("r", ew.scalar(self.r, "r", float, 0, 1))):
+            object.__setattr__(self, name, value)
         # Checked up front, so that no grid point fails after output has begun.
         # The grid's largest angle is steps * gt_max / steps (inf when the
         # product overflows), and the Rabi angles reach sqrt(n + 2) times it.
@@ -141,8 +139,7 @@ def sweep_batches(cfg: SweepConfig, chunk: int = SWEEP_CHUNK):
     Together they cover i = 0..steps in order.  Each point's values do not
     depend on the chunk size.
     """
-    if not isinstance(chunk, (int, np.integer)) or isinstance(chunk, bool) or chunk < 1:
-        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
+    chunk = ew.scalar(chunk, "chunk", int, 1)
     initial = werner_state(cfg.r)
     for start in range(0, cfg.steps + 1, chunk):
         gt = np.arange(start, min(start + chunk, cfg.steps + 1)) * cfg.gt_max / cfg.steps
@@ -182,10 +179,8 @@ def envelope(gt, values, window: float) -> np.ndarray:
     gts, vals = _series(gt, values)
     if len(gts) == 0:
         raise ValueError("envelope of an empty series is undefined")
-    if not ew.is_real(window) or not window > 0.0:
-        raise ValueError(f"window must be positive, got {window!r}")
-    # a Python float, as numpy cannot compare with an int beyond the float range
-    if window >= float(gts[-1] - gts[0]):
+    window = ew.scalar(window, "window", float, 0, open_lower=True)
+    if window >= gts[-1] - gts[0]:
         raise ValueError(f"window {window!r} must be smaller than the gt span")
     half = window / 2.0
     lo = np.searchsorted(gts, gts - half, side="left")
@@ -213,10 +208,9 @@ def detect_collapse_revival(gt, env, collapse_threshold: float, min_duration: fl
     last) is a revival; with no qualifying collapse, all four arrays are
     empty.
     """
-    if (not ew.is_finite_real(collapse_threshold) or not ew.is_finite_real(min_duration)
-            or not (collapse_threshold > 0.0 and min_duration > 0.0)):
-        raise ValueError("collapse_threshold and min_duration must be positive and finite, "
-                         f"got {collapse_threshold!r} and {min_duration!r}")
+    collapse_threshold = ew.scalar(collapse_threshold, "collapse_threshold", float, 0,
+                                   open_lower=True)
+    min_duration = ew.scalar(min_duration, "min_duration", float, 0, open_lower=True)
     gts, vals = _series(gt, env)
     # Runs below the threshold are [start, end) between the edges of the
     # zero-padded mask.
@@ -238,9 +232,7 @@ def detect_collapse_revival(gt, env, collapse_threshold: float, min_duration: fl
 
 def first_onset(gt, values, eps: float = 1e-3):
     """Smallest gt whose value exceeds eps, or None; the arrays as for :func:`envelope`."""
-    if not ew.is_real(eps) or not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    eps = ew.scalar(eps, "eps", float, 0, open_lower=True)
     gts, vals = _series(gt, values)
-    # no float exceeds the largest one, or an int beyond it
-    above = np.flatnonzero(vals > min(eps, sys.float_info.max))
+    above = np.flatnonzero(vals > eps)
     return float(gts[above[0]]) if len(above) else None

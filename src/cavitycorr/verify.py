@@ -70,8 +70,7 @@ def _draw(rng: np.random.Generator, count: int, n_max: int, gt_max):
         words = bitgen.random_raw(7 * count).reshape(count, 7)
         return (_doubles(words[:, :6].T), np.zeros(count, dtype=np.int64),
                 gt_max * _doubles(words[:, 6]))
-    # a Python int, so that no product or remainder overflows an np.int64 n_max
-    bound = int(n_max) + 1
+    bound = n_max + 1   # a Python int (run_verification's gate), so nothing overflows
     k = 64 if bound > 2**32 else 32
     mask, threshold = (1 << k) - 1, (1 << k) % bound
     state = bitgen.state
@@ -209,22 +208,12 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
     value raises ``ValueError``; so does a non-finite closed-form discord,
     from one :func:`discord_closed` call per chunk, naming its sample.
     """
-    for name, count in (("samples", samples), ("seed", seed), ("n_max", n_max)):
-        if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if not ew.is_finite_real(gt_max) or gt_max <= 0.0:
-        raise ValueError(f"gt_max must be positive and finite, got {gt_max!r}")
-    if n_max > MAX_PHOTONS:
-        raise ValueError(f"n_max must be at most 2**53, got {n_max}")
-    for name, tol in (("tol_evolve", tol_evolve), ("tol_discord", tol_discord)):
-        if not ew.is_finite_real(tol) or tol < 0.0:
-            raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    samples = ew.scalar(samples, "samples", int, 1)
+    seed = ew.scalar(seed, "seed", int, 0)
+    n_max = ew.scalar(n_max, "n_max", int, 0, MAX_PHOTONS)
+    gt_max = ew.scalar(gt_max, "gt_max", float, 0, open_lower=True)
+    tol_evolve = ew.scalar(tol_evolve, "tol_evolve", float, 0)
+    tol_discord = ew.scalar(tol_discord, "tol_discord", float, 0)
     rng = np.random.default_rng(seed)
     report = VerificationReport(samples, seed, n_max, gt_max,
                                 tol_evolve, tol_discord)

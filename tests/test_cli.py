@@ -297,7 +297,7 @@ class TestGateHoles:
                              "--tol-evolve", "nan", "--tol-discord", "nan")
         assert code == 1
         assert out == ""
-        assert "tol_evolve must be finite and >= 0" in err
+        assert "tol_evolve must be a finite real number >= 0, got nan" in err
 
     @pytest.mark.parametrize("flag,value", [("--tol-discord", "-1e-3"),
                                             ("--tol-evolve", "inf")])
@@ -305,7 +305,8 @@ class TestGateHoles:
         code, _, err = run(capsys, "verify", "--samples", "3", "--seed", "1",
                            f"{flag}={value}")
         assert code == 1
-        assert "must be finite and >= 0" in err
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be a finite real number >= 0, got {float(value)!r}" in err
 
     @pytest.mark.parametrize("flag", ["--window", "--threshold", "--min-duration"])
     def test_nan_envelope_parameters_rejected(self, capsys, flag):
@@ -314,7 +315,9 @@ class TestGateHoles:
                              "--measure", "discord", flag, "nan")
         assert code == 1
         assert out == ""
-        assert "must be positive" in err and "zero-size" not in err
+        name = {"--window": "window", "--threshold": "collapse_threshold",
+                "--min-duration": "min_duration"}[flag]
+        assert err == f"cavitycorr: {name} must be a finite real number > 0, got nan\n"
 
     def test_mode_flag_removed(self, capsys):
         code, _, err = run(capsys, "evolve", "--n", "0", "--r", "0.5",
@@ -327,7 +330,8 @@ class TestGateHoles:
                              "--n-max", "10000000000000000000000")
         assert code == 1
         assert out == ""
-        assert "n_max must be at most 2**53" in err and "out of bounds" not in err
+        assert (f"n_max must be an integer in [0, {2**53}], got 10000000000000000000000"
+                in err and "out of bounds" not in err)
 
     def test_overflowing_sample_angle_named(self, capsys):
         # a sample whose largest Rabi angle sqrt(n + 2) * gt overflows
@@ -341,21 +345,22 @@ class TestGateHoles:
         code, out, err = run(capsys, "verify", "--samples", "3", "--seed", "-1")
         assert code == 1
         assert out == ""
-        assert "seed must be >= 0, got -1" in err
+        assert "seed must be an integer >= 0, got -1" in err
 
     def test_negative_n_max_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--samples", "3", "--seed", "1", "--n-max", "-1")
         assert code == 1
         assert out == ""
-        assert "n_max must be >= 0, got -1" in err
+        assert f"n_max must be an integer in [0, {2**53}], got -1" in err
 
     @pytest.mark.parametrize("name", ["samples", "seed", "n_max"])
     def test_non_integer_count_rejected(self, name):
         # a bool or a float would otherwise run, and be printed as given
         args = {"samples": 3, "seed": 1, "n_max": 2}
+        bounds = {"samples": ">= 1", "seed": ">= 0", "n_max": f"in [0, {2**53}]"}[name]
         for value in (True, 2.5, 2.0):
-            with pytest.raises(ValueError,
-                               match=re.escape(f"{name} must be an integer, got {value!r}")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be an integer {bounds}, got {value!r}")):
                 run_verification(**(args | {name: value}))
         # n_max from 2**32 on draws n from whole words, its rejection
         # threshold 2**64 % (n_max + 1) beyond an np.int64

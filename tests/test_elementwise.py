@@ -8,14 +8,21 @@ part of these inputs.  ``elementwise.log2`` must reproduce ``math.log2``
 SIMD loop that differs from it on part of these inputs, and only a reversed
 operand steers numpy to its loop over the C library, so the log2 tests
 cover every memory layout and the SIMD loop's tail lengths.
+
+``elementwise.scalar``, the one gate of integer and real parameters, must
+return a Python int or float for each accepted value and one exact message
+for each rejected one, at every kind of range end.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cavitycorr import elementwise as ew
+from cavitycorr.sweep import SweepConfig, sweep_batches
+from cavitycorr.verify import run_verification
 
 
 def _bits(values):
@@ -120,3 +127,68 @@ def test_log2_matches_math_log2_on_positive_floats(values):
     got = ew.log2(np.array(values))
     for v, g in zip(values, got.tolist()):
         assert _bits(g) == _bits(math.log2(v)), v
+
+
+# ((args, kwargs) of elementwise.scalar, its message up to the value), per kind of range end
+_GATES = {
+    "int-lower": ((("k", int, 1), {}), "k must be an integer >= 1, got "),
+    "int-range": ((("n", int, 0, 2**53), {}), f"n must be an integer in [0, {2**53}], got "),
+    "real-open": ((("g", float, 0), {"open_lower": True}),
+                  "g must be a finite real number > 0, got "),
+    "real-closed": ((("t", float, 0), {}), "t must be a finite real number >= 0, got "),
+    "real-range": ((("r", float, 0, 1), {}), "r must be a finite real number in [0, 1], got "),
+}
+_NAN, _INF, _HUGE = math.nan, math.inf, 10**400
+# values no gate takes: bools, which the range would read as 0 and 1, and non-numbers
+_NEVER = [True, False, np.True_, "1", None, 1j, 1 + 0j]
+# (value, the value returned or None for a rejection), per gate
+_VALUES = {
+    "int-lower": [(1, 1), (np.int64(5), 5), (np.uint8(200), 200), (_HUGE, _HUGE),
+                  (0, None), (-_HUGE, None), (1.0, None), (np.float16(1), None),
+                  (_NAN, None), (_INF, None)],
+    "int-range": [(0, 0), (2**53, 2**53), (np.uint8(255), 255), (np.uint64(2**64 - 1), None),
+                  (2**53 + 1, None), (-1, None), (_HUGE, None)],
+    "real-open": [(5e-324, 5e-324), (10**300, 1e300), (sys.float_info.max, sys.float_info.max),
+                  (np.uint8(200), 200.0), (np.float16(1e-3), float(np.float16(1e-3))),
+                  (0, None), (0.0, None), (-0.0, None), (np.uint8(0), None),
+                  (np.float16(0), None), (_HUGE, None), (-_HUGE, None), (_NAN, None),
+                  (_INF, None), (-_INF, None), (np.float16(_INF), None)],
+    "real-closed": [(0, 0.0), (np.float16(0), 0.0), (np.uint8(200), 200.0), (-5e-324, None),
+                    (_HUGE, None), (-_HUGE, None), (_NAN, None), (_INF, None), (-_INF, None),
+                    (np.float16(-_INF), None)],
+    "real-range": [(0, 0.0), (1, 1.0), (np.uint8(1), 1.0), (np.float16(0.5), 0.5),
+                   (np.uint8(200), None), (np.float16(1.001), None), (1 + 2**-52, None),
+                   (_HUGE, None), (-_HUGE, None), (_NAN, None), (_INF, None), (-_INF, None)],
+}
+_CASES = ([(gate, x, None) for gate in _GATES for x in _NEVER]
+          + [(gate, x, want) for gate, pairs in _VALUES.items() for x, want in pairs])
+
+
+def _id(x):
+    text = repr(x)   # a power of ten too long to read is named by its exponent
+    return text if len(text) <= 40 else f"{'-' if x < 0 else ''}10**{len(str(abs(x))) - 1}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gate, x, want", _CASES,
+                         ids=[f"{gate}-{_id(x)}" for gate, x, _ in _CASES])
+def test_scalar(gate, x, want):
+    (args, kwargs), message = _GATES[gate]
+    if want is None:
+        with pytest.raises(ValueError) as err:
+            ew.scalar(x, *args, **kwargs)
+        assert str(err.value) == message + repr(x)
+    else:
+        got = ew.scalar(x, *args, **kwargs)
+        assert type(got) is type(want) and got == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_narrow_numpy_scalars_reach_their_callers_as_python_numbers():
+    # np.uint8 chunk + start once overflowed, and an np.float16 tolerance
+    # once warned in the finiteness check
+    cfg = SweepConfig(n=1, r=0.2, gt_max=20.0, steps=600)
+    assert [len(b) for b in sweep_batches(cfg, np.uint8(255))] == [255, 255, 91]
+    tol = np.float16(1e-3)
+    assert (run_verification(3, 1, 2, tol_evolve=tol).render()
+            == run_verification(3, 1, 2, tol_evolve=float(tol)).render())

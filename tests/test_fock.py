@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,10 +401,10 @@ class TestWindowOracle:
 
     def test_rejects_bad_parameters(self):
         batch = XBatch.stack([werner_state(0.5)] * 2)
-        with pytest.raises(ValueError, match="nonnegative"):
-            sequential_pass_batch(batch, [1, -1], [0.5, 0.5])
-        with pytest.raises(ValueError, match="2\\*\\*53"):
-            sequential_pass_batch(batch, [1, 2**53 + 1], [0.5, 0.5])
+        for bad in (-1, 2**53 + 1):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"photon number n must be an integer in [0, {2**53}], got {bad}")):
+                sequential_pass_batch(batch, [1, bad], [0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
             sequential_pass_batch(batch, [1, 2], [0.5, math.inf])
         with pytest.raises(ValueError, match="integer photon numbers"):

@@ -332,7 +332,7 @@ class TestFirstOnset:
         assert first_onset([], []) is None
 
     def test_rejects_bad_eps_and_gt(self):
-        with pytest.raises(ValueError, match="eps must be positive"):
+        with pytest.raises(ValueError, match="eps must be a finite real number > 0, got nan"):
             first_onset([0.0], [1.0], math.nan)
         with pytest.raises(ValueError, match="non-decreasing, got 0.5 at index 2"):
             first_onset([0.0, 1.0, 0.5], [0.0, 0.0, 1.0], 0.1)
@@ -351,20 +351,20 @@ _GT, _VALUES = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.9, 0.1, 0.9])
 # (call with the float parameter v, the message that rejects v), per parameter
 _FLOAT_PARAMETERS = [
     (lambda v: time_series(SweepConfig(n=1, r=v, gt_max=1.0, steps=2)).discord,
-     "r must lie in [0, 1], got "),
+     "r must be a finite real number in [0, 1], got "),
     (lambda v: time_series(SweepConfig(n=1, r=0.5, gt_max=v, steps=2)).discord,
-     "gt_max must be finite and positive, got "),
-    (lambda v: envelope(_GT, _VALUES, v), "window must be positive, got "),
+     "gt_max must be a finite real number > 0, got "),
+    (lambda v: envelope(_GT, _VALUES, v), "window must be a finite real number > 0, got "),
     (lambda v: detect_collapse_revival(_GT, _VALUES, v, 0.5),
-     "collapse_threshold and min_duration must be positive and finite, got "),
+     "collapse_threshold must be a finite real number > 0, got "),
     (lambda v: detect_collapse_revival(_GT, _VALUES, 0.5, v),
-     "collapse_threshold and min_duration must be positive and finite, got "),
-    (lambda v: first_onset(_GT, _VALUES, v), "eps must be positive, got "),
+     "min_duration must be a finite real number > 0, got "),
+    (lambda v: first_onset(_GT, _VALUES, v), "eps must be a finite real number > 0, got "),
 ]
 _PARAMETER_IDS = ["r", "gt_max", "window", "collapse_threshold", "min_duration", "eps"]
 
 
-@pytest.mark.parametrize("call, message", _FLOAT_PARAMETERS)
+@pytest.mark.parametrize("call, message", _FLOAT_PARAMETERS, ids=_PARAMETER_IDS)
 def test_float_parameters_reject_bools(call, message):
     # a bool would otherwise pass the range checks as 0 or 1
     for flag in (True, np.True_):
@@ -383,21 +383,14 @@ def test_float_parameters_reject_non_numbers(call, message, value):
     assert repr(value) in str(err.value)
 
 
-# each float parameter given an int too large for a float: its own check
-# rejects it, or (eps) no value lies above it
-@pytest.mark.parametrize("call, message", [
-    *_FLOAT_PARAMETERS[:2],
-    (_FLOAT_PARAMETERS[2][0], "must be smaller than the gt span"),
-    *_FLOAT_PARAMETERS[3:5],
-    (_FLOAT_PARAMETERS[5][0], None),
-], ids=_PARAMETER_IDS)
+# each float parameter given an int too large for a float: not finite, so
+# its own check rejects it
+@pytest.mark.parametrize("call, message", _FLOAT_PARAMETERS, ids=_PARAMETER_IDS)
 def test_float_parameters_take_ints_beyond_the_float_range(call, message):
     # not a bare OverflowError from converting the int to a float
-    if message is None:
-        assert call(10**400) is None
-        return
-    with pytest.raises(ValueError, match=re.escape(message)):
-        call(10**400)
+    for value in (10**400, -10**400):
+        with pytest.raises(ValueError, match=re.escape(f"{message}{value!r}")):
+            call(value)
 
 
 # (gt, values) of the wrong shapes: unequal lengths, 2-d values, and
@@ -508,5 +501,24 @@ class TestSweepBatch:
         SweepConfig(n=2**53, r=0.0, gt_max=1e299, steps=1000)
         with pytest.raises(ValueError, match="gt_max 1e\\+301 is too large"):
             SweepConfig(n=2**53, r=0.0, gt_max=1e301, steps=1)
-        with pytest.raises(ValueError, match="2\\*\\*53"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"photon number n must be an integer in [0, {2**53}], got {2**53 + 1}")):
             SweepConfig(n=2**53 + 1, r=0.0, gt_max=1.0, steps=10)
+
+    @pytest.mark.parametrize("gt_max", [np.int64(2**62), 2**70, np.uint8(200)],
+                             ids=["int64", "int", "uint8"])
+    def test_integer_gt_max_gives_the_grid_of_its_float(self, gt_max):
+        # an integer gt_max once made an int64 grid, whose products wrapped
+        # to negative angles (int64) or raised OverflowError (2**70)
+        got, want = (time_series(SweepConfig(n=1, r=0.5, gt_max=g, steps=3))
+                     for g in (gt_max, float(gt_max)))
+        s, t = got.states, want.states
+        for a, b in ((got.gt, want.gt), (s.p11, t.p11), (s.p22, t.p22), (s.p33, t.p33),
+                     (s.p44, t.p44), (s.re_c23, t.re_c23), (s.im_c23, t.im_c23),
+                     (got.discord, want.discord), (got.concurrence, want.concurrence),
+                     (got.classical_correlation, want.classical_correlation),
+                     (got.mutual_information, want.mutual_information)):
+            assert (a.view(np.int64) == b.view(np.int64)).all()
+        # the float's overflow check, on an integer grid as on a float one
+        with pytest.raises(ValueError, match="gt_max 1e\\+308 is too large"):
+            SweepConfig(n=0, r=0.0, gt_max=10**308, steps=10)

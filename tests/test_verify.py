@@ -117,36 +117,36 @@ def test_seeded_chunks_reproduce_the_per_sample_formula(monkeypatch, chunk, seed
 
 # each float parameter, and the message that rejects a bad value
 _FLOAT_PARAMETERS = [
-    ("gt_max", "gt_max must be positive and finite, got "),
-    ("tol_evolve", "tol_evolve must be finite and >= 0, got "),
-    ("tol_discord", "tol_discord must be finite and >= 0, got "),
+    ("gt_max", "gt_max must be a finite real number > 0, got "),
+    ("tol_evolve", "tol_evolve must be a finite real number >= 0, got "),
+    ("tol_discord", "tol_discord must be a finite real number >= 0, got "),
 ]
+_PARAMETER_IDS = [name for name, _ in _FLOAT_PARAMETERS]
 
 
-@pytest.mark.parametrize("name, message", _FLOAT_PARAMETERS)
+@pytest.mark.parametrize("name, message", _FLOAT_PARAMETERS, ids=_PARAMETER_IDS)
 def test_float_parameters_reject_bools(name, message):
     # gt_max=True would otherwise run, and be printed as gt_max=1
     args = {"samples": 3, "seed": 1, "n_max": 2}
     for flag in (True, np.True_):
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(f"{message}{flag!r}")):
             run_verification(**(args | {name: flag}))
     assert (run_verification(**(args | {name: np.float64(1.0)})).render()
             == run_verification(**(args | {name: 1.0})).render())
 
 
-@pytest.mark.parametrize("name, message", _FLOAT_PARAMETERS)
+@pytest.mark.parametrize("name, message", _FLOAT_PARAMETERS, ids=_PARAMETER_IDS)
 def test_float_parameters_reject_ints_beyond_the_float_range(name, message):
     # not a bare OverflowError from converting the int to a float
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(f"{message}{10**400!r}")):
         run_verification(samples=3, seed=1, n_max=2, **{name: 10**400})
 
 
 @pytest.mark.parametrize("value", ["1", 1 + 0j, None], ids=["str", "complex", "None"])
-@pytest.mark.parametrize("name, message", _FLOAT_PARAMETERS,
-                         ids=[name for name, _ in _FLOAT_PARAMETERS])
+@pytest.mark.parametrize("name, message", _FLOAT_PARAMETERS, ids=_PARAMETER_IDS)
 def test_float_parameters_reject_non_numbers(name, message, value):
     # not a bare TypeError from comparing the value with a float
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(f"{message}{value!r}")):
         run_verification(samples=3, seed=1, n_max=2, **{name: value})
 
 

@@ -120,8 +120,9 @@ class TestWerner:
             werner_state(r)
 
     def test_int_beyond_the_float_range(self):
-        # the range check, not a bare OverflowError from float(r)
-        with pytest.raises(ValueError, match=r"r must lie in \[0, 1\], got 1000"):
+        # the gate's message, not a bare OverflowError from float(r)
+        with pytest.raises(ValueError,
+                           match=r"r must be a finite real number in \[0, 1\], got 1000"):
             werner_state(10**400)
 
     @given(st.floats(0.0, 1.0))
