@@ -49,13 +49,17 @@ CATALOGUE = (
     Mutant("fock-off-x-gate", "src/cavitycorr/fock.py",
            "leaking = off_x >= OFF_X_TOL",
            "leaking = off_x >= np.inf",
+           ("tests/test_fock.py::TestWindowOracle::test_off_x_leakage_is_caught_per_state",)),
+    Mutant("fock-photon-match-mask", "src/cavitycorr/fock.py",
+           "_SAME_PHOTONS = np.equal.outer(_EXCITED, _EXCITED)[..., None]",
+           "_SAME_PHOTONS = np.ones((4, 4, 1), dtype=bool)",
            ("tests/test_fock.py::TestWindowOracle::test_off_x_leakage_is_caught_per_state",
             "tests/test_fock.py::TestWindowOracle"
-            "::test_in_window_leakage_is_caught_by_the_off_x_check")),
-    Mutant("fock-occupied-window-gate", "src/cavitycorr/fock.py",
-           "if re[_OUTSIDE].any() or im[_OUTSIDE].any():",
-           "if False:",
-           ("tests/test_fock.py::TestWindowOracle::test_photon_window_leakage_is_caught_per_state",)),
+            "::test_window_trace_bits_match_five_window_reference")),
+    Mutant("sweep-steps-bound", "src/cavitycorr/sweep.py",
+           '("steps", ew.scalar(self.steps, "steps", int, 1, MAX_STEPS)),',
+           '("steps", ew.scalar(self.steps, "steps", int, 1)),',
+           ("tests/test_cli.py::TestGateHoles::test_huge_steps_rejected",)),
     Mutant("envelope-right-edge", "src/cavitycorr/sweep.py",
            'hi = np.searchsorted(gts, gts + half, side="right")',
            'hi = np.searchsorted(gts, gts + half, side="left")',

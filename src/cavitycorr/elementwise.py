@@ -44,7 +44,7 @@ def scalar(x, name: str, kind: type, lower, upper=None, *, open_lower: bool = Fa
     Python or numpy within the float range, so finite.  Neither is a bool,
     which the range would take as 0 or 1.  The range is ``x > lower`` if
     ``open_lower``, else ``x >= lower``, and ``x <= upper`` if ``upper`` is
-    given.  Anything else raises ``ValueError``, such as "steps must be an
+    given.  Anything else raises ``ValueError``, such as "samples must be an
     integer >= 1, got 0" or "r must be a finite real number in [0, 1], got nan".
     """
     types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)

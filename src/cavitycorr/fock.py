@@ -1,27 +1,24 @@
-"""Exact sequential Jaynes-Cummings dynamics on a five-photon window.
+"""Exact sequential Jaynes-Cummings dynamics, four amplitudes per ket.
 
 This is the ground-truth model: each atom in turn interacts with the
 field, and the field is traced out at the end.  At exact resonance the
 interaction turns each pair {|e,m>, |g,m+1>} by the angle sqrt(m+1)*gt,
 so it is applied pair by pair, with no matrix exponential and no
-truncation error.  Two passages starting from |n> keep the photon number
-within n-2 .. n+2, so each of the four atom basis kets |ab, n> is carried
-as five amplitudes per atom configuration, and the two-atom state is
+truncation error.  Over the atom basis kets |ab, n> the two-atom state is
 rho = sum_ij rho_ij tr_field(U|i><j|U^dagger).  Nothing here grows with n
 or uses the closed-form coefficient table.
 
 The interaction conserves excitations (excited atoms plus photons), so a
-ket with e excited atoms only ever holds the photon numbers n+e-2 .. n+e,
-window indices e .. e+2: its occupied window.  Each trace runs over those
-three photon numbers only, which the two kets of every traced pair share.
-Only the pairs (i, i) and (1, 2) are traced: tr_field(U|2><1|U^dagger) is
-the adjoint of tr_field(U|1><2|U^dagger), its atom axes swapped and its
-imaginary part negated.  The populations weight their kets as reals.  Both
-shortcuts give the bits of the full five-photon, six-pair trace with
-complex weights: the terms they drop are exact zeros, and every sum starts
-from +0.0, so a dropped zero cannot change even a zero's sign.  A gate
-keeps the window exact: any amplitude outside its ket's occupied window
-must be exactly 0, else ``RuntimeError``, as for a leak out of the X form.
+ket with e excited atoms holds in atom configuration a'b', with e' excited
+atoms, only the photon number n + e - e'.  Each ket is therefore carried
+as four amplitudes, one per configuration, and the field trace pairs two
+configurations only where their photon numbers are equal.  Only the pairs
+(i, i) and (1, 2) are traced: tr_field(U|2><1|U^dagger) is the adjoint of
+tr_field(U|1><2|U^dagger), its atom axes swapped and its imaginary part
+negated.  The populations weight their kets as reals.  Both shortcuts
+give the bits of the six-pair trace with complex weights: the terms they
+drop are exact zeros, and every sum starts from +0.0, so a dropped zero
+cannot change even a zero's sign.
 
 Complex amplitudes are kept as real and imaginary float arrays with one
 element per state, and every sum has a fixed operand order, so a state's
@@ -37,34 +34,31 @@ from .xstate import XBatch, XState, make_xbatch
 # Above this the X form is not preserved and something is wrong with the
 # implementation, not the input; the X form is closed under the dynamics.
 OFF_X_TOL = 1e-12
-# Photon numbers n-2 .. n+2; window index j holds photon number n - 2 + j.
-_WINDOW = 5
 # Where an X state may be nonzero: the diagonal and the |10>,|01> coherences.
 _X_FORM = np.eye(4, dtype=bool)
 _X_FORM[1, 2] = _X_FORM[2, 1] = True
-# Excited atoms in ket 2a + b (level 0 is excited): |ee>, |eg>, |ge>, |gg>.
-# _OUTSIDE[j, ket] marks the window indices outside the ket's occupied
-# window e .. e + 2 (see the module docstring).
-_EXCITED = (2, 1, 1, 0)
-_OUTSIDE = np.array([[not e <= j <= e + 2 for e in _EXCITED] for j in range(_WINDOW)])
+# Excited atoms in ket or configuration 2a + b: |ee>, |eg>, |ge>, |gg>.
+_EXCITED = np.array([2, 1, 1, 0])
+# The traced kets have equal excitations, so two configurations hold
+# equal photon numbers where their own excitations are equal.
+_SAME_PHOTONS = np.equal.outer(_EXCITED, _EXCITED)[..., None]
+# _SHIFT[k, b] = e_k - e_b: the photon number of |g b> in ket k, less n.
+_SHIFT = np.subtract.outer(_EXCITED, [1, 0])[..., None]
 
 
 def _rotate(re, im, n, gt):
-    """The interaction of the atom on axis 2 of kets shaped (field, ket, atom, atom, state).
+    """The interaction of the atom on axis 1 of kets shaped (ket, atom, atom, state).
 
-    Level index 0 is excited.  The pair {|e, n-2+j>, |g, n-1+j>} turns by
-    sqrt(n-1+j)*gt for j = 0..3, where n-1+j <= 0 turns by zero.  |g, n-2>
-    and |e, n+2>, whose partners lie outside the window, are left as they
-    are: two passages never populate them.
+    Level index 0 is excited.  In ket k, |g b> holds m = n + e_k - e_b
+    photons, so the pair {|e b>, |g b>} turns by sqrt(m)*gt, where m <= 0
+    turns by zero.
     """
-    angle = np.sqrt(np.maximum(n - 1 + np.arange(_WINDOW - 1)[:, None], 0)) * gt
-    c, s = np.cos(angle)[:, None, None], np.sin(angle)[:, None, None]
-    e_re, e_im, g_re, g_im = re[:-1, :, 0], im[:-1, :, 0], re[1:, :, 1], im[1:, :, 1]
-    re, im = re.copy(), im.copy()
+    angle = np.sqrt(np.maximum(n + _SHIFT, 0)) * gt
+    c, s = np.cos(angle), np.sin(angle)
+    e_re, e_im, g_re, g_im = re[:, 0], im[:, 0], re[:, 1], im[:, 1]
     # (e, g) -> (c e - i s g, -i s e + c g)
-    re[:-1, :, 0], im[:-1, :, 0] = c * e_re + s * g_im, c * e_im - s * g_re
-    re[1:, :, 1], im[1:, :, 1] = c * g_re + s * e_im, c * g_im - s * e_re
-    return re, im
+    return (np.stack([c * e_re + s * g_im, c * g_re + s * e_im], axis=1),
+            np.stack([c * e_im - s * g_re, c * g_im - s * e_re], axis=1))
 
 
 def sequential_pass_batch(states: XBatch, n, gt) -> XBatch:
@@ -73,34 +67,25 @@ def sequential_pass_batch(states: XBatch, n, gt) -> XBatch:
     Atom A occupies the first tensor slot and flies first.  The other order
     is the same physics with the atoms relabelled: swap p22 with p33 and
     conjugate c23 on the way in and out.  Raises ``RuntimeError`` if a
-    reduced matrix leaks out of the X form, or an amplitude out of its
-    ket's occupied photon window, either of which would signal an
+    reduced matrix leaks out of the X form, which would signal an
     implementation bug.
     """
     n, gt = check_params(n, gt, len(states))
-    # ket 2a + b starts as |ab> with n photons, at window index 2
-    re = np.zeros((_WINDOW, 4, 2, 2, len(states)))
-    re[2, range(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1.0
+    # ket 2a + b starts as |ab> with n photons
+    re = np.zeros((4, 2, 2, len(states)))
+    re[range(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1.0
     im = np.zeros_like(re)
-    # the flying atom's axis is swapped into slot 2, where _rotate acts
-    for axis in (2, 3):
-        re, im = (x.swapaxes(2, axis) for x in
-                  _rotate(re.swapaxes(2, axis), im.swapaxes(2, axis), n, gt))
-    re, im = re.reshape(_WINDOW, 4, 4, -1), im.reshape(_WINDOW, 4, 4, -1)
-    if re[_OUTSIDE].any() or im[_OUTSIDE].any():
-        raise RuntimeError(
-            "amplitude outside its ket's occupied photon window; "
-            "the dynamics conserve excitations, so this is a bug"
-        )
+    # the flying atom's axis is swapped into slot 1, where _rotate acts
+    for axis in (1, 2):
+        re, im = (x.swapaxes(1, axis) for x in
+                  _rotate(re.swapaxes(1, axis), im.swapaxes(1, axis), n, gt))
+    re, im = re.reshape(4, 4, -1), im.reshape(4, 4, -1)
 
     def traced(i, j):
-        """tr_field(U|i><j|U^dagger) as (re, im), each shaped (4, 4, state).
-
-        Summed over the occupied window of ket i, which ket j shares.
-        """
-        w = slice(_EXCITED[i], _EXCITED[i] + 3)
-        a_re, a_im, b_re, b_im = re[w, i, :, None], im[w, i, :, None], re[w, j, None], im[w, j, None]
-        return sum(a_re * b_re + a_im * b_im), sum(a_im * b_re - a_re * b_im)
+        """tr_field(U|i><j|U^dagger) as (re, im), each shaped (4, 4, state)."""
+        a_re, a_im, b_re, b_im = re[i, :, None], im[i, :, None], re[j, None], im[j, None]
+        return (np.where(_SAME_PHOTONS, a_re * b_re + a_im * b_im, 0.0),
+                np.where(_SAME_PHOTONS, a_im * b_re - a_re * b_im, 0.0))
 
     rho_re, rho_im = 0.0, 0.0
     for i, p in enumerate((states.p11, states.p22, states.p33, states.p44)):

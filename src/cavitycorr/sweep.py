@@ -30,6 +30,9 @@ from .xstate import XBatch, werner_state
 # is a few percent while a chunk's arrays and CSV text keep growing: that
 # evolve's own peak RSS is 31.0, 34.4 and 38.5 MB at 1024, 4096 and 8192.
 SWEEP_CHUNK = 4096
+# The most grid steps: up to 2**53 every grid index i = 0..steps is an exact
+# float, so gt_i = i*gt_max/steps rounds only in its product and quotient.
+MAX_STEPS = 2**53
 # The discord routes (brute-force minimizer, closed form), as `--discord` lists them.
 DISCORD_METHODS = ("brute", "closed")
 
@@ -92,7 +95,7 @@ class SweepConfig:
 
     def __post_init__(self):
         # frozen: the checked values, as Python numbers, replace the given ones
-        for name, value in (("steps", ew.scalar(self.steps, "steps", int, 1)),
+        for name, value in (("steps", ew.scalar(self.steps, "steps", int, 1, MAX_STEPS)),
                             ("gt_max", ew.scalar(self.gt_max, "gt_max", float, 0,
                                                  open_lower=True)),
                             ("n", check_photon_number(self.n)),

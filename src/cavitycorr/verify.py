@@ -17,10 +17,10 @@ from .measures import discord_closed
 from .sweep import correlation_batch
 from .xstate import XBatch, XState, make_xbatch
 
-# Samples drawn and checked together.  Smaller than the sweep's chunk: the
-# Fock oracle holds (5, 4, 2, 2) float arrays per sample, so 4096-sample
-# chunks raised the own peak RSS of ``verify --samples 5000`` from 41 to
-# 54 MB and saved no time.
+# Samples drawn and checked together.  Smaller than the sweep's chunk: a
+# chunk's arrays grow with it, so 4096-sample chunks raised the peak RSS
+# of ``verify --samples 5000`` from 37.6 to 43.0 MB and saved no time
+# (in-process, shared 2-vCPU x86-64).
 VERIFY_CHUNK = 1024
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 
-from cavitycorr import fock, make_xstate
+from cavitycorr import make_xstate
 from cavitycorr.evolution import check_params
 from cavitycorr.measures import PROB_FLOOR
 from cavitycorr.xstate import make_xbatch
@@ -109,9 +109,10 @@ def conditional_entropy_measured(state, theta: float, phi: float) -> float:
     return total
 
 
-# Out-of-place references of the in-place oracles: the brute-force kernel
-# and the Fock oracle's trace as they were before they computed in place.
-# Tests require the package to give the same bits, signed zeros included.
+# References of the oracles: the brute-force kernel as it was before it
+# computed in place, and the Fock oracle on the five-photon window, with
+# its own rotation.  Tests require the package to give the same bits,
+# signed zeros included.
 
 def _xlog2x_reference(v):
     live = v > 0.0
@@ -136,20 +137,45 @@ def entropy_reference(pops, abs_c23, sin2_cos2, sin_cos):
     return out[0] + out[1]
 
 
-def sequential_pass_reference(states, n, gt):
-    """``fock.sequential_pass_batch`` traced over all five photon numbers.
+# The reference carries every ket on the five photon numbers n-2 .. n+2;
+# window index j holds photon number n - 2 + j.
+_WINDOW = 5
 
-    Each of the six ket pairs, (2, 1) included, is traced on its own and
-    weighted by its complex weight, the populations as p + 0i.
+
+def _rotate_window(re, im, n, gt):
+    """The interaction of the atom on axis 2 of kets shaped (field, ket, atom, atom, state).
+
+    Level index 0 is excited.  The pair {|e, n-2+j>, |g, n-1+j>} turns by
+    sqrt(n-1+j)*gt for j = 0..3, where n-1+j <= 0 turns by zero.  |g, n-2>
+    and |e, n+2>, whose partners lie outside the window, are left as they
+    are: two passages never populate them.
+    """
+    angle = np.sqrt(np.maximum(n - 1 + np.arange(_WINDOW - 1)[:, None], 0)) * gt
+    c, s = np.cos(angle)[:, None, None], np.sin(angle)[:, None, None]
+    e_re, e_im, g_re, g_im = re[:-1, :, 0], im[:-1, :, 0], re[1:, :, 1], im[1:, :, 1]
+    re, im = re.copy(), im.copy()
+    # (e, g) -> (c e - i s g, -i s e + c g)
+    re[:-1, :, 0], im[:-1, :, 0] = c * e_re + s * g_im, c * e_im - s * g_re
+    re[1:, :, 1], im[1:, :, 1] = c * g_re + s * e_im, c * g_im - s * e_re
+    return re, im
+
+
+def sequential_pass_reference(states, n, gt):
+    """``fock.sequential_pass_batch`` on a five-photon window, traced over all of it.
+
+    Each ket is carried on all five photon numbers that two passages can
+    reach, with its own rotation, and each of the six ket pairs, (2, 1)
+    included, is traced on its own and weighted by its complex weight, the
+    populations as p + 0i.
     """
     n, gt = check_params(n, gt, len(states))
-    re = np.zeros((fock._WINDOW, 4, 2, 2, len(states)))
+    re = np.zeros((_WINDOW, 4, 2, 2, len(states)))
     re[2, range(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1.0
     im = np.zeros_like(re)
     for axis in (2, 3):
         re, im = (x.swapaxes(2, axis) for x in
-                  fock._rotate(re.swapaxes(2, axis), im.swapaxes(2, axis), n, gt))
-    re, im = re.reshape(fock._WINDOW, 4, 4, -1), im.reshape(fock._WINDOW, 4, 4, -1)
+                  _rotate_window(re.swapaxes(2, axis), im.swapaxes(2, axis), n, gt))
+    re, im = re.reshape(_WINDOW, 4, 4, -1), im.reshape(_WINDOW, 4, 4, -1)
 
     def traced(i, j):
         a_re, a_im, b_re, b_im = re[:, i, :, None], im[:, i, :, None], re[:, j, None], im[:, j, None]

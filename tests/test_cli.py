@@ -325,6 +325,15 @@ class TestGateHoles:
         assert code == 1
         assert "--mode" in err
 
+    def test_huge_steps_rejected(self, capsys):
+        # beyond the float range steps * gt_max would raise OverflowError
+        steps = "1" + "0" * 400
+        code, out, err = run(capsys, "evolve", "--n", "1", "--r", "0.5",
+                             "--gt-max", "1", "--steps", steps)
+        assert code == 1
+        assert out == ""
+        assert err == f"cavitycorr: steps must be an integer in [1, {2**53}], got {steps}\n"
+
     def test_huge_n_max_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--samples", "2", "--seed", "1",
                              "--n-max", "10000000000000000000000")

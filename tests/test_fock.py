@@ -31,8 +31,8 @@ from conftest import (
 
 # Small-n reference: the dense atoms (x) field model, conjugated by full
 # single-atom unitaries on the photon window 0 .. n + padding.  Its cost
-# and memory grow as n^2, so it only cross-checks the window oracle.  It
-# flies the atoms in either order; the window oracle flies A first.
+# and memory grow as n^2, so it only cross-checks the package oracle.  It
+# flies the atoms in either order; the package oracle flies A first.
 A_FIRST, B_FIRST = "A-first", "B-first"
 
 
@@ -144,7 +144,7 @@ def relabel(state: XState) -> XState:
 
 
 def window_pass(state: XState, params: EvolutionParams, order: str) -> XState:
-    """The window oracle in either order: B first is A first on the relabelled atoms."""
+    """The package oracle in either order: B first is A first on the relabelled atoms."""
     if order == A_FIRST:
         return sequential_pass(state, params)
     return relabel(sequential_pass(relabel(state), params))
@@ -162,7 +162,7 @@ def pure_joint(a_level, b_level, photon, dim_field):
     return JointFieldState(np.outer(vec, vec.conj()), dim_field)
 
 
-# Both oracles: the package's window oracle and the dense reference.
+# Both oracles: the package oracle and the dense reference.
 ORACLES = [sequential_pass, dense_sequential_pass]
 
 
@@ -329,73 +329,54 @@ class TestWindowOracle:
         assert report.passed
 
     def test_off_x_leakage_is_caught_per_state(self, monkeypatch):
-        # a broken propagation that, after each pass, moves the flying
-        # atom's excited amplitudes of state 1 one photon up; state 0 stays
-        # correct, so the check must look at every state
-        rotate = fock._rotate
-
-        def leaky(re, im, n, gt):
-            re, im = rotate(re, im, n, gt)
-            for part in (re, im):  # shaped (field, ket, atom, atom, state)
-                part[:, :, 0, :, 1] = np.roll(part[:, :, 0, :, 1], 1, axis=0)
-            return re, im
-
-        monkeypatch.setattr(fock, "_rotate", leaky)
-        batch = XBatch.stack([werner_state(0.5)] * 2)
+        # the right photon-match mask keeps the trace in the X form; a mask
+        # that pairs every two configurations in state 1 leaks out of it,
+        # while state 0 stays correct, so the check must look at every state
+        batch, n, gt = XBatch.stack([werner_state(0.5)] * 2), [3, 3], [0.7, 0.7]
+        sequential_pass_batch(batch, n, gt)
+        broken = np.concatenate([fock._SAME_PHOTONS, np.ones((4, 4, 1), dtype=bool)], axis=2)
+        monkeypatch.setattr(fock, "_SAME_PHOTONS", broken)
         with pytest.raises(RuntimeError, match="off-X leakage"):
-            sequential_pass_batch(batch, [3, 3], [0.7, 0.7])
+            sequential_pass_batch(batch, n, gt)
 
-    def test_in_window_leakage_is_caught_by_the_off_x_check(self, monkeypatch):
+    def test_configuration_swap_is_caught_by_the_reference(self, monkeypatch):
         # a broken propagation that, after the last pass, swaps the other
         # atom's levels under the flying atom's excited level in state 1:
-        # every amplitude keeps its photon number, so it stays inside its
-        # ket's occupied window and only the off-X check sees the leak
+        # the trace pairs configurations by their excitations only, so the
+        # result stays an X state and no runtime check sees the fault; the
+        # comparison with the five-photon reference does, in state 1 only
         rotate, passes = fock._rotate, []
 
-        def leaky(re, im, n, gt):
+        def swapped(re, im, n, gt):
             re, im = rotate(re, im, n, gt)
             passes.append(gt)
             if len(passes) == 2:
-                for part in (re, im):  # shaped (field, ket, atom, atom, state)
-                    part[:, :, 0, :, 1] = part[:, :, 0, ::-1, 1].copy()
-                    assert not part[fock._OUTSIDE].any()
+                for part in (re, im):  # shaped (ket, atom, atom, state)
+                    part[:, 0, :, 1] = part[:, 0, ::-1, 1].copy()
             return re, im
 
-        monkeypatch.setattr(fock, "_rotate", leaky)
-        batch = XBatch.stack([werner_state(0.5)] * 2)
-        with pytest.raises(RuntimeError, match="off-X leakage"):
-            sequential_pass_batch(batch, [3, 3], [0.7, 0.7])
-
-    def test_photon_window_leakage_is_caught_per_state(self, monkeypatch):
-        # a broken propagation that puts amplitude two photons above |gg, n>
-        # in state 1, where excitation conservation allows none: the trace
-        # reads only the occupied window, so it would miss the leak and
-        # return the right state; only the window check sees it
-        rotate = fock._rotate
-
-        def leaky(re, im, n, gt):
-            re, im = rotate(re, im, n, gt)
-            re[4, 3, :, :, 1] += 0.25   # ket 3 = |gg> occupies indices 0 .. 2
-            return re, im
-
-        monkeypatch.setattr(fock, "_rotate", leaky)
-        batch = XBatch.stack([werner_state(0.5)] * 2)
-        with pytest.raises(RuntimeError, match="occupied photon window"):
-            sequential_pass_batch(batch, [3, 3], [0.7, 0.7])
+        monkeypatch.setattr(fock, "_rotate", swapped)
+        states = XBatch.stack([make_xstate(0.4, 0.2, 0.3, 0.1, 0.1 + 0.05j)] * 2)
+        n, gt = np.array([3, 3]), np.array([0.7, 0.7])
+        got, want = sequential_pass_batch(states, n, gt), sequential_pass_reference(states, n, gt)
+        _assert_same_bits(got[:1], want[:1])
+        assert abs(got.p11[1] - want.p11[1]) > 0.05   # about 0.079
 
     @pytest.mark.parametrize("n", [0, 1, 2, 2**53])
     def test_window_trace_bits_match_five_window_reference(self, n):
-        # the trace over each ket's occupied window, the (2, 1) pair as the
-        # adjoint of (1, 2) and the real population weights give the bits
-        # of all five photon numbers and six complex-weighted pairs
+        # four amplitudes per ket, the trace masked to equal photon numbers,
+        # the (2, 1) pair as the adjoint of (1, 2) and the real population
+        # weights give the bits of all five photon numbers and six
+        # complex-weighted pairs
         states = XBatch.stack(list(DEGENERATE_STATES.values()) * 4)
         gt = np.repeat([0.0, 0.7, math.pi / 2, 123.4], len(DEGENERATE_STATES))
         ns = np.full(len(states), n)
         _assert_same_bits(sequential_pass_batch(states, ns, gt),
                           sequential_pass_reference(states, ns, gt))
 
-    def test_window_trace_bits_match_five_window_reference_on_a_seeded_chunk(self):
-        _, states, ns, gts = next(_seeded_chunks(seeded_rng(24), 1024, 12, 20.0))
+    @pytest.mark.parametrize("n_max,gt_max", [(12, 20.0), (0, 20.0), (2**53, 20.0), (12, 1e4)])
+    def test_window_trace_bits_match_five_window_reference_on_a_seeded_chunk(self, n_max, gt_max):
+        _, states, ns, gts = next(_seeded_chunks(seeded_rng(24), 1024, n_max, gt_max))
         _assert_same_bits(sequential_pass_batch(states, ns, gts),
                           sequential_pass_reference(states, ns, gts))
 

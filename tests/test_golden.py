@@ -93,8 +93,8 @@ GOLDEN = {
     # samples after each rejection shift in the raw stream
     "verify --samples 1100 --seed 7 --n-max 2147483648":
         "39f997083a1dc09c06fa0b2e2de79c845ac4adae4b0cba3872f95cad961edd41",
-    # edges of the Fock oracle's occupied photon window: n up to 2**53, and
-    # n = 0, where the window's lower photon numbers are negative
+    # edges of the Fock oracle's photon numbers: n up to 2**53, and n = 0,
+    # where a configuration's photon number can be negative (angle 0)
     "verify --samples 300 --seed 11 --n-max 9007199254740992":
         "c3ac123b8393fa9393f092a9182f91adb6cd990084fadc9eccd64155f1554a2f",
     "evolve --n 0 --r 0.3 --gt-max 5 --steps 400 --discord brute":
