@@ -129,6 +129,18 @@ CATALOGUE = (
            "read(least - (len(words) - pos))",
            "read(least - (len(words) - pos) + 1)",
            ("tests/test_verify.py::test_seeded_chunks_reproduce_the_per_sample_formula",)),
+    Mutant("csv-tie-gate", "src/cavitycorr/csvformat.py",
+           "np.abs(y - m) < 0.5",
+           "np.abs(y - m) <= 0.5",
+           ("tests/test_cli.py::TestCsvKernel::test_edge_corpus_matches_percent_format",)),
+    Mutant("csv-carry-gate", "src/cavitycorr/csvformat.py",
+           "m < 1e12",
+           "m <= 1e12",
+           ("tests/test_cli.py::TestCsvKernel::test_edge_corpus_matches_percent_format",)),
+    Mutant("csv-decade-above", "src/cavitycorr/csvformat.py",
+           "np.append(_DECADES, np.nan)",
+           "np.append(_DECADES, np.inf)",
+           ("tests/test_cli.py::TestCsvKernel::test_edge_corpus_matches_percent_format",)),
 )
 
 

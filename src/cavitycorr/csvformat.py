@@ -1,18 +1,20 @@
 """CSV rows whose every field is exactly ``"%.12g" % (x + 0.0)``, made in numpy.
 
-A nonzero |x| in [1e-4, 1e3) has a decade X in -4..2 and is scaled by the
-exact power 10**(11 - X) to y, the exact product P rounded, so M = rint(y)
-holds its 12 significant digits.  Rounding is monotone and y < 2**40 keeps
-each half-integer a double, so y and P lie on one side of each unless y is
-one: where |y - M| < 0.5, M is the correctly rounded digit string that %.12g
-prints.  Each decade bound is a double at or above its power of ten, so
-y >= 1e11; M = 1e12, a carry into the next decade, is left out.  Divisions
-by exact powers of ten (never products with 1e-k) split M into the integer
-part and 15 fraction digits, every step an exact integer in float64.  One
-``take`` on a table of 4-byte words then spells each value: sign and integer
-part, ".ddd" and three "dddd" groups, the last nonzero group without its
-trailing zeros and the groups after it empty.  The NUL padding goes in one
-``bytes.translate``.
+A nonzero |x| in [1e-4, 1e3) has a decade X in -4..2, read from the
+exponent bits of |x| and one comparison with the power of ten in its
+binade, and is scaled by the exact power 10**(11 - X) to y, the exact
+product P rounded, so M = rint(y) holds its 12 significant digits.
+Rounding is monotone and y < 2**40 keeps each half-integer a double, so y
+and P lie on one side of each unless y is one: where |y - M| < 0.5, M is
+the correctly rounded digit string that %.12g prints.  Each decade bound
+is a double at or above its power of ten, so y >= 1e11; M = 1e12, a carry
+into the next decade, is left out.  Divisions by exact powers of ten
+(never products with 1e-k) split M into the integer part and ".ddd" and
+three "dddd" digit groups, every step an exact integer in float64.  One
+``take`` on a table of 4-byte words then spells each value: sign and
+integer part, then each group in full, or without its trailing zeros
+where every group after it is zero, the two forms side by side in the
+table.  The NUL padding goes in one ``bytes.translate``.
 
 Zeros print "0".  Every other value (|x| >= 1e3 or < 1e-4, inf and NaN,
 which get a NaN scale, a y on a half-integer, a carry) fails that test,
@@ -24,9 +26,15 @@ import functools
 
 import numpy as np
 
-# searchsorted(_DECADES, |x|, "right") picks a row of the tables below:
-# 0 for zero, 1 below 1e-4, 2..8 for the decades -4..2, 9 from 1e3 on and NaN
+# A value's row of the tables below: 0 for zero, 1 below 1e-4, 2..8 for
+# the decades -4..2, 9 from 1e3 on, inf and NaN.  Each binade holds at
+# most one _DECADES bound, since 10 > 2, so the biased exponent e of |x|
+# gives the row _ROW[e] at the binade's start 2**(e - 1023) (0.0 for
+# e = 0) and the bound _NEXT[e] from which the row is one more: NaN,
+# which no value reaches, after the last bound.
 _DECADES = np.array([5e-324, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0])
+_ROW = np.searchsorted(_DECADES, (np.arange(2048, dtype=np.uint64) << 52).view(float), "right")
+_NEXT = np.append(_DECADES, np.nan)[_ROW]
 _POWER = 10.0 ** np.array([0, 0, 15, 14, 13, 12, 11, 10, 9, 0])  # 10**(11 - X)
 _SCALE = np.array([1.0, np.nan, *_POWER[2:-1], np.nan])
 _FRACTION = 1e15 / _POWER  # the fraction part as 15 digits
@@ -34,9 +42,9 @@ _FRACTION = 1e15 / _POWER  # the fraction part as 15 digits
 # fraction digits less the digits before them
 _GROUPS = np.array([[1e12], [1e8], [1e4], [1.0]])
 # The table's words: sign and integer part 0..999 (+1000 when negative),
-# ".ddd" in full, then without trailing zeros, "dddd" the same way, and:
+# then for each ".ddd" and each "dddd" group g the full form at 2g and the
+# form without trailing zeros at 2g + 1, counted from the group's base, and:
 _GROUP_BASE = np.array([[2000.0], [4000.0], [4000.0], [4000.0]])
-_GROUP_TRIM = np.array([[1000.0], [10000.0], [10000.0], [10000.0]])
 _PERCENT_G = [[24000], [24001]]  # "%.12", "g": a value left to "%.12g"
 # after each of a row's 11 values: "\x01" (replaced by the text between
 # the first two values), "," and "\n"
@@ -61,12 +69,12 @@ def _digit_table() -> np.ndarray:
     significant[:, -1] = True
     whole = np.where(significant, d3, 0)
     dot = np.full((1000, 1), ord("."), np.uint8)
-    table = np.vstack([
+    table = np.concatenate([part.ravel() for part in (
         np.hstack([np.zeros_like(dot), whole]), np.hstack([np.full_like(dot, ord("-")), whole]),
-        np.hstack([dot, d3]), np.hstack([np.where(kept3[:, :1], dot, 0), np.where(kept3, d3, 0)]),
-        d4, np.where(kept4, d4, 0),
-        np.frombuffer(b"%.12g\0\0\0\1\0\0\0,\0\0\0\n\0\0\0", np.uint8).reshape(5, 4),
-    ]).view(np.uint32).ravel()
+        np.hstack([dot, d3, np.where(kept3[:, :1], dot, 0), np.where(kept3, d3, 0)]),
+        np.hstack([d4, np.where(kept4, d4, 0)]),
+        np.frombuffer(b"%.12g\0\0\0\1\0\0\0,\0\0\0\n\0\0\0", np.uint8),
+    )]).view(np.uint32)
     table.flags.writeable = False
     return table
 
@@ -75,21 +83,27 @@ def _format_block(values: np.ndarray, mid: bytes) -> bytes:
     """The CSV rows of a (rows, 11) block, with ``mid`` between each row's first two fields."""
     x = values.ravel()
     a = np.abs(x)
-    decade = np.searchsorted(_DECADES, a, side="right")
+    e = a.view(np.int64) >> 52  # an intp index, which needs no cast
+    decade = _ROW[e] + (a >= _NEXT[e])
     y = a * _SCALE[decade]
     m = np.rint(y)
-    off = ~((np.abs(y - m) < 0.5) & (m < 1e12))
+    off = np.flatnonzero(~((np.abs(y - m) < 0.5) & (m < 1e12)))
     m[off] = 0.0
     power = _POWER[decade]
     whole = np.floor(m / power)
     fraction = (m - whole * power) * _FRACTION[decade]
     lead = np.floor(fraction / _GROUPS)
-    last = lead * _GROUPS == fraction  # no nonzero digit after the group
-    lead[1:] -= 1e4 * lead[:-1]
+    lead[1:] -= 1e4 * lead[:-1]  # each group's digits
+    last = np.empty(lead.shape, bool)  # no nonzero group after the group
+    last[3] = True
+    for k in (2, 1, 0):
+        np.logical_and(last[k + 1], lead[k + 1] == 0.0, out=last[k])
+    lead *= 2.0
+    lead += _GROUP_BASE
     index = np.empty((len(x), 6), np.intp)
     words = index.T  # one row per word of a value
     words[0] = whole + 1000.0 * (x < 0)
-    words[1:5] = lead + _GROUP_BASE + _GROUP_TRIM * last
+    np.add(lead, last, out=words[1:5], casting="unsafe")
     words[:2, off] = _PERCENT_G
     words[5].reshape(-1, 11)[:] = _SEPARATORS
     text = _digit_table().take(index).tobytes().translate(None, b"\0")
@@ -102,6 +116,7 @@ def format_rows(values: np.ndarray, mid: str) -> list[str]:
     Each field is ``"%.12g" % (v + 0.0)``, and each row ends in a newline;
     ``mid`` goes between the first and second field of a row instead of a comma.
     """
+    values = np.asarray(values, dtype=float)
     mid = mid.encode("ascii")
     with np.errstate(invalid="ignore"):  # a signalling NaN prints as "nan" too
         return [_format_block(values[i:i + BLOCK_ROWS], mid).decode("ascii")

@@ -14,9 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 import cavitycorr
 from cavitycorr.cli import CSV_HEADER, _format_rows, format_record, main
-from cavitycorr.csvformat import BLOCK_ROWS
 from cavitycorr.sweep import SweepConfig, time_series
-from cavitycorr import measures, sweep, verify
+from cavitycorr import csvformat, measures, sweep, verify
 from cavitycorr.verify import run_verification
 
 from conftest import csv_fields
@@ -232,8 +231,8 @@ def _reference_rows(columns, n, r):
 
 
 def _assert_rows_exact(values, n=3, r=0.25):
-    values = np.asarray(values, dtype=float)
-    values = np.concatenate([values, np.zeros(-len(values) % 11)]).reshape(-1, 11)
+    values = np.asarray(values)
+    values = np.concatenate([values, np.zeros(-len(values) % 11, values.dtype)]).reshape(-1, 11)
     columns = list(values.T)
     got = "".join(_format_rows(columns, n, r)).split("\n")
     want = _reference_rows(columns, n, r).split("\n")
@@ -250,6 +249,11 @@ def _edge_corpus():
               123.0, 0.001, 0.0012, 0.1, 0.30000000000000004, 1 / 3, 2 / 3]
     for b in bounds:
         values += [b, np.nextafter(b, 0.0), np.nextafter(b, np.inf)]
+    # both ends of every binade, subnormal ones too, the last one ending in
+    # big: the kernel reads the decade from the exponent bits
+    for e in range(-1074, 1023):
+        values += [np.ldexp(1.0, e), np.nextafter(np.ldexp(1.0, e + 1), 0.0)]
+    values += [np.ldexp(1.0, 1023)]
     # exact ties at the 12th digit: j / 2**(k + 1) with j odd is a multiple
     # of 10**-k plus half of it, for k = 11 - X in each decade X = -4..2
     for k in range(9, 16):
@@ -271,9 +275,14 @@ class TestCsvKernel:
     def test_edge_corpus_matches_percent_format(self):
         _assert_rows_exact(_edge_corpus())
 
-    def test_several_blocks_match_percent_format(self):
-        rows = 2 * BLOCK_ROWS + 5
-        _assert_rows_exact(np.random.default_rng(11).standard_normal(rows * 11))
+    @pytest.mark.parametrize("block_rows", [1, 7, 256])
+    def test_several_blocks_match_percent_format(self, monkeypatch, block_rows):
+        monkeypatch.setattr(csvformat, "BLOCK_ROWS", block_rows)
+        rows = 2 * block_rows + 5
+        rng = np.random.default_rng(11)
+        _assert_rows_exact(rng.standard_normal(rows * 11))
+        # integer columns print as their floats; int32 ones have no float64 bits
+        _assert_rows_exact(rng.integers(-2000, 2000, rows * 11, dtype=np.int32))
 
     @given(arrays(np.float64, st.tuples(st.integers(0, 30), st.just(11)),
                   elements=st.one_of(st.floats(), st.floats(-1e3, 1e3))),
