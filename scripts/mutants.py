@@ -83,12 +83,12 @@ CATALOGUE = (
            ("tests/test_xstate.py::TestMakeXbatch::test_malformed_columns_rejected",
             "tests/test_xstate.py::TestMakeXstate::test_sequence_rejected")),
     Mutant("states-ok-trace-drift", "src/cavitycorr/verify.py",
-           "return (self.max_trace_drift <= 1e-12 and",
+           "return (self.max_trace_drift <= ATOL and",
            "return (self.max_trace_drift <= 1e-6 and",
            ("tests/test_verify.py::test_states_verdict_fails_just_beyond_its_bound",)),
     Mutant("verify-coherence-excess-line", "src/cavitycorr/verify.py",
-           "broken = (drift > 1e-12) | (floor < -1e-12) | (excess > 1e-12)",
-           "broken = (drift > 1e-12) | (floor < -1e-12)",
+           "broken = (drift > ATOL) | (floor < -ATOL) | (excess > ATOL)",
+           "broken = (drift > ATOL) | (floor < -ATOL)",
            ("tests/test_verify.py::test_coherence_excess_gets_its_failure_line",)),
     Mutant("prob-floor", "src/cavitycorr/measures.py",
            "PROB_FLOOR = 1e-14",
@@ -126,8 +126,12 @@ CATALOGUE = (
            "if True:",
            ("tests/test_verify.py::test_seeded_chunks_reproduce_the_per_sample_formula",)),
     Mutant("verify-draw-read-ahead", "src/cavitycorr/verify.py",
-           "read(least - (len(words) - pos))",
-           "read(least - (len(words) - pos) + 1)",
+           "bitgen.advance(pos - len(stream))",
+           "bitgen.advance(pos - len(stream) + 1)",
+           ("tests/test_verify.py::test_seeded_chunks_reproduce_the_per_sample_formula",)),
+    Mutant("verify-draw-run-short", "src/cavitycorr/verify.py",
+           "if len(stream) < pos + 2:",
+           "if len(stream) < pos + 1:",
            ("tests/test_verify.py::test_seeded_chunks_reproduce_the_per_sample_formula",)),
     Mutant("csv-tie-gate", "src/cavitycorr/csvformat.py",
            "np.abs(y - m) < 0.5",

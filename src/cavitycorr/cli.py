@@ -77,10 +77,11 @@ def _build_parser() -> _Parser:
     vf = sub.add_parser("verify", help="cross-check closed forms against oracles")
     vf.add_argument("--samples", type=int, required=True)
     vf.add_argument("--seed", type=int, required=True)
-    vf.add_argument("--n-max", type=int, default=12)
-    vf.add_argument("--gt-max", type=float, default=20.0)
-    vf.add_argument("--tol-evolve", type=float, default=1e-10)
-    vf.add_argument("--tol-discord", type=float, default=0.0026)
+    # a flag not given stays out of args, and run_verification's default applies
+    vf.add_argument("--n-max", type=int, default=argparse.SUPPRESS)
+    vf.add_argument("--gt-max", type=float, default=argparse.SUPPRESS)
+    vf.add_argument("--tol-evolve", type=float, default=argparse.SUPPRESS)
+    vf.add_argument("--tol-discord", type=float, default=argparse.SUPPRESS)
 
     en = sub.add_parser("envelope", help="CSV of collapse/revival events")
     en.add_argument("--n", type=int, required=True)
@@ -122,10 +123,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_verification(samples=args.samples, seed=args.seed,
-                              n_max=args.n_max, gt_max=args.gt_max,
-                              tol_evolve=args.tol_evolve,
-                              tol_discord=args.tol_discord)
+    report = run_verification(**{k: v for k, v in vars(args).items() if k != "command"})
     sys.stdout.write(report.render())
     return 0 if report.passed else 2
 

@@ -39,7 +39,7 @@ evaluates one new point per state.  A state whose bracket is
 already narrower than ``ANGLE_TOL`` stops moving, so its result is
 bit-identical alone and inside any batch.  Each call reads the states'
 populations and |c23| once and computes the grid's trig once; one kernel
-serves the grid, the golden-section steps and :func:`_measured_entropy`.
+serves the grid and the golden-section steps.
 """
 from __future__ import annotations
 
@@ -180,16 +180,14 @@ def discord_closed(state: XState | XBatch) -> float | np.ndarray:
                         closed_min_conditional_entropy(state))
 
 
-def _constants(states: XBatch, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+def _constants(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
     """Each state's populations ``[[p11, p33], [p22, p44]]`` and its |c23|.
 
-    Shaped to broadcast against ``ndim`` theta axes, the first of which
-    runs over the states: the populations as (2, 2, 1, *shape), |c23| as
-    ``shape``.
+    Shaped to broadcast against one angle per state: the populations as
+    (2, 2, 1, states), |c23| as (states,).
     """
-    shape = (len(states),) + (1,) * (ndim - 1)
     pops = np.array([[states.p11, states.p33], [states.p22, states.p44]], dtype=float)
-    return pops.reshape((2, 2, 1) + shape), np.reshape(states.abs_c23(), shape)
+    return pops[:, :, None], states.abs_c23()
 
 
 def _trig(theta) -> tuple[np.ndarray, np.ndarray]:
@@ -237,15 +235,6 @@ def _entropy(pops, abs_c23, sin2_cos2, sin_cos) -> np.ndarray:
     dead = p_k > PROB_FLOOR
     np.copyto(out, 0.0, where=np.logical_not(dead, out=dead))
     return out[0] + out[1]
-
-
-def _measured_entropy(states: XBatch, theta):
-    """Measured conditional entropy at the polar angles ``theta`` of B's basis.
-
-    The first axis of ``theta`` runs over the states.
-    """
-    theta = np.asarray(theta, dtype=float)
-    return _entropy(*_constants(states, theta.ndim), *_trig(theta))
 
 
 def _golden_min(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +288,7 @@ def _min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
     grid's trig computed, once per call.  A state's result does not depend
     on the batch it is in.
     """
-    pops, abs_c23 = _constants(states, 1)
+    pops, abs_c23 = _constants(states)
     thetas = np.linspace(0.0, THETA_MAX, GRID_POINTS)
     trig = _trig(thetas[None])   # one row of angles, shared by every row of states
     rows = max(1, _GRID_VALUES // GRID_POINTS)

@@ -15,7 +15,7 @@ from .evolution import MAX_PHOTONS, evolve_batch
 from .fock import sequential_pass_batch
 from .measures import discord_closed
 from .sweep import correlation_batch
-from .xstate import XBatch, XState, make_xbatch
+from .xstate import ATOL, XBatch, XState, make_xbatch
 
 # Samples drawn and checked together.  Smaller than the sweep's chunk: a
 # chunk's arrays grow with it, so 4096-sample chunks raised the peak RSS
@@ -55,62 +55,57 @@ def _draw(rng: np.random.Generator, count: int, n_max: int, gt_max):
     ``rng.uniform(0.0, gt_max)`` per sample would give, and ``rng`` is left
     in the same state, its 32-bit buffer included.  Each sample takes six
     words for its uniforms, then n's draws, then one word for gt (``0.0 +
-    gt_max * d`` is ``gt_max * d``).  numpy draws nothing for n_max = 0.
-    Otherwise one loop over the words, as Python ints, draws n by Lemire's
-    method: ``x * bound`` is rejected while its low k bits fall below
-    ``2**k % bound``, and n is its high bits.  k = 64 for whole words when
-    the bound is above 2**32; otherwise k = 32 for the halves of PCG64's
-    buffer, the low half of a new word drawn and its high half held for
-    the next draw.  The loop records where each sample starts, and numpy
-    gathers the uniforms and gt there.  No word is read that the
-    per-sample calls would not read.
+    gt_max * d`` is ``gt_max * d``).  One loop over the words draws n by
+    Lemire's method on the word it uses, as a Python int: ``x * bound`` is
+    rejected while its low k bits fall below ``2**k % bound``, and n is its
+    high bits.  k = 64 for whole words when the bound is above 2**32;
+    otherwise k = 32 for the halves of PCG64's buffer, the low half of a
+    new word drawn and its high half held for the next draw.  numpy draws
+    nothing for n_max = 0 (bound 1), and neither does the loop.  The words
+    are read ahead, eight per sample left, and read again only when
+    rejected draws use them up.  The loop records where each sample starts,
+    and numpy gathers the uniforms and gt there.  The words read ahead and
+    not used are given back with a negative ``advance``, which empties the
+    32-bit buffer, so the buffer is written back: the loop's when k = 32,
+    as found when k = 64.
     """
     bitgen = rng.bit_generator
-    if n_max == 0:
-        words = bitgen.random_raw(7 * count).reshape(count, 7)
-        return (_doubles(words[:, :6].T), np.zeros(count, dtype=np.int64),
-                gt_max * _doubles(words[:, 6]))
     bound = n_max + 1   # a Python int (run_verification's gate), so nothing overflows
     k = 64 if bound > 2**32 else 32
     mask, threshold = (1 << k) - 1, (1 << k) % bound
     state = bitgen.state
-    held, half = (0, 0) if k == 64 else (state["has_uint32"], state["uinteger"])
-    raw, words, at, n = [], [], [], []
+    buffer = state["has_uint32"], state["uinteger"]
+    held, half = buffer if k == 32 else (0, 0)
+    stream = bitgen.random_raw(8 * count)
+    at, n = [], []
     pos = 0
-
-    def read(size):
-        raw.append(bitgen.random_raw(size))
-        words.extend(raw[-1].tolist())
-
     for left in range(count, 0, -1):
-        # read no more words than the samples left must take
-        least = 8 * left if k == 64 else 7 * left + (left - held + 1) // 2
-        if len(words) - pos < least:
-            read(least - (len(words) - pos))
+        if len(stream) < pos + 8:
+            stream = np.append(stream, bitgen.random_raw(8 * left))
         at.append(pos)
         pos += 6
-        while True:
+        m = 0
+        while bound > 1:
             if held:
                 x, held = half, 0
             else:
-                if pos == len(words):
-                    read(1)
-                x, pos = words[pos], pos + 1
+                # this draw's word and the gt word after it
+                if len(stream) < pos + 2:
+                    stream = np.append(stream, bitgen.random_raw(8 * left))
+                x, pos = stream.item(pos), pos + 1
                 if k == 32:
                     x, half, held = x & 0xFFFFFFFF, x >> 32, 1
             m = x * bound
             if m & mask >= threshold:
                 break
         n.append(m >> k)
-        if pos == len(words):
-            read(1)
         pos += 1
-    if k == 32:
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = held, half
-        bitgen.state = state
+    bitgen.advance(pos - len(stream))
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = (held, half) if k == 32 else buffer
+    bitgen.state = state
     # a sample's gt is the word before the next sample's first
-    stream, at = np.concatenate(raw), np.array(at + [pos])
+    at = np.array(at + [pos])
     return (_doubles(stream[at[:-1] + np.arange(6)[:, None]]), np.array(n, dtype=np.int64),
             gt_max * _doubles(stream[at[1:] - 1]))
 
@@ -160,8 +155,8 @@ class VerificationReport:
 
     @property
     def states_ok(self) -> bool:
-        return (self.max_trace_drift <= 1e-12 and self.min_population >= -1e-12
-                and self.max_coherence_excess <= 1e-12)
+        return (self.max_trace_drift <= ATOL and self.min_population >= -ATOL
+                and self.max_coherence_excess <= ATOL)
 
     @property
     def passed(self) -> bool:
@@ -251,7 +246,7 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
         report.max_discord_dev = float(np.max(ddev, initial=report.max_discord_dev))
         report.max_identity_gap = float(np.max(gap, initial=report.max_identity_gap))
 
-        broken = (drift > 1e-12) | (floor < -1e-12) | (excess > 1e-12)
+        broken = (drift > ATOL) | (floor < -ATOL) | (excess > ATOL)
         for i in np.flatnonzero((dev > tol_evolve) | broken | (ddev > tol_discord)).tolist():
             k, state, n, gt = start + i, states[i], int(ns[i]), float(gts[i])
             if dev[i] > tol_evolve:

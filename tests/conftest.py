@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 
-from cavitycorr import make_xstate
+from cavitycorr import make_xstate, measures
 from cavitycorr.evolution import check_params
 from cavitycorr.measures import PROB_FLOOR
 from cavitycorr.xstate import make_xbatch
@@ -135,6 +135,18 @@ def entropy_reference(pops, abs_c23, sin2_cos2, sin_cos):
     top = (p_k + gap) / np.maximum(2.0 * p_k, PROB_FLOOR)
     out = np.where(p_k > PROB_FLOOR, p_k * h_reference(top), 0.0)
     return out[0] + out[1]
+
+
+def measured_entropy(states, theta):
+    """The package's measured conditional entropy at the polar angles ``theta`` of B's basis.
+
+    ``theta`` is 1-d, one angle per state, or 2-d, a row of angles per state.
+    """
+    theta = np.asarray(theta, dtype=float)
+    pops, abs_c23 = measures._constants(states)
+    if theta.ndim == 2:
+        pops, abs_c23 = pops[..., None], abs_c23[:, None]
+    return measures._entropy(pops, abs_c23, *measures._trig(theta))
 
 
 # The reference carries every ket on the five photon numbers n-2 .. n+2;

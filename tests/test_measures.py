@@ -21,7 +21,7 @@ from cavitycorr import (
 )
 from cavitycorr import measures, verify
 from cavitycorr.xstate import XBatch, XState, make_xbatch
-from cavitycorr.measures import _golden_min, _measured_entropy, _min_conditional_entropy
+from cavitycorr.measures import _golden_min, _min_conditional_entropy
 from cavitycorr.verify import _sampled_states, sample_xstate
 
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     conditional_entropy_measured,
     entropy_reference,
     h_reference,
+    measured_entropy,
     seeded_rng,
     xstates,
 )
@@ -148,7 +149,7 @@ class TestConditionalEntropy:
             theta = float(rng.uniform(0, math.pi / 2))
             phi = float(rng.uniform(0, 2 * math.pi))
             general = conditional_entropy_measured(s, theta, phi)
-            fast = float(_measured_entropy(XBatch.of(s), [theta])[0])
+            fast = float(measured_entropy(XBatch.of(s), [theta])[0])
             assert general == pytest.approx(fast, abs=1e-12)
 
     def test_outcome_relabeling_symmetry(self):
@@ -275,7 +276,7 @@ class TestBatchedMinimizer:
         grid = calls[0]   # the grid stage runs first, in one block for one state
         assert grid.shape == (1, grid_points)
         thetas = np.linspace(0.0, measures.THETA_MAX, grid_points)
-        alone = [_measured_entropy(XBatch.of(state), [theta])[0] for theta in thetas]
+        alone = [measured_entropy(XBatch.of(state), [theta])[0] for theta in thetas]
         assert (_bits(alone) == _bits(grid[0])).all()
 
     def test_grid_edge_states_are_edge_cases(self):
@@ -300,7 +301,7 @@ def full_range_min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.n
     A 128-point theta grid, then three re-centred golden-section rounds,
     on the package's kernel; returns ``(minimum, theta)`` per state.
     """
-    pops, abs_c23 = measures._constants(states, 1)
+    pops, abs_c23 = measures._constants(states)
     thetas = np.linspace(0.0, math.pi / 2, 128)
     vals = measures._entropy(pops[..., None], abs_c23[:, None], *measures._trig(thetas[None]))
     i = np.argmin(vals, axis=1)
@@ -340,7 +341,7 @@ class TestHalfRange:
         rng = seeded_rng(32)
         states = _sampled_states(rng.random((6, 2000)))
         theta = rng.uniform(0.0, math.pi / 2, (2000, 16))
-        gap = abs(_measured_entropy(states, theta) - _measured_entropy(states, math.pi / 2 - theta))
+        gap = abs(measured_entropy(states, theta) - measured_entropy(states, math.pi / 2 - theta))
         assert gap.max() <= self.MIRROR_TOL
 
     @pytest.mark.parametrize("states", [
@@ -362,7 +363,7 @@ def test_rare_outcome_counts():
     # both routes must count it, as the dense oracle does.
     s = make_xstate(0.5, 5e-13, 0.5 - 1e-12, 5e-13, 0)
     want = conditional_entropy_measured(s, 0.0, 0.0)
-    assert abs(_measured_entropy(XBatch.of(s), [0.0])[0] - want) <= 1e-14
+    assert abs(measured_entropy(XBatch.of(s), [0.0])[0] - want) <= 1e-14
     assert abs(measures.closed_min_conditional_entropy(s) - want) <= 1e-14
 
 
@@ -374,7 +375,7 @@ def _seeded_chunk() -> XBatch:
 def _kernel_arguments(states: XBatch) -> dict[str, tuple]:
     """``_entropy``'s arguments in the minimizer's two shapes: a grid block
     (states x grid points) and one angle per state, as in the golden section."""
-    pops, abs_c23 = measures._constants(states, 1)
+    pops, abs_c23 = measures._constants(states)
     grid = np.linspace(0.0, measures.THETA_MAX, measures.GRID_POINTS)
     angles = seeded_rng(25).uniform(0.0, measures.THETA_MAX, len(states))
     return {"grid": (pops[..., None], abs_c23[:, None], *measures._trig(grid[None])),

@@ -3,8 +3,9 @@
 The reference draws one sample at a time, exactly as the benchmark's
 replay (perfbench/checks.py, ``replay_verify``) spells it out: four
 exponential weights, the coherence's radius and phase, then n and gt.
-The batched draw reads the generator's raw stream, and must leave the
-generator in the reference's state, its 32-bit buffer included.
+The batched draw reads the generator's raw stream, a chunk in a few
+calls, and must leave the generator in the reference's state, its 32-bit
+buffer included.
 The float parameters of ``run_verification`` reject bools and non-numbers.
 The state-invariant checks fail just above their 1e-12 bound, and each
 violation gets its failure line.
@@ -72,7 +73,7 @@ def _columns(states):
 # smallest 64-bit bound, and 2**53 rejects a 64-bit draw with probability
 # about 4.9e-4: seed 47 at sample 30 and seed 1 at sample 587 (found by search).
 # A chunk of 31 puts seed 47's rejection on a chunk's last sample, where
-# the words read at its start run out and the draw reads on one at a time.
+# the words read ahead at the chunk's start run out and the draw reads more.
 REJECTING = (2**31, 2**53)
 
 
@@ -113,6 +114,35 @@ def test_seeded_chunks_reproduce_the_per_sample_formula(monkeypatch, chunk, seed
             assert int(rng.integers(0, n_max + 1)) == want_n[k]
             assert _bits(float(rng.uniform(0.0, GT_MAX))) == want_gt[k]
     assert rejected == (n_max in REJECTING)
+
+
+class _CountingPCG64(np.random.PCG64):
+    """PCG64 that counts its ``random_raw`` calls."""
+    calls = 0
+
+    def random_raw(self, size=None, output=True):
+        self.calls += 1
+        return super().random_raw(size, output)
+
+
+# The bound, derived before measuring.  At n_max = 2**31 a 32-bit draw is
+# rejected with probability (2**31 - 1) / 2**32, about one half, so n takes
+# two half-words on average and a sample eight words: as many as the draw
+# reads ahead per sample left.  So the words read ahead run out with
+# probability about one half, each further read again brings eight words
+# per sample left, and a chunk makes 1 + 1/2 + 1/4 + ... = 2 calls on
+# average and more than c with probability about 2**-c.  64 chunks then
+# make at most 3 * 64 calls together, and none more than 12 (a chance of
+# about 64 * 2**-12, under 2 %, on fresh seeds).  Reading no word beyond
+# what the samples left must take made a call for about 370 of every 1000
+# samples.
+def test_draw_reads_a_chunk_in_few_calls():
+    calls = []
+    for seed in range(64):
+        bitgen = _CountingPCG64(seed)
+        verify._draw(np.random.Generator(bitgen), VERIFY_CHUNK, 2**31, GT_MAX)
+        calls.append(bitgen.calls)
+    assert sum(calls) <= 3 * len(calls) and max(calls) <= 12, calls
 
 
 # each float parameter, and the message that rejects a bad value
