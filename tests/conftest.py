@@ -149,6 +149,18 @@ def measured_entropy(states, theta):
     return measures._entropy(pops, abs_c23, *measures._trig(theta))
 
 
+def entropy_at_z(states, z):
+    """The package's kernel at z = cos(2 theta), a row of points per state.
+
+    The trig comes from z itself: sin^2 = (1 - z)/2, cos^2 = (1 + z)/2 and
+    sin*cos = sqrt((1 - z)(1 + z))/2, so the points are exact in z.
+    """
+    z = np.asarray(z, dtype=float)
+    pops, abs_c23 = measures._constants(states)
+    trig = np.array([(1.0 - z) / 2.0, (1.0 + z) / 2.0]), np.sqrt((1.0 - z) * (1.0 + z)) / 2.0
+    return measures._entropy(pops[..., None], abs_c23[:, None], *trig)
+
+
 # The reference carries every ket on the five photon numbers n-2 .. n+2;
 # window index j holds photon number n - 2 + j.
 _WINDOW = 5

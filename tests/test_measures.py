@@ -17,6 +17,8 @@ from cavitycorr import (
     entropy_joint,
     make_xstate,
     mutual_information,
+    SweepConfig,
+    time_series,
     werner_state,
 )
 from cavitycorr import measures, verify
@@ -28,6 +30,7 @@ from conftest import (
     DEGENERATE_STATES,
     as_matrix,
     conditional_entropy_measured,
+    entropy_at_z,
     entropy_reference,
     h_reference,
     measured_entropy,
@@ -354,6 +357,66 @@ class TestHalfRange:
         reference, _ = full_range_min_conditional_entropy(states)
         assert (abs(m - reference) <= self.REFERENCE_TOL).all()
         assert ((0.0 <= theta) & (theta <= measures.THETA_MAX)).all()
+
+
+def _sign_changes(values: np.ndarray, band: float) -> np.ndarray:
+    """Sign changes along each row of ``values``' differences; a difference
+    no larger than ``band`` carries no sign."""
+    diff = np.diff(values, axis=1)
+    sign = np.where(abs(diff) > band, np.sign(diff), 0.0)
+    # each position holds the last sign seen up to it, 0 before the first
+    last = np.where(sign != 0.0, np.arange(sign.shape[1]), 0)
+    held = np.take_along_axis(sign, np.maximum.accumulate(last, axis=1), axis=1)
+    return ((held[:, 1:] != held[:, :-1]) & (held[:, :-1] != 0.0)).sum(axis=1)
+
+
+# The kernel's error bound in bits, derived before it was measured.  Per
+# outcome, 1 - top carries the rounding of top, at most 3 ulp of 1
+# (3.3e-16), and x*log2(x) turns that into |log2 x + 1/ln 2| <= 55 times as
+# much for x >= 2**-53: 1.8e-14, and 3.6e-14 for both outcomes.  An outcome
+# below PROB_FLOOR is dropped, at most 1e-14 bits, and at most one of the two
+# can be (they sum to 1).  The trig of THETA_MAX adds about 1e-15.  Total
+# 4.7e-14, rounded up.
+KERNEL_TOL = 5e-14
+
+# The six sweeps at gt <= 60 on which the claim below was first counted.
+CLAIM_SWEEPS = [(10, 0.2), (5, 0.0), (10, 0.5), (50, 0.8), (2, 0.5), (0, 1.0)]
+
+
+class TestOneStationaryPoint:
+    """The claim the brute force rests on: write the measured conditional
+    entropy H as a function of z = cos(2 theta) on [0, 1]; on (0, 1) it has
+    at most one stationary point, except where H is flat to round-off.
+
+    H is counted on a 401-point z grid.  A difference of two neighbouring
+    values no larger than ``DEAD_BAND`` carries no sign: that is twice the
+    kernel's own error bound ``KERNEL_TOL``.  So "flat to round-off" is a
+    difference inside the dead band, and at most one sign change of the
+    differences means at most one interior extremum.
+    """
+    DEAD_BAND = 2 * KERNEL_TOL
+    POINTS = 401
+
+    def _assert_claim(self, states):
+        z = np.linspace(0.0, 1.0, self.POINTS)
+        for r in range(0, len(states), 1024):
+            block = states[r:r + 1024]
+            values = entropy_at_z(block, np.broadcast_to(z, (len(block), self.POINTS)))
+            changes = _sign_changes(values, self.DEAD_BAND)
+            assert changes.max() <= 1, block[int(np.argmax(changes))]
+
+    def test_sampler_states(self):
+        self._assert_claim(_sampled_states(seeded_rng(40).random((6, 20000))))
+
+    @pytest.mark.parametrize("n, r", CLAIM_SWEEPS)
+    def test_sweep_states(self, n, r):
+        self._assert_claim(time_series(SweepConfig(n=n, r=r, gt_max=60.0, steps=6000)).states)
+
+    def test_counter_sees_two_extrema(self):
+        # a row that falls, rises and falls again changes sign twice; steps
+        # inside the dead band change nothing
+        rows = np.array([[3.0, 2.0, 1.0, 2.0, 0.5], [1.0, 1.0 + 5e-14, 1.0, 1.0 - 5e-14, 1.0]])
+        assert _sign_changes(rows, self.DEAD_BAND).tolist() == [2, 0]
 
 
 def test_rare_outcome_counts():
