@@ -68,11 +68,25 @@ CATALOGUE = (
            "return np.where((d >= -1e-9) & (d < 0.0), 0.0, d)",
            "return np.where((d >= -1e-3) & (d < 0.0), 0.0, d)",
            ("tests/test_measures.py::test_discord_from_sets_only_roundoff_to_zero",)),
-    Mutant("no-golden-section", "src/cavitycorr/measures.py",
-           "better = ft < best",
-           "better = ft < -math.inf",
+    Mutant("interior-solve-off", "src/cavitycorr/measures.py",
+           "(curv0 < 0.0) & (",
+           "(curv0 < -np.inf) & (",
            ("tests/test_measures.py::TestDiscordClosed::test_documented_worst_case",
-            "tests/test_measures.py::TestHalfRange")),
+            "tests/test_measures.py::TestHalfRange",
+            "tests/test_measures.py::TestEndPointRoute::test_never_above_the_grid_oracle")),
+    Mutant("regular-interior-gate-off", "src/cavitycorr/measures.py",
+           "(slope1 > 0.0) | near_pure",
+           "(slope1 > np.inf) | near_pure",
+           ("tests/test_measures.py::TestEndPointRoute::test_never_above_the_grid_oracle",)),
+    Mutant("near-pure-probe-off", "src/cavitycorr/measures.py",
+           "NEAR_PURE = 1e-2",
+           "NEAR_PURE = 0.0",
+           ("tests/test_measures.py::TestOneStationaryPoint::test_the_exception_exists",
+            "tests/test_measures.py::TestEndPointRoute::test_never_above_the_grid_oracle")),
+    Mutant("end-point-tie-rule", "src/cavitycorr/measures.py",
+           "at_zero = ends[:, 0] <= ends[:, 1]",
+           "at_zero = ends[:, 0] < ends[:, 1]",
+           ("tests/test_measures.py::TestEndPointRoute::test_end_point_ties_go_to_theta_zero",)),
     Mutant("xbatch-coherence-tolerance", "src/cavitycorr/xstate.py",
            "checks.append((abs2 - inner > ATOL, lambda i: (",
            "checks.append((abs2 - inner > 1e-6, lambda i: (",

@@ -14,12 +14,20 @@ discord comes in two routes that cross-validate each other:
   depends only on the polar angle theta of B's basis, and it is
   mirror-symmetric, H(theta) = H(pi/2 - theta): the basis at pi/2 - theta
   is the one at theta with its outcomes swapped and phi = pi, and phi drops
-  out.  So the search is one-dimensional on [0, ``THETA_MAX``] = [0, pi/4]:
-  a fixed ``GRID_POINTS``-point theta grid, then one golden-section round
-  around the best grid point.  The search reports the polar angle alone,
-  in [0, pi/4]; its mirror angle gives the same entropy.  The kernel is
-  checked against a dense model built from B's projectors, a test oracle
-  (``conditional_entropy_measured`` in ``tests/conftest.py``).
+  out.  So the search is one-dimensional on [0, ``THETA_MAX``] = [0, pi/4],
+  or z = cos(2 theta) in [0, 1], where H is even in z and H'(0) = 0.  It
+  takes H at both end points, theta = 0 and pi/4, the closed form's two
+  candidates; H has at most one stationary point on (0, 1), except where it
+  is flat to round-off or an outcome is nearly pure at theta = 0, so the
+  signs of H''(0) and H'(1), from closed-form derivatives, show which
+  states can have an interior minimum, and a bracketed, safeguarded Newton
+  solve of H'(z) = 0 finds it (the shape of Yurischev's piecewise
+  analytical-numerical discord, Quantum Inf. Process. 14, 3399 (2015)).
+  The search reports the polar angle alone, in [0, pi/4]; its mirror
+  angle gives the same entropy.  The kernel is checked against a dense
+  model built from B's projectors, and the route against the grid and
+  golden-section search it replaced, both test oracles in
+  ``tests/conftest.py``.
 
 Both routes turn their minimum m into discord with the one formula
 :func:`discord_from`, D = S_B - S_AB + m.  The brute force is the ground
@@ -32,14 +40,11 @@ batch of one and returns a float (:func:`~cavitycorr.xstate.one_or_batch`).
 The brute-force search takes an :class:`XBatch` too;
 :func:`discord_bruteforce` and :func:`classical_correlation_bruteforce`
 are its batch of one, and the latter also returns the minimizing angle.
-It runs in lockstep over a batch of states: the grid is one (states x
-grid points) array with a row-wise argmin, and each golden-section step
-updates every state's bracket as the one-state search would and
-evaluates one new point per state.  A state whose bracket is
-already narrower than ``ANGLE_TOL`` stops moving, so its result is
-bit-identical alone and inside any batch.  Each call reads the states'
-populations and |c23| once and computes the grid's trig once; one kernel
-serves the grid and the golden-section steps.
+It runs in lockstep over a batch of states: the end points are one
+(states x 2) kernel call, the derivatives' signs a few array calls, and
+each Newton step updates every solving state's bracket as the one-state
+solve would.  A state whose step is small enough stops moving, so its
+result is bit-identical alone and inside any batch.
 """
 from __future__ import annotations
 
@@ -52,17 +57,31 @@ from .xstate import XBatch, XState, one_or_batch, spectrum
 
 # Outcomes rarer than this contribute nothing to the conditional entropy.
 PROB_FLOOR = 1e-14
-# Angular tolerance of the golden-section refinement stage.
-ANGLE_TOL = 1e-6
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Upper end of the brute-force theta range; H(theta) = H(pi/2 - theta).
 THETA_MAX = math.pi / 4
-# Points of the brute-force theta grid on [0, THETA_MAX].
-GRID_POINTS = 64
-# Grid values evaluated per call in the brute-force grid stage: 64 states of
-# a 64-point grid, so each of its (2, 64, 64) temporaries takes 64 KiB and a
-# block's working set stays under 0.5 MiB whatever the batch.
-_GRID_VALUES = 64 * 64
+# The interior solve works in y = 1 - z, which keeps its digits where a
+# minimum lies next to z = 1 (theta = 0).  It stops a state once its step
+# is below this fraction of y, far below where the entropy's error from y
+# shows, or after this many steps.
+_Y_TOL = 1e-8
+_SOLVE_STEPS = 60
+# An outcome is nearly pure at theta = 0 where the smaller eigenvalue of A's
+# conditional state there is below this fraction of the outcome's weight
+# (for B's ground outcome, min(p22, p44) < NEAR_PURE * (p22 + p44)).  Then
+# -lambda*log(lambda) can turn H down just before z = 1 and hide an interior
+# minimum behind H'(1) < 0; on 400 000 such states no hidden minimum had a
+# fraction above 1.4e-4.
+NEAR_PURE = 1e-2
+# Where H' is probed for the rise that brackets an interior root:
+# y = 1 - z = 4**-k / 2, k = 0..25, in order of rising z.  Every hidden
+# minimum seen rose over a span of y wider than a factor of 6; a root
+# beyond the last probe lies within 2**-51 of z = 1, where H cannot dip
+# below H(1) by more than round-off.
+_PROBES = 2.0 ** -np.arange(1.0, 53.0, 2.0)
+# H' or H'' (nats) within this of zero carries no sign: against a 40-digit
+# evaluation, H' at the probes of 300 sampler and nearly pure states was
+# off by at most 5e-15.
+_NOISE = 1e-13
 
 
 def binary_entropy(x: np.ndarray) -> np.ndarray:
@@ -237,70 +256,142 @@ def _entropy(pops, abs_c23, sin2_cos2, sin_cos) -> np.ndarray:
     return out[0] + out[1]
 
 
-def _golden_min(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic golden-section minima of ``fun`` on [lo, hi], elementwise.
+# The kernel's first outcome, whose sin^2 is (1 - z)/2, then its second,
+# which is the first at -z.
+_OUTCOMES = np.array([[1.0], [-1.0]])
 
-    ``fun`` maps an array of points to the values there.  Every element
-    takes the steps the one-element search would take; an element whose
-    bracket has shrunk below ``ANGLE_TOL`` stops moving while the others go on.
+
+def _z_coefficients(states: XBatch) -> tuple:
+    """What H(z) needs of each state, computed once per call: its
+    populations, |c23|^2, the three nonnegative terms of the conditional
+    states' determinants, p11*p33, p22*p44 and p11*p44 + p22*p33 - |c23|^2,
+    and, per outcome (on a first axis), p' = dp/dz, d' = dd/dz and
+    d'^2 - |c23|^2."""
+    p11, p22, p33, p44, c2 = states.p11, states.p22, states.p33, states.p44, states.abs2_c23()
+    dp = _OUTCOMES * (((p22 + p44) - (p11 + p33)) / 2.0)
+    dd = _OUTCOMES * (((p22 - p44) - (p11 - p33)) / 2.0)
+    return (p11, p22, p33, p44, c2, p11 * p33, p22 * p44,
+            np.maximum(p11 * p44 + p22 * p33 - c2, 0.0), dp, dd, dd * dd - c2)
+
+
+def _slopes(coefficients, y, curvature: bool = True) -> tuple:
+    """H'(z) and H''(z) at z = 1 - ``y``, in nats, from :func:`_z_coefficients`.
+
+    In z = cos(2 theta) the kernel's sin^2 and cos^2 are (1 - z)/2 = y/2
+    and (1 + z)/2, so each outcome's diagonal s11, s00 of A's conditional
+    state is linear in z.  With p = s11 + s00, d = s11 - s00,
+    g = sqrt(d^2 + (1 - z^2)|c23|^2) and the eigenvalues l+ = (p + g)/2
+    and l- = det/l+,
+        F' = -(p'/2) ln(det/p^2) - (w/2) L,
+        F'' = -(p' l- - p l-')^2 / (p l+ l-) - ((d'^2 - |c23|^2 - g'^2)/2) L,
+    where w = g g' = d d' - z|c23|^2 and L = ln(l+/l-)/g = log1p(g/l-)/g
+    (1/l- at g = 0); H is the sum of the two outcomes.  The determinant is
+    a sum of nonnegative terms and l- is det/l+, so a nearly pure outcome
+    keeps its small eigenvalue's digits.  Only signs and the ratio H'/H''
+    are used, so the factor 1/ln 2 of bits is left out.  A pure or empty
+    outcome, or g = 0, makes a value infinite or NaN.  ``y`` broadcasts
+    against the states; the outcomes take a new second-to-last axis, which
+    the sum removes.  Without ``curvature`` H'' is None.
     """
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    live = b - a > ANGLE_TOL
-    while live.any():
-        lower = fc <= fd
-        left, right = live & lower, live & ~lower
-        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
-        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
-        step = _INVPHI * (b - a)
-        x = np.where(left, b - step, a + step)
-        fx = fun(x)
-        c, fc = np.where(left, x, c), np.where(left, fx, fc)
-        d, fd = np.where(right, x, d), np.where(right, fx, fd)
-        live = b - a > ANGLE_TOL
-    left = fc <= fd
-    return np.where(left, c, d), np.where(left, fc, fd)
+    p11, p22, p33, p44, c2, e1, e2, e3, dp, dd, dd2_c2 = coefficients
+    y = np.expand_dims(y, -2)
+    half = y / 2.0
+    rest = 1.0 - half
+    z = 1.0 - y
+    sin2, cos2 = np.concatenate([half, rest], axis=-2), np.concatenate([rest, half], axis=-2)
+    quarter = half * rest   # sin^2 cos^2 = (1 - z^2)/4
+    s11, s00 = sin2 * p11 + cos2 * p22, sin2 * p33 + cos2 * p44
+    p, d = s11 + s00, s11 - s00
+    det = sin2 * sin2 * e1 + cos2 * cos2 * e2 + quarter * e3
+    g = np.sqrt(d * d + 4.0 * quarter * c2)
+    w = d * dd - z * c2
+    top = (p + g) / 2.0
+    low = det / top
+    ell = np.where(g > 0.0, np.log1p(g / low) / g, 1.0 / low)
+    first = (-0.5 * (dp * np.log(det / (p * p)) + w * ell)).sum(axis=-2)
+    if not curvature:
+        return first, None
+    ddet = _OUTCOMES * (cos2 * e2 - sin2 * e1) - z / 2.0 * e3
+    dg = w / g
+    dlow = (ddet - low * (dp + dg) / 2.0) / top
+    second = -np.square(dp * low - p * dlow) / (p * top * low) - 0.5 * (dd2_c2 - dg * dg) * ell
+    return first, second.sum(axis=-2)
 
 
-def _grid_min(pops, abs_c23, thetas, trig) -> tuple[np.ndarray, np.ndarray]:
-    """Each state's grid angle of least measured entropy, and that entropy.
+def _interior_root(coefficients, lo, hi) -> np.ndarray:
+    """The root of H'(z) between y = 1 - z = ``lo``, where H' > 0, and ``hi``, where H' < 0.
 
-    ``pops`` and ``abs_c23`` are a block of rows of :func:`_constants`,
-    with a trailing axis for the angles; ``trig`` is ``_trig(thetas[None])``.
-    Ties go to the smallest angle.
+    Each step is Newton's on G(z) = H'(z)/z, taken in ln y so that it
+    never leaves y > 0, unless it leaves the bracket or does not halve the
+    step before last; then it bisects.  (Dividing by z removes the root
+    H'(0) = 0 that H's evenness puts at z = 0.)  The first point is the
+    bracket's geometric middle.  A state stops once its step is within
+    ``_Y_TOL`` of y, or after ``_SOLVE_STEPS`` steps; every operation is
+    elementwise, so a state's root does not depend on the batch it is in.
     """
-    vals = _entropy(pops, abs_c23, *trig)
-    i = np.argmin(vals, axis=1)
-    return thetas[i], vals[np.arange(len(i)), i]
+    y = np.sqrt(lo * hi)
+    step = older = hi - lo
+    live = np.ones(len(y), dtype=bool)
+    for _ in range(_SOLVE_STEPS):
+        h1, h2 = _slopes(coefficients, y)
+        z = 1.0 - y
+        gz = h1 / z
+        rises = gz > 0.0
+        lo, hi = np.where(rises, y, lo), np.where(rises, hi, y)
+        newton = y * np.exp(gz / (y * (h2 - gz) / z))   # dG/dy = (G - H'')/z
+        bisect = ~((lo <= newton) & (newton <= hi)) | (abs(2.0 * (y - newton)) > abs(older))
+        older = np.where(live, step, older)
+        step = np.where(live, np.where(bisect, 0.5 * (hi - lo), y - newton), step)
+        y = np.where(live, np.where(bisect, 0.5 * (lo + hi), newton), y)
+        live &= abs(step) > _Y_TOL * y
+        if not live.any():
+            break
+    return y
 
 
 def _min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of the measured conditional entropy over B's measurement angle.
 
     Returns ``(minimum, theta)``, arrays with one element per state, theta
-    in [0, ``THETA_MAX``].  Each state's ``GRID_POINTS``-point theta grid is
-    one row of a 2-d array, evaluated a block of rows at a time; the
-    row-wise argmin (ties to the smallest theta) is then refined by one
-    golden-section round over the grid intervals beside it, run in lockstep
-    over the batch.  The states' populations and |c23| are read, and the
-    grid's trig computed, once per call.  A state's result does not depend
-    on the batch it is in.
+    in [0, ``THETA_MAX``].  The kernel gives H at theta = 0 and
+    ``THETA_MAX`` (z = 1 and 0), and the lower end wins, theta = 0 on a
+    tie.  Under the claim that H has at most one stationary point on
+    (0, 1), H has an interior minimum only where H''(0) < 0 (or within
+    ``_NOISE`` of 0) and H'(1) > 0.  The claim fails only where an outcome is nearly pure at
+    theta = 0 (``NEAR_PURE``): there H''(0) < 0 and H'(1) <= 0 may still
+    hide an interior minimum before H turns down at z = 1.  Each state of
+    either kind has H' probed at ``_PROBES``; the first probe where
+    H' > ``_NOISE`` and the probe before it bracket the root for :func:`_interior_root`,
+    and its angle wins if the kernel there is strictly below the end.  A
+    state's result does not depend on the batch it is in.
     """
     pops, abs_c23 = _constants(states)
-    thetas = np.linspace(0.0, THETA_MAX, GRID_POINTS)
-    trig = _trig(thetas[None])   # one row of angles, shared by every row of states
-    rows = max(1, _GRID_VALUES // GRID_POINTS)
-    theta, best = (np.concatenate(parts) for parts in zip(*(
-        _grid_min(pops[..., r:r + rows, None], abs_c23[r:r + rows, None], thetas, trig)
-        for r in range(0, len(states), rows))))
-
-    dth = THETA_MAX / (GRID_POINTS - 1)
-    t, ft = _golden_min(lambda t: _entropy(pops, abs_c23, *_trig(t)),
-                        np.maximum(0.0, theta - dth), np.minimum(THETA_MAX, theta + dth))
-    better = ft < best
-    return np.where(better, ft, best), np.where(better, t, theta)
+    ends = _entropy(pops[..., None], abs_c23[:, None], *_trig(np.array([[0.0, THETA_MAX]])))
+    at_zero = ends[:, 0] <= ends[:, 1]
+    best = np.where(at_zero, ends[:, 0], ends[:, 1])
+    theta = np.where(at_zero, 0.0, THETA_MAX)
+    coefficients = _z_coefficients(states)
+    p11, p22, p33, p44 = coefficients[:4]
+    near_pure = ((np.minimum(p11, p33) < NEAR_PURE * (p11 + p33))
+                 | (np.minimum(p22, p44) < NEAR_PURE * (p22 + p44)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope1, _ = _slopes(coefficients, np.zeros(1), curvature=False)   # H'(1)
+        _, curv0 = _slopes(coefficients, np.ones(1))                      # H''(0)
+        i = np.flatnonzero((curv0 < _NOISE) & ((slope1 > 0.0) | near_pure))
+        if len(i):
+            rises = _slopes(tuple(c[..., i] for c in coefficients), _PROBES[:, None],
+                            curvature=False)[0] > _NOISE
+            found = rises.any(axis=0)
+            i, k = i[found], rises.argmax(axis=0)[found]
+        if len(i):
+            y = _interior_root(tuple(c[..., i] for c in coefficients), _PROBES[k],
+                               np.where(k > 0, _PROBES[k - 1], 1.0))
+            t = np.arcsin(np.sqrt(y / 2.0))   # sin^2 theta = y/2
+            ft = _entropy(pops[..., i], abs_c23[i], *_trig(t))
+            better = ft < best[i]
+            best[i] = np.where(better, ft, best[i])
+            theta[i] = np.where(better, t, theta[i])
+    return best, theta
 
 
 def classical_correlation_bruteforce(state: XState) -> tuple[float, float]:

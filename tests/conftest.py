@@ -161,6 +161,140 @@ def entropy_at_z(states, z):
     return measures._entropy(pops[..., None], abs_c23[:, None], *trig)
 
 
+# The grid-and-golden-section search that the brute force used before its
+# route from the end points: a GRID_POINTS-point theta grid on [0, THETA_MAX],
+# then one golden-section round around the best grid point, in lockstep over
+# the batch.  It is the route's oracle: its minimum is a value of the kernel
+# at a point it found, so the route may lie below it but not above it by more
+# than round-off.
+
+# Angular tolerance of the golden-section refinement stage.
+ANGLE_TOL = 1e-6
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of the oracle's theta grid on [0, THETA_MAX].
+GRID_POINTS = 64
+# Grid values evaluated per kernel call in the grid stage: 64 states of a
+# 64-point grid, so each of its (2, 64, 64) temporaries takes 64 KiB.
+_GRID_VALUES = 64 * 64
+
+
+def golden_min(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic golden-section minima of ``fun`` on [lo, hi], elementwise.
+
+    ``fun`` maps an array of points to the values there.  Every element
+    takes the steps the one-element search would take; an element whose
+    bracket has shrunk below ``ANGLE_TOL`` stops moving while the others go on.
+    """
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fun(c), fun(d)
+    live = b - a > ANGLE_TOL
+    while live.any():
+        lower = fc <= fd
+        left, right = live & lower, live & ~lower
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        step = _INVPHI * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = fun(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        live = b - a > ANGLE_TOL
+    left = fc <= fd
+    return np.where(left, c, d), np.where(left, fc, fd)
+
+
+def grid_min(pops, abs_c23, thetas, trig) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's grid angle of least measured entropy, and that entropy.
+
+    ``pops`` and ``abs_c23`` are a block of rows of ``measures._constants``,
+    with a trailing axis for the angles; ``trig`` is ``_trig(thetas[None])``.
+    Ties go to the smallest angle.
+    """
+    vals = measures._entropy(pops, abs_c23, *trig)
+    i = np.argmin(vals, axis=1)
+    return thetas[i], vals[np.arange(len(i)), i]
+
+
+def grid_oracle_min(states, grid_points: int = GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """``(minimum, theta)`` per state from the grid and one golden-section round.
+
+    Each state's ``grid_points``-point grid is one row of a 2-d array,
+    evaluated a block of rows at a time; the row-wise argmin is refined by
+    one golden-section round over the grid intervals beside it.
+    """
+    pops, abs_c23 = measures._constants(states)
+    thetas = np.linspace(0.0, measures.THETA_MAX, grid_points)
+    trig = measures._trig(thetas[None])   # one row of angles, shared by every row of states
+    rows = max(1, _GRID_VALUES // grid_points)
+    theta, best = (np.concatenate(parts) for parts in zip(*(
+        grid_min(pops[..., r:r + rows, None], abs_c23[r:r + rows, None], thetas, trig)
+        for r in range(0, len(states), rows))))
+    dth = measures.THETA_MAX / (grid_points - 1)
+    t, ft = golden_min(lambda t: measures._entropy(pops, abs_c23, *measures._trig(t)),
+                       np.maximum(0.0, theta - dth), np.minimum(measures.THETA_MAX, theta + dth))
+    better = ft < best
+    return np.where(better, ft, best), np.where(better, t, theta)
+
+
+# The minimum of H(z) on [0, 1] at 50 digits, from a state's six elements.
+# It does not lean on the route's claim: H' is evaluated on a scan of
+# (0, 1), 2**-1 .. 2**-19 near 0, 1/16 .. 15/16, and 1 - 2**-2 .. 1 - 2**-52
+# near 1, and a bracketing findroot refines every rise of its sign.  Tests
+# call it after ``pytest.importorskip("mpmath")``.
+
+def mp_min_conditional_entropy(state, digits: int = 50) -> tuple[float, float]:
+    """``(minimum of H in bits, z where it is)`` of one state, at ``digits`` digits."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        p11, p22, p33, p44 = (mpmath.mpf(float(x)) for x in (state.p11, state.p22,
+                                                             state.p33, state.p44))
+        c2 = mpmath.mpf(state.c23.real) ** 2 + mpmath.mpf(state.c23.imag) ** 2
+        u, v, x, y = p22 + p44, p11 + p33, p11 - p33, p22 - p44
+
+        def outcomes(z):
+            # each outcome's weight p, its eigenvalues l+ and l-, and the
+            # z-derivatives of p and of g = l+ - l-
+            for sign in (1, -1):
+                p = ((u + v) + sign * (u - v) * z) / 2
+                d = ((x + y) + sign * (y - x) * z) / 2
+                g = mpmath.sqrt(d * d + (1 - z * z) * c2)
+                dg = (d * sign * (y - x) / 2 - z * c2) / g if g > 0 else None
+                yield p, (p + g) / 2, (p - g) / 2, sign * (u - v) / 2, dg
+
+        def eta(t):
+            return -t * mpmath.log(t) if t > 0 else mpmath.mpf(0)
+
+        def h(z):
+            return sum(eta(lp) + eta(lm) - eta(p) for p, lp, lm, _, _ in outcomes(z)) \
+                / mpmath.log(2)
+
+        def slope(z):
+            # H'(z) in nats; None where an eigenvalue or g vanishes
+            total = mpmath.mpf(0)
+            for p, lp, lm, dp, dg in outcomes(z):
+                if dg is None or lm <= 0 or p <= 0:
+                    return None
+                total -= ((dp + dg) * mpmath.log(lp) + (dp - dg) * mpmath.log(lm)) / 2 \
+                    - dp * mpmath.log(p)
+            return total
+
+        scan = sorted({*(mpmath.mpf(2) ** -k for k in range(1, 20, 2)),
+                       *(mpmath.mpf(j) / 16 for j in range(1, 16)),
+                       *(1 - mpmath.mpf(2) ** -k for k in range(2, 53, 2))})
+        with mpmath.workdps(30):   # the signs need fewer digits
+            signs = [(z, slope(z)) for z in scan]
+        candidates = [(h(mpmath.mpf(0)), 0.0), (h(mpmath.mpf(1)), 1.0)]
+        for (a, fa), (b, fb) in zip(signs, signs[1:]):
+            if fa is not None and fb is not None and fa < 0 < fb:
+                root = mpmath.findroot(slope, (a, b), solver="anderson")
+                candidates.append((h(root), float(root)))
+        value, z = min(candidates, key=lambda c: c[0])
+        return float(value), z
+
+
 # The reference carries every ket on the five photon numbers n-2 .. n+2;
 # window index j holds photon number n - 2 + j.
 _WINDOW = 5

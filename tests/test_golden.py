@@ -3,12 +3,16 @@
 The CSV hashes were recorded from the per-point scalar implementation that
 the array code replaced, the verify-report hashes from the chunked verify
 before it took its measures from correlation_batch; they are never
-regenerated to make a test pass.  The one re-recording: six of the eight
+regenerated to make a test pass.  Two re-recordings, each a change at
+round-off level whose changed lines CHANGES.md lists: six of the eight
 hashes that carry brute-force values (``--discord brute`` sweeps and verify
-reports; the 8-step sweep and seed 0's report kept their bytes) were
-recorded again when the brute-force search moved to the half range
-[0, pi/4] with one golden-section round (ROADMAP item 6), a change at
-round-off level whose changed lines CHANGES.md lists.  The benchmark's own golden hashes
+reports; the 8-step sweep and seed 0's report kept their bytes) when the
+brute-force search moved to the half range [0, pi/4] with one
+golden-section round (ROADMAP item 6); and four of the then eleven
+(the ``--n 0 --r 0.3`` and ``--n 3 --r 0.4`` brute sweeps, and the verify
+reports of seed 0 and of ``--samples 1000 --seed 42``; no field moved by
+more than 1e-14) when the grid and golden-section search gave way to the
+end points and one bracketed root of H'(z) (ROADMAP item 19).  The benchmark's own golden hashes
 (perfbench/golden.json) are replayed here too, from its workload
 definitions, which these tests only read.
 """
@@ -76,16 +80,16 @@ GOLDEN = {
     "evolve --n 7 --r 0.65 --gt-max 33 --steps 8292":
         "34d9c08eca0155d9d94e624c93eebe6d7cd8b9cfd8403826407fa4c3b898d711",
     "evolve --n 3 --r 0.4 --gt-max 20 --steps 4196 --discord brute":
-        "8b2292dd5db000cbb73c0819d0e713eab8917affaee9831526167ae2b117d4ec",
+        "e8d28ac29448ef3d67c10edf55d2c9b56947d284b7e4048dbafa3742d4b4c196",
     # verify reports: closed forms against the Fock oracle and the brute force
     "verify --samples 60 --n-max 12 --gt-max 20 --seed 0":
-        "26e225815ac4f7a66407ca874970be297898e7c83e9e83eb9e857fdd7f4bb23d",
+        "9365123d51235933897cfd2d66ee52bde2d005289cb5992b302c1643b40930eb",
     "verify --samples 60 --n-max 12 --gt-max 20 --seed 1":
         "ccddb662ab067ca0fa54d7656c31881f48d8633361fb10d20b7fd0a000d69295",
     "verify --samples 60 --n-max 12 --gt-max 20 --seed 2":
         "e131c6848e2bbd2a95a9e1956a08ca57e9ec94572c7017f942f93c51a93a8360",
     "verify --samples 1000 --seed 42":
-        "dec7bd3edeb81f00a4b56b6141dd4c79b13965cfd6e8f9c0e2552caa30594754",
+        "ab411e556061794bd293e004b0da2ecb6a6d1c721546f4ff8ea67b88d0067f9e",
     # 1100 samples: a full VERIFY_CHUNK chunk and a partial one
     "verify --samples 1100 --seed 7":
         "4c1c9f447ba1bbbed22413d4072a4f92cd92999673e2b3ca999f02e4c8b25be0",
@@ -98,7 +102,7 @@ GOLDEN = {
     "verify --samples 300 --seed 11 --n-max 9007199254740992":
         "c3ac123b8393fa9393f092a9182f91adb6cd990084fadc9eccd64155f1554a2f",
     "evolve --n 0 --r 0.3 --gt-max 5 --steps 400 --discord brute":
-        "d1667e97ef558d8cf44deba08f301d95d1da9ad877d1a0e47c26dfdc93967ab3",
+        "7c4416c7815bfb747b93be99aadc1be3f7be70b74fa731a24a2b98cf49e7b99b",
 }
 
 

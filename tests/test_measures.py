@@ -23,17 +23,22 @@ from cavitycorr import (
 )
 from cavitycorr import measures, verify
 from cavitycorr.xstate import XBatch, XState, make_xbatch
-from cavitycorr.measures import _golden_min, _min_conditional_entropy
+from cavitycorr.measures import _min_conditional_entropy
 from cavitycorr.verify import _sampled_states, sample_xstate
 
 from conftest import (
     DEGENERATE_STATES,
+    GRID_POINTS,
     as_matrix,
     conditional_entropy_measured,
     entropy_at_z,
     entropy_reference,
+    golden_min,
+    grid_min,
+    grid_oracle_min,
     h_reference,
     measured_entropy,
+    mp_min_conditional_entropy,
     seeded_rng,
     xstates,
 )
@@ -194,14 +199,16 @@ class TestBruteForce:
         assert discord_bruteforce(BELL) == pytest.approx(1.0, abs=1e-9)
 
     def test_refinement_grid_insensitive(self):
-        # doubling the grid may only move the minimum marginally
+        # the grid oracle at 128 and at 256 points may only move the minimum
+        # marginally, and the route is never above either by more than
+        # round-off
         rng = seeded_rng(25)
         states = XBatch.stack([sample_xstate(rng) for _ in range(100)])
-        with mock.patch.object(measures, "GRID_POINTS", 128):
-            coarse, _ = _min_conditional_entropy(states)
-        with mock.patch.object(measures, "GRID_POINTS", 256):
-            fine, _ = _min_conditional_entropy(states)
+        m, _ = _min_conditional_entropy(states)
+        coarse, _ = grid_oracle_min(states, 128)
+        fine, _ = grid_oracle_min(states, 256)
         assert (abs(coarse - fine) < 1e-5).all()
+        assert (m <= np.minimum(coarse, fine) + TestHalfRange.REFERENCE_TOL).all()
 
 
 def _bits(values):
@@ -217,27 +224,74 @@ GRID_EDGE_STATES = {
 }
 
 
+def _interior_minima(states: XBatch) -> list[XState]:
+    """The states whose grid-oracle minimum is below both end values by more than 1e-12."""
+    m, _ = grid_oracle_min(states)
+    ends = measured_entropy(states, np.broadcast_to([0.0, measures.THETA_MAX], (len(states), 2)))
+    return [states[i] for i in np.flatnonzero(m < ends.min(axis=1) - 1e-12)]
+
+
+# Sampler states with an interior minimum: 25 of these 30 000.
+INTERIOR_STATES = _interior_minima(_sampled_states(seeded_rng(35).random((6, 30000))))[:12]
+
+
+# A state with p11 = 1.1e-10 whose H falls from z = 0 to an interior
+# minimum 0.0023 bits below both ends, rises, and turns down again just
+# before z = 1, so H'(1) < 0.
+HIDDEN_MINIMUM = make_xstate(1.1036876892572183e-10, 0.04337893140642684, 0.9258901390676622,
+                             0.030730929415542275,
+                             complex(-0.18086821902623995, 0.0034231610214954023))
+# A state whose H is flat to round-off near z = 0 (H''(0) = -6e-18) and
+# has its minimum 7.8e-13 bits below H(1) at z = 1 - 4.7e-11.
+FLAT_NEAR_THETA_PI_4 = XState(4.70917549458481e-07, 3.950342721096804e-12, 0.99999952907455,
+                              3.9500624993138445e-12,
+                              complex(1.7700089590108573e-06, 2.110015105893208e-13))
+# A state with p11 = 0: H'(1) is infinite and the closed form gives NaN
+# there, while H rises towards z = 1 at every z a float can hold.
+PURE_AT_THETA_ZERO = make_xstate(0.0, 0.01703078495794127, 0.9659384300841176,
+                                 0.01703078495794108,
+                                 complex(0.07469243130850013, -0.08976237715007578))
+
+
 class TestBatchedMinimizer:
     @settings(max_examples=40)
-    @given(states=st.lists(xstates(), min_size=1, max_size=9),
-           chunk=st.integers(1, 10), grid_points=st.sampled_from([64, 128, 4096]))
-    def test_each_state_bit_identical_alone_and_in_any_batch(self, states, chunk,
-                                                             grid_points):
-        # 4096 grid points put one state per grid block, so block edges fall inside
+    @given(states=st.lists(st.one_of(xstates(), st.sampled_from(
+                               [*INTERIOR_STATES, HIDDEN_MINIMUM, PURE_AT_THETA_ZERO,
+                                FLAT_NEAR_THETA_PI_4])),
+                           min_size=1, max_size=9),
+           chunk=st.integers(1, 10))
+    def test_each_state_bit_identical_alone_and_in_any_batch(self, states, chunk):
+        # batches mix states that take the interior solve, which stop after
+        # different numbers of steps, states whose bracket comes from the
+        # probes, and states that take an end point
         batch = XBatch.stack(states)
-        # hypothesis rejects the function-scoped monkeypatch fixture under @given
-        with mock.patch.object(measures, "GRID_POINTS", grid_points):
-            whole = _min_conditional_entropy(batch)
-            parts = [_min_conditional_entropy(batch[r:r + chunk])
-                     for r in range(0, len(batch), chunk)]
-            alone = [_min_conditional_entropy(XBatch.of(s)) for s in states]
+        whole = _min_conditional_entropy(batch)
+        parts = [_min_conditional_entropy(batch[r:r + chunk])
+                 for r in range(0, len(batch), chunk)]
+        alone = [_min_conditional_entropy(XBatch.of(s)) for s in states]
         for pieces in (parts, alone):
             values = [np.concatenate(column) for column in zip(*pieces)]
             assert (_bits(values[0]) == _bits(whole[0])).all()
             assert (_bits(values[1]) == _bits(whole[1])).all()
 
+    def test_interior_states_take_the_solve(self):
+        # the pool the batches above draw from holds interior minima, found
+        # at different numbers of solve steps
+        states = XBatch.stack(INTERIOR_STATES)
+        _, theta = _min_conditional_entropy(states)
+        assert ((0.0 < theta) & (theta < measures.THETA_MAX)).all()
+        slopes, steps = measures._slopes, set()
+        for s in INTERIOR_STATES:
+            calls = []
+            with mock.patch.object(measures, "_slopes",
+                                   lambda *args, **kw: calls.append(1) or slopes(*args, **kw)):
+                _min_conditional_entropy(XBatch.of(s))
+            steps.add(len(calls))
+        assert len(steps) > 1
+
     def test_golden_elements_stop_independently(self):
-        # brackets of different widths need different step counts
+        # the oracle runs in lockstep too: brackets of different widths need
+        # different step counts, and no element's result depends on the others
         lo = np.array([0.0, 0.0, 0.3, 1.0])
         hi = np.array([1e-3, 0.5, 0.31, 1.0 + 1e-7])
         centers = np.array([3e-4, 0.2, 0.3051, 1.0])
@@ -245,9 +299,9 @@ class TestBatchedMinimizer:
         def fun_for(c):
             return lambda t: (t - c) ** 2 + np.cos(t)
 
-        t, ft = _golden_min(fun_for(centers), lo, hi)
+        t, ft = golden_min(fun_for(centers), lo, hi)
         for i in range(len(lo)):
-            ti, fi = _golden_min(fun_for(centers[i:i + 1]), lo[i:i + 1], hi[i:i + 1])
+            ti, fi = golden_min(fun_for(centers[i:i + 1]), lo[i:i + 1], hi[i:i + 1])
             assert _bits(ti) == _bits(t[i]) and _bits(fi) == _bits(ft[i])
 
     def test_scalar_entry_points_use_the_batch_result(self):
@@ -264,8 +318,9 @@ class TestBatchedMinimizer:
     @pytest.mark.parametrize("grid_points", [64, 128, 4096])
     @pytest.mark.parametrize("name", sorted(GRID_EDGE_STATES))
     def test_grid_values_equal_one_angle_evaluations(self, name, grid_points):
-        # the grid stage shares one set of trig values among all states;
-        # each value must still be the one-state, one-angle evaluation
+        # the route's two end points and the oracle's grid each share one
+        # set of trig values among all states; each value must still be the
+        # one-state, one-angle evaluation
         state = GRID_EDGE_STATES[name]
         kernel, calls = measures._entropy, []
 
@@ -273,14 +328,16 @@ class TestBatchedMinimizer:
             calls.append(kernel(*args))
             return calls[-1]
 
-        with mock.patch.object(measures, "GRID_POINTS", grid_points), \
-                mock.patch.object(measures, "_entropy", recording):
+        with mock.patch.object(measures, "_entropy", recording):
             _min_conditional_entropy(XBatch.of(state))
-        grid = calls[0]   # the grid stage runs first, in one block for one state
-        assert grid.shape == (1, grid_points)
-        thetas = np.linspace(0.0, measures.THETA_MAX, grid_points)
-        alone = [measured_entropy(XBatch.of(state), [theta])[0] for theta in thetas]
-        assert (_bits(alone) == _bits(grid[0])).all()
+            grid_oracle_min(XBatch.of(state), grid_points)
+        # the end points come first, then the oracle's grid, in one block
+        ends = calls[0]
+        grid = next(c for c in calls[1:] if c.shape == (1, grid_points))
+        for values, thetas in ((ends, [0.0, measures.THETA_MAX]),
+                               (grid, np.linspace(0.0, measures.THETA_MAX, grid_points))):
+            alone = [measured_entropy(XBatch.of(state), [theta])[0] for theta in thetas]
+            assert (_bits(alone) == _bits(values[0])).all()
 
     def test_grid_edge_states_are_edge_cases(self):
         floor = GRID_EDGE_STATES["outcome below the floor at theta = 0 and pi/2"]
@@ -311,8 +368,8 @@ def full_range_min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.n
     theta, best = thetas[i], vals[np.arange(len(i)), i]
     dth = (math.pi / 2) / 127
     for _ in range(3):
-        t, ft = _golden_min(lambda t: measures._entropy(pops, abs_c23, *measures._trig(t)),
-                            np.maximum(0.0, theta - dth), np.minimum(math.pi / 2, theta + dth))
+        t, ft = golden_min(lambda t: measures._entropy(pops, abs_c23, *measures._trig(t)),
+                           np.maximum(0.0, theta - dth), np.minimum(math.pi / 2, theta + dth))
         better = ft < best
         theta, best = np.where(better, t, theta), np.where(better, ft, best)
     return best, theta
@@ -383,27 +440,56 @@ KERNEL_TOL = 5e-14
 CLAIM_SWEEPS = [(10, 0.2), (5, 0.0), (10, 0.5), (50, 0.8), (2, 0.5), (0, 1.0)]
 
 
+def _near_pure_states(count: int, seed: int) -> XBatch:
+    """Sampler states whose p11 (first half) or p44 (second half) is scaled
+    by 10**-U(0, 18), one in five to 0, at trace 1: one outcome's
+    conditional state at theta = 0 is nearly pure."""
+    rng = seeded_rng(seed)
+    u = rng.random((6, count))
+    w = -np.log(u[:4])
+    scale = 10.0 ** -rng.uniform(0.0, 18.0, count) * (rng.random(count) >= 0.2)
+    half = count // 2
+    w[0, :half] *= scale[:half]
+    w[3, half:] *= scale[half:]
+    w /= w.sum(axis=0)
+    c23 = np.sqrt(w[1] * w[2] * u[4]) * np.exp(2j * math.pi * u[5])
+    return make_xbatch(*w, c23.real.copy(), c23.imag.copy())
+
+
+def _purity_ratio(states: XBatch) -> np.ndarray:
+    """The smaller of the two outcomes' min(eigenvalue)/weight at theta = 0."""
+    return np.minimum(np.minimum(states.p11, states.p33) / (states.p11 + states.p33),
+                      np.minimum(states.p22, states.p44) / (states.p22 + states.p44))
+
+
 class TestOneStationaryPoint:
     """The claim the brute force rests on: write the measured conditional
     entropy H as a function of z = cos(2 theta) on [0, 1]; on (0, 1) it has
-    at most one stationary point, except where H is flat to round-off.
+    at most one stationary point, except where H is flat to round-off, and
+    except where an outcome's conditional state at theta = 0 is nearly pure
+    (``measures.NEAR_PURE``).  There -lambda*log(lambda) of its small
+    eigenvalue can turn H down just before z = 1, after an interior
+    minimum and maximum; the route probes those states.
 
-    H is counted on a 401-point z grid.  A difference of two neighbouring
-    values no larger than ``DEAD_BAND`` carries no sign: that is twice the
-    kernel's own error bound ``KERNEL_TOL``.  So "flat to round-off" is a
-    difference inside the dead band, and at most one sign change of the
-    differences means at most one interior extremum.
+    H is counted on a 401-point z grid and on 1 - 10**-3 .. 1 - 10**-15
+    near z = 1.  A difference of two neighbouring values no larger than
+    ``DEAD_BAND`` carries no sign: that is twice the kernel's own error
+    bound ``KERNEL_TOL``.  So "flat to round-off" is a difference inside
+    the dead band, and at most one sign change of the differences means at
+    most one interior extremum.
     """
     DEAD_BAND = 2 * KERNEL_TOL
-    POINTS = 401
+    Z = np.union1d(np.linspace(0.0, 1.0, 401), 1.0 - np.logspace(-3.0, -15.0, 37))
+
+    def _changes(self, states):
+        return np.concatenate([
+            _sign_changes(entropy_at_z(block, np.broadcast_to(self.Z, (len(block), len(self.Z)))),
+                          self.DEAD_BAND)
+            for block in (states[r:r + 1024] for r in range(0, len(states), 1024))])
 
     def _assert_claim(self, states):
-        z = np.linspace(0.0, 1.0, self.POINTS)
-        for r in range(0, len(states), 1024):
-            block = states[r:r + 1024]
-            values = entropy_at_z(block, np.broadcast_to(z, (len(block), self.POINTS)))
-            changes = _sign_changes(values, self.DEAD_BAND)
-            assert changes.max() <= 1, block[int(np.argmax(changes))]
+        changes = self._changes(states)
+        assert changes.max() <= 1, states[int(np.argmax(changes))]
 
     def test_sampler_states(self):
         self._assert_claim(_sampled_states(seeded_rng(40).random((6, 20000))))
@@ -412,11 +498,140 @@ class TestOneStationaryPoint:
     def test_sweep_states(self, n, r):
         self._assert_claim(time_series(SweepConfig(n=n, r=r, gt_max=60.0, steps=6000)).states)
 
+    def test_near_pure_states_outside_the_exception(self):
+        states = _near_pure_states(20000, 42)
+        keep = np.flatnonzero(_purity_ratio(states) >= measures.NEAR_PURE)
+        assert len(keep) > 1000
+        self._assert_claim(make_xbatch(*(getattr(states, f)[keep] for f in
+                                         ("p11", "p22", "p33", "p44", "re_c23", "im_c23"))))
+
+    def test_the_exception_exists(self):
+        # two sign changes, and the route still finds the interior minimum
+        state = XBatch.of(HIDDEN_MINIMUM)
+        assert self._changes(state).tolist() == [2]
+        assert _purity_ratio(state)[0] < measures.NEAR_PURE
+        for state in (HIDDEN_MINIMUM, PURE_AT_THETA_ZERO):
+            (m,), (theta,) = _min_conditional_entropy(XBatch.of(state))
+            (oracle,), _ = grid_oracle_min(XBatch.of(state))
+            ends = measured_entropy(XBatch.of(state), [[0.0, measures.THETA_MAX]])[0]
+            assert 0.0 < theta < measures.THETA_MAX and m < ends.min() - 1e-5
+            assert m <= oracle + TestHalfRange.REFERENCE_TOL
+
     def test_counter_sees_two_extrema(self):
         # a row that falls, rises and falls again changes sign twice; steps
         # inside the dead band change nothing
         rows = np.array([[3.0, 2.0, 1.0, 2.0, 0.5], [1.0, 1.0 + 5e-14, 1.0, 1.0 - 5e-14, 1.0]])
         assert _sign_changes(rows, self.DEAD_BAND).tolist() == [2, 0]
+
+
+def _readme_sweep_states(every: int = 25) -> XBatch:
+    """Every ``every``-th state of the README's evolve and envelope sweeps."""
+    return XBatch.stack([
+        s for n, r, gt_max, steps in ((10, 0.2, 50.0, 5000), (5, 0.0, 60.0, 6000))
+        for s in time_series(SweepConfig(n=n, r=r, gt_max=gt_max, steps=steps)).states[::every]])
+
+
+class TestEndPointRoute:
+    """The route: H at both end points, and a root of H' only where the
+    signs of H''(0) and H'(1) show an interior minimum."""
+
+    # Second-order differences of the kernel, with step 1e-6 for H' and
+    # 1e-4 for H'': round-off about KERNEL_TOL/1e-6 and KERNEL_TOL/1e-8,
+    # truncation about 1e-12 times the third derivative and 1e-9 times the
+    # fourth.  Near a nearly pure outcome those grow like inverse powers of
+    # its small eigenvalue, so H' takes the smaller step.  The bound is
+    # 1e-5 relative to 1 + |value|.
+    STEPS = 1e-6, 1e-4
+    FD_TOL = 1e-5
+
+    def _kernel_slopes(self, states, z):
+        # H' and H'' in nats from the kernel's values about z
+        (h1, h2), ln2 = self.STEPS, math.log(2.0)
+        v = entropy_at_z(states, np.stack([z - h1, z + h1, z - h2, z, z + h2], axis=1)) * ln2
+        return (v[:, 1] - v[:, 0]) / (2 * h1), (v[:, 4] - 2 * v[:, 3] + v[:, 2]) / h2**2
+
+    def test_slopes_match_finite_differences(self):
+        rng = seeded_rng(36)
+        states = _sampled_states(rng.random((6, 500)))
+        z = rng.uniform(0.05, 0.95, len(states))
+        first, second = measures._slopes(measures._z_coefficients(states), 1.0 - z)
+        fd_first, fd_second = self._kernel_slopes(states, z)
+        assert (abs(first - fd_first) <= self.FD_TOL * (1.0 + abs(first))).all()
+        assert (abs(second - fd_second) <= self.FD_TOL * (1.0 + abs(second))).all()
+
+    def test_gate_slopes_match_finite_differences(self):
+        # H''(0) by the central difference (z = -h is the mirror angle), and
+        # H'(1) by the one-sided second-order difference
+        states = XBatch.stack([*_sampled_states(seeded_rng(37).random((6, 500))),
+                               *INTERIOR_STATES])
+        coefficients = measures._z_coefficients(states)
+        _, curv0 = measures._slopes(coefficients, np.ones(len(states)))
+        slope1, _ = measures._slopes(coefficients, np.zeros(len(states)))
+        _, fd_curv0 = self._kernel_slopes(states, np.zeros(len(states)))
+        h = self.STEPS[0]
+        v = entropy_at_z(states, np.broadcast_to([1.0 - 2 * h, 1.0 - h, 1.0], (len(states), 3)))
+        fd_slope1 = (3 * v[:, 2] - 4 * v[:, 1] + v[:, 0]) / (2 * h) * math.log(2.0)
+        assert (abs(curv0 - fd_curv0) <= self.FD_TOL * (1.0 + abs(curv0))).all()
+        assert (abs(slope1 - fd_slope1) <= self.FD_TOL * (1.0 + abs(slope1))).all()
+
+    def test_end_point_ties_go_to_theta_zero(self):
+        # these states have the same kernel value, to the bit, at both ends
+        states = XBatch.stack([DEGENERATE_STATES[k] for k in
+                               ("|gg>", "|ee>", "Bell psi+", "maximally mixed")])
+        ends = measured_entropy(states, np.broadcast_to([0.0, measures.THETA_MAX], (4, 2)))
+        assert (ends[:, 0] == ends[:, 1]).all()
+        m, theta = _min_conditional_entropy(states)
+        assert (theta == 0.0).all() and (_bits(m) == _bits(ends[:, 0])).all()
+
+    @pytest.mark.parametrize("states", [
+        lambda: _sampled_states(seeded_rng(38).random((6, 3000))),
+        _readme_sweep_states,
+        lambda: XBatch.stack([*GRID_EDGE_STATES.values(), *DEGENERATE_STATES.values(),
+                              HIDDEN_MINIMUM, PURE_AT_THETA_ZERO, FLAT_NEAR_THETA_PI_4]),
+        lambda: _near_worst_case(500),
+        lambda: _near_pure_states(4000, 43),
+        *(lambda n=n, r=r: time_series(SweepConfig(n=n, r=r, gt_max=60.0, steps=6000)).states
+          for n, r in CLAIM_SWEEPS),
+    ], ids=["seeded", "README sweeps", "edge states", "near the worst case", "nearly pure",
+            *(f"sweep n={n} r={r}" for n, r in CLAIM_SWEEPS)])
+    def test_never_above_the_grid_oracle(self, states):
+        states = states()
+        m, theta = _min_conditional_entropy(states)
+        oracle, _ = grid_oracle_min(states)
+        assert (m <= oracle + TestHalfRange.REFERENCE_TOL).all()
+        assert ((0.0 <= theta) & (theta <= measures.THETA_MAX)).all()
+
+    @given(xstates())
+    def test_never_above_the_grid_oracle_on_any_state(self, s):
+        # pure, rank-deficient and boundary states included; where H is of
+        # order 1e-13 the oracle's many points find the kernel's own
+        # round-off, so the bound is the kernel's, KERNEL_TOL
+        (m,), _ = _min_conditional_entropy(XBatch.of(s))
+        (oracle,), _ = grid_oracle_min(XBatch.of(s))
+        assert m <= oracle + KERNEL_TOL
+
+
+class TestMpmathMinimum:
+    """The route against the minimum of H at 50 digits
+    (``mp_min_conditional_entropy`` in ``tests/conftest.py``), to
+    ``KERNEL_TOL``, the kernel's own error bound, fixed before measuring."""
+
+    @pytest.mark.parametrize("states", [
+        lambda: _sampled_states(seeded_rng(39).random((6, 100))),
+        lambda: XBatch.stack(INTERIOR_STATES),
+        lambda: _readme_sweep_states(100),
+        lambda: XBatch.stack([*GRID_EDGE_STATES.values(), *DEGENERATE_STATES.values(),
+                              HIDDEN_MINIMUM, PURE_AT_THETA_ZERO, FLAT_NEAR_THETA_PI_4]),
+        lambda: _near_worst_case(40),
+        lambda: _near_pure_states(40, 44),
+    ], ids=["seeded", "seeded interior minima", "README sweeps", "edge states",
+            "near the worst case", "nearly pure"])
+    def test_route_matches_the_mpmath_minimum(self, states):
+        pytest.importorskip("mpmath")
+        states = states()
+        m, _ = _min_conditional_entropy(states)
+        want = np.array([mp_min_conditional_entropy(s)[0] for s in states])
+        assert (abs(m - want) <= KERNEL_TOL).all()
 
 
 def test_rare_outcome_counts():
@@ -437,9 +652,10 @@ def _seeded_chunk() -> XBatch:
 
 def _kernel_arguments(states: XBatch) -> dict[str, tuple]:
     """``_entropy``'s arguments in the minimizer's two shapes: a grid block
-    (states x grid points) and one angle per state, as in the golden section."""
+    (states x grid points), as in the grid oracle, and one angle per state,
+    as in the interior solve."""
     pops, abs_c23 = measures._constants(states)
-    grid = np.linspace(0.0, measures.THETA_MAX, measures.GRID_POINTS)
+    grid = np.linspace(0.0, measures.THETA_MAX, GRID_POINTS)
     angles = seeded_rng(25).uniform(0.0, measures.THETA_MAX, len(states))
     return {"grid": (pops[..., None], abs_c23[:, None], *measures._trig(grid[None])),
             "one angle per state": (pops, abs_c23, *measures._trig(angles))}
@@ -488,13 +704,17 @@ class TestInPlaceKernel:
         # at most the stacked diagonals (2B), p_k (B), 4*off^2 (B/2, freed
         # before _h), _h's [x, 1 - x] (2B) and its log2 operand (2B), and a
         # boolean mask (B/4): 7.25B.  The bound allows 8B.  The out-of-place
-        # kernel held about 13B.
+        # kernel held about 13B.  The grid oracle's first block is the one
+        # measured here.
         states = _sampled_states(seeded_rng(26).random((6, 60)))
-        block = 2 * len(states) * measures.GRID_POINTS * 8
-        _min_conditional_entropy(states)
+        block = 2 * len(states) * GRID_POINTS * 8
+        pops, abs_c23 = measures._constants(states)
+        thetas = np.linspace(0.0, measures.THETA_MAX, GRID_POINTS)
+        args = pops[..., None], abs_c23[:, None], thetas, measures._trig(thetas[None])
+        grid_min(*args)
         tracemalloc.start()
         try:
-            _min_conditional_entropy(states)
+            grid_min(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
