@@ -14,7 +14,9 @@ median of five fresh ``python -c pass`` processes is recorded; it marks
 the machine's mode.
 
 The file holds both commits, the command line of every run, each run's
-detail and result lines as printed, and per workload and end-to-end
+detail and result lines as printed, except that a sample list longer than
+``KEEP_SAMPLES`` (the per-call times of the timed loop, hundreds per run)
+is kept as its count, minimum, quartiles and maximum, and per workload and end-to-end
 metric of ``BENCHMARK.json``: the values of both sides seed by seed, how
 many pairs the change wins, both medians and the parent's interquartile
 range.  Only the standard library is used.
@@ -34,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("sweep-csv", "envelope-revival", "verify-oracle")
+KEEP_SAMPLES = 32
 
 
 def _git(*args: str) -> str:
@@ -64,19 +67,32 @@ def _startup_s() -> float:
     return statistics.median(times)
 
 
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+def shorten(detail: dict) -> dict:
+    """``detail`` with each sample list longer than ``KEEP_SAMPLES`` summarized."""
+    samples = {}
+    for name, values in detail.get("samples", {}).items():
+        if isinstance(values, list) and len(values) > KEEP_SAMPLES:
+            q1, q3 = _quartiles(values)
+            values = {"count": len(values), "min": min(values), "q1": q1,
+                      "median": statistics.median(values), "q3": q3, "max": max(values)}
+        samples[name] = values
+    return {**detail, "samples": samples}
+
+
 def _run(tree: Path, argv: list[str]) -> dict:
     """One benchmark run in ``tree``: its detail and result lines as printed."""
     done = subprocess.run([sys.executable, *argv], cwd=tree, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     run = {"exit": done.returncode, "stderr": done.stderr[-2000:]}
     if done.returncode == 0 and len(lines) >= 2:
-        run["detail"], run["result"] = json.loads(lines[-2])["detail"], json.loads(lines[-1])
+        run["detail"] = shorten(json.loads(lines[-2])["detail"])
+        run["result"] = json.loads(lines[-1])
     return run
-
-
-def _quartiles(values: list[float]) -> tuple[float, float]:
-    q = statistics.quantiles(values, n=4, method="inclusive")
-    return q[0], q[2]
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:

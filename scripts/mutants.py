@@ -69,7 +69,7 @@ CATALOGUE = (
            "return np.where((d >= -1e-3) & (d < 0.0), 0.0, d)",
            ("tests/test_measures.py::test_discord_from_sets_only_roundoff_to_zero",)),
     Mutant("interior-solve-off", "src/cavitycorr/measures.py",
-           "(curv0 < 0.0) & (",
+           "(curv0 < _NOISE) & (",
            "(curv0 < -np.inf) & (",
            ("tests/test_measures.py::TestDiscordClosed::test_documented_worst_case",
             "tests/test_measures.py::TestHalfRange",

@@ -234,7 +234,7 @@ def _entropy(pops, abs_c23, sin2_cos2, sin_cos) -> np.ndarray:
     off = sin_cos * abs_c23
     np.multiply(4.0, np.square(off, out=off), out=off)
     # diagonal of A's conditional state, for both outcomes along the first
-    # axis: B found excited, then ground
+    # axis (at theta = 0: B found in its ground state, then excited)
     s = sin2_cos2 * pops[0]
     s += sin2_cos2[::-1] * pops[1]
     s11, s00 = s

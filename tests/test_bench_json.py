@@ -29,3 +29,12 @@ def test_summary_counts_the_pairs_the_change_wins():
     assert wall["parent_median"] == 4.75 and wall["change_median"] == 3.25
     # inclusive quartiles of 4.0, 4.5, 5.0, 6.0: 4.375 and 5.25
     assert abs(wall["parent_iqr"] - 0.875) < 1e-12
+
+
+def test_long_sample_lists_are_summarized():
+    detail = {"workload": "w", "samples": {"wall_s": [float(v) for v in range(1, 101)],
+                                           "setup_s": [0.2, 0.1], "calls": 100}}
+    samples = bench_json.shorten(detail)["samples"]
+    assert samples["setup_s"] == [0.2, 0.1] and samples["calls"] == 100
+    assert samples["wall_s"] == {"count": 100, "min": 1.0, "q1": 25.75, "median": 50.5,
+                                 "q3": 75.25, "max": 100.0}
