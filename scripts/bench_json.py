@@ -130,7 +130,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
@@ -142,7 +141,7 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: _export(rev, trees[side])
                    for side, rev in (("parent", args.parent), ("change", args.change))}
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for seed in args.seeds:
                 argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                         "--seconds", repr(args.seconds), "--trace", "0"]

@@ -78,6 +78,10 @@ NEAR_PURE = 1e-2
 # beyond the last probe lies within 2**-51 of z = 1, where H cannot dip
 # below H(1) by more than round-off.
 _PROBES = 2.0 ** -np.arange(1.0, 53.0, 2.0)
+# States probed per call: each (probes, 2, states) temporary of the probe
+# takes at most 64 KiB, so the probe's working set stays under 1 MiB
+# whatever the batch and however many of its states are probed.
+_PROBE_ROWS = 64 * 64 // (2 * len(_PROBES))
 # H' or H'' (nats) within this of zero carries no sign: against a 40-digit
 # evaluation, H' at the probes of 300 sampler and nearly pure states was
 # off by at most 5e-15.
@@ -360,10 +364,11 @@ def _min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
     ``_NOISE`` of 0) and H'(1) > 0.  The claim fails only where an outcome is nearly pure at
     theta = 0 (``NEAR_PURE``): there H''(0) < 0 and H'(1) <= 0 may still
     hide an interior minimum before H turns down at z = 1.  Each state of
-    either kind has H' probed at ``_PROBES``; the first probe where
-    H' > ``_NOISE`` and the probe before it bracket the root for :func:`_interior_root`,
-    and its angle wins if the kernel there is strictly below the end.  A
-    state's result does not depend on the batch it is in.
+    either kind has H' probed at ``_PROBES``, ``_PROBE_ROWS`` states at a
+    time; the first probe where H' > ``_NOISE`` and the probe before it
+    bracket the root for :func:`_interior_root`, and its angle wins if the
+    kernel there is strictly below the end.  A state's result does not
+    depend on the batch it is in.
     """
     pops, abs_c23 = _constants(states)
     ends = _entropy(pops[..., None], abs_c23[:, None], *_trig(np.array([[0.0, THETA_MAX]])))
@@ -379,8 +384,10 @@ def _min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
         _, curv0 = _slopes(coefficients, np.ones(1))                      # H''(0)
         i = np.flatnonzero((curv0 < _NOISE) & ((slope1 > 0.0) | near_pure))
         if len(i):
-            rises = _slopes(tuple(c[..., i] for c in coefficients), _PROBES[:, None],
-                            curvature=False)[0] > _NOISE
+            rises = np.concatenate([
+                _slopes(tuple(c[..., i[r:r + _PROBE_ROWS]] for c in coefficients),
+                        _PROBES[:, None], curvature=False)[0] > _NOISE
+                for r in range(0, len(i), _PROBE_ROWS)], axis=1)
             found = rises.any(axis=0)
             i, k = i[found], rises.argmax(axis=0)[found]
         if len(i):

@@ -24,6 +24,7 @@ from cavitycorr import (
 from cavitycorr import measures, verify
 from cavitycorr.xstate import XBatch, XState, make_xbatch
 from cavitycorr.measures import _min_conditional_entropy
+from cavitycorr.sweep import SWEEP_CHUNK
 from cavitycorr.verify import _sampled_states, sample_xstate
 
 from conftest import (
@@ -288,6 +289,26 @@ class TestBatchedMinimizer:
                 _min_conditional_entropy(XBatch.of(s))
             steps.add(len(calls))
         assert len(steps) > 1
+
+    def test_working_set_when_every_state_is_probed(self):
+        # The route computes in arrays of one or two floats per state, of B =
+        # 16 bytes a state: the slopes with curvature hold about 21B, the
+        # coefficients and their copy for the solved states about 13B.  The
+        # probe takes _PROBE_ROWS states at a time, each temporary under 64
+        # KiB; on this chunk, probed all at once, its 26 probes held about
+        # 330B.  The bound allows 64B.
+        pool = [*INTERIOR_STATES, HIDDEN_MINIMUM]
+        states = XBatch.stack([pool[i % len(pool)] for i in range(SWEEP_CHUNK)])
+        _, theta = _min_conditional_entropy(states)
+        # an interior angle comes only from a probed bracket
+        assert ((0.0 < theta) & (theta < measures.THETA_MAX)).all()
+        tracemalloc.start()
+        try:
+            _min_conditional_entropy(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 16 * SWEEP_CHUNK
 
     def test_golden_elements_stop_independently(self):
         # the oracle runs in lockstep too: brackets of different widths need
