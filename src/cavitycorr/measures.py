@@ -19,15 +19,16 @@ discord comes in two routes that cross-validate each other:
   takes H at both end points, theta = 0 and pi/4, the closed form's two
   candidates; H has at most one stationary point on (0, 1), except where it
   is flat to round-off or an outcome is nearly pure at theta = 0, so the
-  signs of H''(0) and H'(1), from closed-form derivatives, show which
-  states can have an interior minimum, and a bracketed, safeguarded Newton
-  solve of H'(z) = 0 finds it (the shape of Yurischev's piecewise
-  analytical-numerical discord, Quantum Inf. Process. 14, 3399 (2015)).
+  signs of H''(0) and H'(1) show which states can have an interior
+  minimum, and a bracketed, safeguarded Newton solve of H'(z) = 0 finds it
+  (the shape of Yurischev's piecewise analytical-numerical discord, Quantum
+  Inf. Process. 14, 3399 (2015)).  H, H' and H'' all come from one
+  function of z, each outcome's eigenvalues taken from its determinant.
   The search reports the polar angle alone, in [0, pi/4]; its mirror
-  angle gives the same entropy.  The kernel is checked against a dense
-  model built from B's projectors, and the route against the grid and
-  golden-section search it replaced, both test oracles in
-  ``tests/conftest.py``.
+  angle gives the same entropy.  The z form is checked against a dense
+  model built from B's projectors and against the theta form it replaced,
+  and the route against the grid and golden-section search before it, all
+  test oracles in ``tests/conftest.py``.
 
 Both routes turn their minimum m into discord with the one formula
 :func:`discord_from`, D = S_B - S_AB + m.  The brute force is the ground
@@ -40,11 +41,11 @@ batch of one and returns a float (:func:`~cavitycorr.xstate.one_or_batch`).
 The brute-force search takes an :class:`XBatch` too;
 :func:`discord_bruteforce` and :func:`classical_correlation_bruteforce`
 are its batch of one, and the latter also returns the minimizing angle.
-It runs in lockstep over a batch of states: the end points are one
-(states x 2) kernel call, the derivatives' signs a few array calls, and
-each Newton step updates every solving state's bracket as the one-state
-solve would.  A state whose step is small enough stops moving, so its
-result is bit-identical alone and inside any batch.
+It runs in lockstep over a batch of states: one call in z gives H, H'
+and H'' at both end points for every state, the probe of H' takes blocks
+of states, and each Newton step updates every solving state's bracket as
+the one-state solve would.  A state whose step is small enough stops
+moving, so its result is bit-identical alone and inside any batch.
 """
 from __future__ import annotations
 
@@ -103,25 +104,6 @@ def _xlog2x(v, log2=ew.log2):
     """v*log2(v), with 0*log2(0) = 0."""
     live = v > 0.0
     return np.where(live, v * log2(np.where(live, v, 1.0)), 0.0)
-
-
-def _h(x):
-    """Vectorized binary entropy, inputs assumed in [0, 1] up to round-off.
-
-    The operations of ``_xlog2x`` on ``[x, 1 - x]`` in their order, done in
-    place in two arrays of its own; ``x`` is not written.
-    """
-    t = np.empty((2,) + x.shape)
-    x.clip(0.0, 1.0, out=t[0])
-    np.subtract(1.0, t[0], out=t[1])
-    live = t > 0.0
-    terms = np.where(live, t, 1.0)
-    np.log2(terms, out=terms)
-    np.multiply(t, terms, out=terms)
-    np.copyto(terms, 0.0, where=np.logical_not(live, out=live))
-    out = np.subtract(0.0, terms[0], out=terms[0])
-    out -= terms[1]
-    return out
 
 
 # Every closed form below is written on an XBatch and returns an array with
@@ -203,66 +185,11 @@ def discord_closed(state: XState | XBatch) -> float | np.ndarray:
                         closed_min_conditional_entropy(state))
 
 
-def _constants(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Each state's populations ``[[p11, p33], [p22, p44]]`` and its |c23|.
-
-    Shaped to broadcast against one angle per state: the populations as
-    (2, 2, 1, states), |c23| as (states,).
-    """
-    pops = np.array([[states.p11, states.p33], [states.p22, states.p44]], dtype=float)
-    return pops[:, :, None], states.abs_c23()
-
-
-def _trig(theta) -> tuple[np.ndarray, np.ndarray]:
-    """``[sin^2, cos^2]`` of the angles ``theta``, stacked along a new first axis, and sin*cos."""
-    sin_cos = np.array([np.sin(theta), np.cos(theta)])
-    return np.square(sin_cos), sin_cos[0] * sin_cos[1]
-
-
-def _entropy(pops, abs_c23, sin2_cos2, sin_cos) -> np.ndarray:
-    """Measured conditional entropy from :func:`_constants` and :func:`_trig`.
-
-    The one kernel of every evaluation; the result has the broadcast shape
-    of the states' and the angles' arrays.  The azimuth phi of B's basis
-    drops out: the only coherence links |10> and |01>, so the measurement
-    phase enters the conditional states of A only through the magnitude
-    sin(theta)cos(theta)|c23|.
-
-    It works in place, in arrays of its own, with the operations and
-    operand order of the out-of-place formulas, and never writes its
-    inputs: every grid block shares one set of trig arrays.  A grid
-    block's temporaries then peak near 7 of its (2, states, angles) arrays
-    instead of 13, few enough that glibc keeps the memory between calls
-    rather than returning it and faulting it back in.
-    """
-    off = sin_cos * abs_c23
-    np.multiply(4.0, np.square(off, out=off), out=off)
-    # diagonal of A's conditional state, for both outcomes along the first
-    # axis (at theta = 0: B found in its ground state, then excited)
-    s = sin2_cos2 * pops[0]
-    s += sin2_cos2[::-1] * pops[1]
-    s11, s00 = s
-    p_k = s11 + s00
-    # gap = sqrt((s11 - s00)^2 + 4 off^2), then top, overwrite s11; s00
-    # takes the denominator
-    gap = np.subtract(s11, s00, out=s11)
-    np.square(gap, out=gap)
-    gap += off
-    del off
-    np.sqrt(gap, out=gap)
-    top = np.add(p_k, gap, out=gap)
-    top /= np.maximum(np.multiply(2.0, p_k, out=s00), PROB_FLOOR, out=s00)
-    # outcomes below the floor contribute nothing, whatever ``top`` is there
-    out = _h(top)
-    np.multiply(p_k, out, out=out)
-    dead = p_k > PROB_FLOOR
-    np.copyto(out, 0.0, where=np.logical_not(dead, out=dead))
-    return out[0] + out[1]
-
-
-# The kernel's first outcome, whose sin^2 is (1 - z)/2, then its second,
-# which is the first at -z.
+# B's first outcome, whose sin^2 theta is (1 - z)/2 (at theta = 0: B found
+# in its ground state), then its second, which is the first at -z.
 _OUTCOMES = np.array([[1.0], [-1.0]])
+# y = 1 - z at the end points theta = 0 and THETA_MAX, one row each.
+_ENDS = np.array([[0.0], [1.0]])
 
 
 def _z_coefficients(states: XBatch) -> tuple:
@@ -279,30 +206,35 @@ def _z_coefficients(states: XBatch) -> tuple:
 
 
 def _slopes(coefficients, y, curvature: bool = True) -> tuple:
-    """H'(z) and H''(z) at z = 1 - ``y``, in nats, from :func:`_z_coefficients`.
+    """H(z) in bits and H'(z), H''(z) in nats at z = 1 - ``y``, from :func:`_z_coefficients`.
 
-    In z = cos(2 theta) the kernel's sin^2 and cos^2 are (1 - z)/2 = y/2
-    and (1 + z)/2, so each outcome's diagonal s11, s00 of A's conditional
+    In z = cos(2 theta), sin^2 theta = (1 - z)/2 = y/2 and cos^2 theta =
+    (1 + z)/2, so each outcome's diagonal s11, s00 of A's conditional
     state is linear in z.  With p = s11 + s00, d = s11 - s00,
     g = sqrt(d^2 + (1 - z^2)|c23|^2) and the eigenvalues l+ = (p + g)/2
-    and l- = det/l+,
+    and l- = det/l+, an outcome adds
+        F = p log2 p - l+ log2 l+ - l- log2 l-   (0 where p <= PROB_FLOOR),
         F' = -(p'/2) ln(det/p^2) - (w/2) L,
         F'' = -(p' l- - p l-')^2 / (p l+ l-) - ((d'^2 - |c23|^2 - g'^2)/2) L,
     where w = g g' = d d' - z|c23|^2 and L = ln(l+/l-)/g = log1p(g/l-)/g
     (1/l- at g = 0); H is the sum of the two outcomes.  The determinant is
     a sum of nonnegative terms and l- is det/l+, so a nearly pure outcome
-    keeps its small eigenvalue's digits.  Only signs and the ratio H'/H''
-    are used, so the factor 1/ln 2 of bits is left out.  A pure or empty
-    outcome, or g = 0, makes a value infinite or NaN.  ``y`` broadcasts
-    against the states; the outcomes take a new second-to-last axis, which
-    the sum removes.  Without ``curvature`` H'' is None.
+    keeps its small eigenvalue's digits.  Where an outcome counts, p and
+    l+ are positive, so only l- needs 0*log2(0) = 0.  Of H' and H'' only
+    signs and their ratio are used, so their factor 1/ln 2 of bits is left
+    out.  A pure or empty outcome, or g = 0, makes a derivative infinite or
+    NaN, and an empty outcome a masked term of F too; callers silence
+    numpy's warnings.  ``y`` broadcasts against the states; the outcomes
+    take a new second-to-last axis, which the sum removes.  Without
+    ``curvature`` H'' is None.
     """
     p11, p22, p33, p44, c2, e1, e2, e3, dp, dd, dd2_c2 = coefficients
-    y = np.expand_dims(y, -2)
+    y = y[..., None, :]
     half = y / 2.0
     rest = 1.0 - half
     z = 1.0 - y
-    sin2, cos2 = np.concatenate([half, rest], axis=-2), np.concatenate([rest, half], axis=-2)
+    sin2 = np.concatenate([half, rest], axis=-2)
+    cos2 = sin2[..., ::-1, :]
     quarter = half * rest   # sin^2 cos^2 = (1 - z^2)/4
     s11, s00 = sin2 * p11 + cos2 * p22, sin2 * p33 + cos2 * p44
     p, d = s11 + s00, s11 - s00
@@ -311,15 +243,17 @@ def _slopes(coefficients, y, curvature: bool = True) -> tuple:
     w = d * dd - z * c2
     top = (p + g) / 2.0
     low = det / top
+    value = p * np.log2(p) - top * np.log2(top) - _xlog2x(low, np.log2)
+    value = np.where(p > PROB_FLOOR, value, 0.0).sum(axis=-2)
     ell = np.where(g > 0.0, np.log1p(g / low) / g, 1.0 / low)
     first = (-0.5 * (dp * np.log(det / (p * p)) + w * ell)).sum(axis=-2)
     if not curvature:
-        return first, None
+        return value, first, None
     ddet = _OUTCOMES * (cos2 * e2 - sin2 * e1) - z / 2.0 * e3
     dg = w / g
     dlow = (ddet - low * (dp + dg) / 2.0) / top
     second = -np.square(dp * low - p * dlow) / (p * top * low) - 0.5 * (dd2_c2 - dg * dg) * ell
-    return first, second.sum(axis=-2)
+    return value, first, second.sum(axis=-2)
 
 
 def _interior_root(coefficients, lo, hi) -> np.ndarray:
@@ -337,7 +271,7 @@ def _interior_root(coefficients, lo, hi) -> np.ndarray:
     step = older = hi - lo
     live = np.ones(len(y), dtype=bool)
     for _ in range(_SOLVE_STEPS):
-        h1, h2 = _slopes(coefficients, y)
+        _, h1, h2 = _slopes(coefficients, y)
         z = 1.0 - y
         gz = h1 / z
         rises = gz > 0.0
@@ -357,47 +291,46 @@ def _min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of the measured conditional entropy over B's measurement angle.
 
     Returns ``(minimum, theta)``, arrays with one element per state, theta
-    in [0, ``THETA_MAX``].  The kernel gives H at theta = 0 and
-    ``THETA_MAX`` (z = 1 and 0), and the lower end wins, theta = 0 on a
-    tie.  Under the claim that H has at most one stationary point on
-    (0, 1), H has an interior minimum only where H''(0) < 0 (or within
-    ``_NOISE`` of 0) and H'(1) > 0.  The claim fails only where an outcome is nearly pure at
+    in [0, ``THETA_MAX``].  One :func:`_slopes` call at y = 1 - z = 0 and
+    1 (theta = 0 and ``THETA_MAX``) gives H at both ends, of which the
+    lower wins, theta = 0 on a tie, and H'(1) and H''(0).  Under the claim
+    that H has at most one stationary point on (0, 1), H has an interior
+    minimum only where H''(0) < 0 (or within ``_NOISE`` of 0) and
+    H'(1) > 0.  The claim fails only where an outcome is nearly pure at
     theta = 0 (``NEAR_PURE``): there H''(0) < 0 and H'(1) <= 0 may still
     hide an interior minimum before H turns down at z = 1.  Each state of
     either kind has H' probed at ``_PROBES``, ``_PROBE_ROWS`` states at a
     time; the first probe where H' > ``_NOISE`` and the probe before it
-    bracket the root for :func:`_interior_root`, and its angle wins if the
-    kernel there is strictly below the end.  A state's result does not
-    depend on the batch it is in.
+    bracket the root for :func:`_interior_root`, and the root wins if H
+    there is strictly below the end; only then is its angle computed.  A
+    state's result does not depend on the batch it is in.
     """
-    pops, abs_c23 = _constants(states)
-    ends = _entropy(pops[..., None], abs_c23[:, None], *_trig(np.array([[0.0, THETA_MAX]])))
-    at_zero = ends[:, 0] <= ends[:, 1]
-    best = np.where(at_zero, ends[:, 0], ends[:, 1])
-    theta = np.where(at_zero, 0.0, THETA_MAX)
     coefficients = _z_coefficients(states)
     p11, p22, p33, p44 = coefficients[:4]
     near_pure = ((np.minimum(p11, p33) < NEAR_PURE * (p11 + p33))
                  | (np.minimum(p22, p44) < NEAR_PURE * (p22 + p44)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope1, _ = _slopes(coefficients, np.zeros(1), curvature=False)   # H'(1)
-        _, curv0 = _slopes(coefficients, np.ones(1))                      # H''(0)
-        i = np.flatnonzero((curv0 < _NOISE) & ((slope1 > 0.0) | near_pure))
+        ends, slope, curv = _slopes(coefficients, _ENDS)
+        at_zero = ends[0] <= ends[1]
+        best = np.where(at_zero, ends[0], ends[1])
+        theta = np.where(at_zero, 0.0, THETA_MAX)
+        # H''(0) at y = 1, H'(1) at y = 0
+        i = np.flatnonzero((curv[1] < _NOISE) & ((slope[0] > 0.0) | near_pure))
         if len(i):
             rises = np.concatenate([
                 _slopes(tuple(c[..., i[r:r + _PROBE_ROWS]] for c in coefficients),
-                        _PROBES[:, None], curvature=False)[0] > _NOISE
+                        _PROBES[:, None], curvature=False)[1] > _NOISE
                 for r in range(0, len(i), _PROBE_ROWS)], axis=1)
             found = rises.any(axis=0)
             i, k = i[found], rises.argmax(axis=0)[found]
         if len(i):
-            y = _interior_root(tuple(c[..., i] for c in coefficients), _PROBES[k],
-                               np.where(k > 0, _PROBES[k - 1], 1.0))
-            t = np.arcsin(np.sqrt(y / 2.0))   # sin^2 theta = y/2
-            ft = _entropy(pops[..., i], abs_c23[i], *_trig(t))
-            better = ft < best[i]
-            best[i] = np.where(better, ft, best[i])
-            theta[i] = np.where(better, t, theta[i])
+            solving = tuple(c[..., i] for c in coefficients)
+            y = _interior_root(solving, _PROBES[k], np.where(k > 0, _PROBES[k - 1], 1.0))
+            value = _slopes(solving, y, curvature=False)[0]
+            better = value < best[i]
+            i, y = i[better], y[better]
+            best[i] = value[better]
+            theta[i] = np.arcsin(np.sqrt(y / 2.0))   # sin^2 theta = y/2
     return best, theta
 
 

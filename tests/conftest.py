@@ -109,10 +109,11 @@ def conditional_entropy_measured(state, theta: float, phi: float) -> float:
     return total
 
 
-# References of the oracles: the brute-force kernel as it was before it
-# computed in place, and the Fock oracle on the five-photon window, with
-# its own rotation.  Tests require the package to give the same bits,
-# signed zeros included.
+# References of the oracles: the measured conditional entropy in the theta
+# form that the brute force used before it worked in z alone, and the Fock
+# oracle on the five-photon window, with its own rotation.  The theta form
+# is the grid oracle's kernel and the finite-difference tests' function, so
+# neither checks the package's z form against itself.
 
 def _xlog2x_reference(v):
     live = v > 0.0
@@ -126,8 +127,31 @@ def h_reference(x):
     return 0.0 - terms[0] - terms[1]
 
 
+def kernel_constants(states):
+    """Each state's populations ``[[p11, p33], [p22, p44]]`` and its |c23|.
+
+    Shaped to broadcast against one angle per state: the populations as
+    (2, 2, 1, states), |c23| as (states,).
+    """
+    pops = np.array([[states.p11, states.p33], [states.p22, states.p44]], dtype=float)
+    return pops[:, :, None], states.abs_c23()
+
+
+def kernel_trig(theta):
+    """``[sin^2, cos^2]`` of the angles ``theta``, stacked along a new first axis, and sin*cos."""
+    sin_cos = np.array([np.sin(theta), np.cos(theta)])
+    return np.square(sin_cos), sin_cos[0] * sin_cos[1]
+
+
 def entropy_reference(pops, abs_c23, sin2_cos2, sin_cos):
-    """``measures._entropy`` with one new array per operation."""
+    """Measured conditional entropy from :func:`kernel_constants` and :func:`kernel_trig`.
+
+    The result has the broadcast shape of the states' and the angles'
+    arrays.  Each outcome's conditional state of A has the diagonal
+    sin^2 * pops[0] + cos^2 * pops[1] (at theta = 0: B found in its ground
+    state, then excited) and the off-diagonal magnitude sin*cos*|c23|;
+    an outcome below ``PROB_FLOOR`` adds nothing.
+    """
     off = sin_cos * abs_c23
     s11, s00 = sin2_cos2 * pops[0] + sin2_cos2[::-1] * pops[1]
     p_k = s11 + s00
@@ -138,27 +162,27 @@ def entropy_reference(pops, abs_c23, sin2_cos2, sin_cos):
 
 
 def measured_entropy(states, theta):
-    """The package's measured conditional entropy at the polar angles ``theta`` of B's basis.
+    """The theta-form measured conditional entropy at the polar angles ``theta`` of B's basis.
 
     ``theta`` is 1-d, one angle per state, or 2-d, a row of angles per state.
     """
     theta = np.asarray(theta, dtype=float)
-    pops, abs_c23 = measures._constants(states)
+    pops, abs_c23 = kernel_constants(states)
     if theta.ndim == 2:
         pops, abs_c23 = pops[..., None], abs_c23[:, None]
-    return measures._entropy(pops, abs_c23, *measures._trig(theta))
+    return entropy_reference(pops, abs_c23, *kernel_trig(theta))
 
 
 def entropy_at_z(states, z):
-    """The package's kernel at z = cos(2 theta), a row of points per state.
+    """The theta-form measured conditional entropy at z = cos(2 theta), a row of points per state.
 
     The trig comes from z itself: sin^2 = (1 - z)/2, cos^2 = (1 + z)/2 and
     sin*cos = sqrt((1 - z)(1 + z))/2, so the points are exact in z.
     """
     z = np.asarray(z, dtype=float)
-    pops, abs_c23 = measures._constants(states)
+    pops, abs_c23 = kernel_constants(states)
     trig = np.array([(1.0 - z) / 2.0, (1.0 + z) / 2.0]), np.sqrt((1.0 - z) * (1.0 + z)) / 2.0
-    return measures._entropy(pops[..., None], abs_c23[:, None], *trig)
+    return entropy_reference(pops[..., None], abs_c23[:, None], *trig)
 
 
 # The grid-and-golden-section search that the brute force used before its
@@ -208,11 +232,11 @@ def golden_min(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
 def grid_min(pops, abs_c23, thetas, trig) -> tuple[np.ndarray, np.ndarray]:
     """Each state's grid angle of least measured entropy, and that entropy.
 
-    ``pops`` and ``abs_c23`` are a block of rows of ``measures._constants``,
-    with a trailing axis for the angles; ``trig`` is ``_trig(thetas[None])``.
-    Ties go to the smallest angle.
+    ``pops`` and ``abs_c23`` are a block of rows of :func:`kernel_constants`,
+    with a trailing axis for the angles; ``trig`` is
+    ``kernel_trig(thetas[None])``.  Ties go to the smallest angle.
     """
-    vals = measures._entropy(pops, abs_c23, *trig)
+    vals = entropy_reference(pops, abs_c23, *trig)
     i = np.argmin(vals, axis=1)
     return thetas[i], vals[np.arange(len(i)), i]
 
@@ -224,15 +248,15 @@ def grid_oracle_min(states, grid_points: int = GRID_POINTS) -> tuple[np.ndarray,
     evaluated a block of rows at a time; the row-wise argmin is refined by
     one golden-section round over the grid intervals beside it.
     """
-    pops, abs_c23 = measures._constants(states)
+    pops, abs_c23 = kernel_constants(states)
     thetas = np.linspace(0.0, measures.THETA_MAX, grid_points)
-    trig = measures._trig(thetas[None])   # one row of angles, shared by every row of states
+    trig = kernel_trig(thetas[None])   # one row of angles, shared by every row of states
     rows = max(1, _GRID_VALUES // grid_points)
     theta, best = (np.concatenate(parts) for parts in zip(*(
         grid_min(pops[..., r:r + rows, None], abs_c23[r:r + rows, None], thetas, trig)
         for r in range(0, len(states), rows))))
     dth = measures.THETA_MAX / (grid_points - 1)
-    t, ft = golden_min(lambda t: measures._entropy(pops, abs_c23, *measures._trig(t)),
+    t, ft = golden_min(lambda t: entropy_reference(pops, abs_c23, *kernel_trig(t)),
                        np.maximum(0.0, theta - dth), np.minimum(measures.THETA_MAX, theta + dth))
     better = ft < best
     return np.where(better, ft, best), np.where(better, t, theta)

@@ -21,23 +21,23 @@ from cavitycorr import (
     time_series,
     werner_state,
 )
-from cavitycorr import measures, verify
+from cavitycorr import measures
 from cavitycorr.xstate import XBatch, XState, make_xbatch
 from cavitycorr.measures import _min_conditional_entropy
 from cavitycorr.sweep import SWEEP_CHUNK
 from cavitycorr.verify import _sampled_states, sample_xstate
 
+import conftest
 from conftest import (
     DEGENERATE_STATES,
-    GRID_POINTS,
     as_matrix,
     conditional_entropy_measured,
     entropy_at_z,
     entropy_reference,
     golden_min,
-    grid_min,
     grid_oracle_min,
-    h_reference,
+    kernel_constants,
+    kernel_trig,
     measured_entropy,
     mp_min_conditional_entropy,
     seeded_rng,
@@ -339,26 +339,22 @@ class TestBatchedMinimizer:
     @pytest.mark.parametrize("grid_points", [64, 128, 4096])
     @pytest.mark.parametrize("name", sorted(GRID_EDGE_STATES))
     def test_grid_values_equal_one_angle_evaluations(self, name, grid_points):
-        # the route's two end points and the oracle's grid each share one
-        # set of trig values among all states; each value must still be the
-        # one-state, one-angle evaluation
+        # the oracle's grid shares one set of trig values among all states;
+        # each value must still be the one-state, one-angle evaluation
         state = GRID_EDGE_STATES[name]
-        kernel, calls = measures._entropy, []
+        kernel, calls = conftest.entropy_reference, []
 
         def recording(*args):
             calls.append(kernel(*args))
             return calls[-1]
 
-        with mock.patch.object(measures, "_entropy", recording):
-            _min_conditional_entropy(XBatch.of(state))
+        with mock.patch.object(conftest, "entropy_reference", recording):
             grid_oracle_min(XBatch.of(state), grid_points)
-        # the end points come first, then the oracle's grid, in one block
-        ends = calls[0]
-        grid = next(c for c in calls[1:] if c.shape == (1, grid_points))
-        for values, thetas in ((ends, [0.0, measures.THETA_MAX]),
-                               (grid, np.linspace(0.0, measures.THETA_MAX, grid_points))):
-            alone = [measured_entropy(XBatch.of(state), [theta])[0] for theta in thetas]
-            assert (_bits(alone) == _bits(values[0])).all()
+        grid = calls[0]
+        assert grid.shape == (1, grid_points)
+        alone = [measured_entropy(XBatch.of(state), [theta])[0]
+                 for theta in np.linspace(0.0, measures.THETA_MAX, grid_points)]
+        assert (_bits(alone) == _bits(grid[0])).all()
 
     def test_grid_edge_states_are_edge_cases(self):
         floor = GRID_EDGE_STATES["outcome below the floor at theta = 0 and pi/2"]
@@ -380,16 +376,16 @@ def full_range_min_conditional_entropy(states: XBatch) -> tuple[np.ndarray, np.n
     """Reference: the search on the full range [0, pi/2] that the half range replaced.
 
     A 128-point theta grid, then three re-centred golden-section rounds,
-    on the package's kernel; returns ``(minimum, theta)`` per state.
+    on the theta-form reference kernel; returns ``(minimum, theta)`` per state.
     """
-    pops, abs_c23 = measures._constants(states)
+    pops, abs_c23 = kernel_constants(states)
     thetas = np.linspace(0.0, math.pi / 2, 128)
-    vals = measures._entropy(pops[..., None], abs_c23[:, None], *measures._trig(thetas[None]))
+    vals = entropy_reference(pops[..., None], abs_c23[:, None], *kernel_trig(thetas[None]))
     i = np.argmin(vals, axis=1)
     theta, best = thetas[i], vals[np.arange(len(i)), i]
     dth = (math.pi / 2) / 127
     for _ in range(3):
-        t, ft = golden_min(lambda t: measures._entropy(pops, abs_c23, *measures._trig(t)),
+        t, ft = golden_min(lambda t: entropy_reference(pops, abs_c23, *kernel_trig(t)),
                            np.maximum(0.0, theta - dth), np.minimum(math.pi / 2, theta + dth))
         better = ft < best
         theta, best = np.where(better, t, theta), np.where(better, ft, best)
@@ -448,7 +444,9 @@ def _sign_changes(values: np.ndarray, band: float) -> np.ndarray:
     return ((held[:, 1:] != held[:, :-1]) & (held[:, :-1] != 0.0)).sum(axis=1)
 
 
-# The kernel's error bound in bits, derived before it was measured.  Per
+# The theta-form kernel's error bound in bits (``entropy_reference`` in
+# tests/conftest.py, the brute force's kernel before its z form), derived
+# before it was measured.  Per
 # outcome, 1 - top carries the rounding of top, at most 3 ulp of 1
 # (3.3e-16), and x*log2(x) turns that into |log2 x + 1/ln 2| <= 55 times as
 # much for x >= 2**-53: 1.8e-14, and 3.6e-14 for both outcomes.  An outcome
@@ -456,6 +454,23 @@ def _sign_changes(values: np.ndarray, band: float) -> np.ndarray:
 # can be (they sum to 1).  The trig of THETA_MAX adds about 1e-15.  Total
 # 4.7e-14, rounded up.
 KERNEL_TOL = 5e-14
+# The z form's error bound in bits (``measures._slopes``), derived before
+# it was measured, for states whose |c23|^2 is at most 0.85 p22*p33
+# (HIDDEN_MINIMUM's is 0.81): the determinant's last term p11*p44 +
+# p22*p33 - |c23|^2 then carries at most 40u after its cancellation,
+# u = 2**-53.  Per outcome H_k = t(p) - t(l+) - t(l-), t(x) = x*log2(x).
+# A relative error delta of x moves t(x) by at most x*(|log2 x| + 1/ln 2)
+# *delta, and t's own log2 and product add at most 2u|t(x)|.  Over both
+# outcomes the two p sum to 1, the two l+ to at most 1 and the two l- to
+# at most 1/2; the p add at most 1 to the sum of x*|log2 x|, and each
+# eigenvalue at most 1/(e ln 2) = 0.53.  p (two products and a sum) and l+
+# (through g's square root of a sum) carry delta <= 20u: (1 + 1.06 + 2/ln 2)
+# *20u = 99u.  l- = det/l+ (three products, two sums and a quotient after
+# the term above) carries delta <= 50u: (1.06 + 0.5/ln 2)*50u = 89u.  The six
+# terms' own error is at most 2u*3 = 6u, and the five subtractions and
+# sums of values at most 2 add 10u: 204u = 2.3e-14.  A solved interior root
+# adds only the second order of its last step.  Rounded up.
+Z_FORM_TOL = 2.5e-14
 
 # The six sweeps at gt <= 60 on which the claim below was first counted.
 CLAIM_SWEEPS = [(10, 0.2), (5, 0.0), (10, 0.5), (50, 0.8), (2, 0.5), (0, 1.0)]
@@ -481,6 +496,22 @@ def _purity_ratio(states: XBatch) -> np.ndarray:
     """The smaller of the two outcomes' min(eigenvalue)/weight at theta = 0."""
     return np.minimum(np.minimum(states.p11, states.p33) / (states.p11 + states.p33),
                       np.minimum(states.p22, states.p44) / (states.p22 + states.p44))
+
+
+def _purer_outcomes() -> XBatch:
+    """Two sampler-like states per k = 2 .. 14 whose p11 is 10**-k of p33,
+    then two per k whose p44 is 10**-k of p22, with |c23|^2 at most
+    0.85 p22*p33: one outcome's conditional state at theta = 0 is nearly
+    pure, and its small eigenvalue near 10**-k of its weight."""
+    rng = seeded_rng(45)
+    k = np.repeat(np.arange(2.0, 15.0), 2)
+    u = rng.random((6, 2 * len(k)))
+    w = -np.log(u[:4])
+    w[0, :len(k)] = w[2, :len(k)] * 10.0 ** -k
+    w[3, len(k):] = w[1, len(k):] * 10.0 ** -k
+    w /= w.sum(axis=0)
+    c23 = np.sqrt(w[1] * w[2] * 0.85 * u[4]) * np.exp(2j * math.pi * u[5])
+    return make_xbatch(*w, c23.real.copy(), c23.imag.copy())
 
 
 class TestOneStationaryPoint:
@@ -575,7 +606,7 @@ class TestEndPointRoute:
         rng = seeded_rng(36)
         states = _sampled_states(rng.random((6, 500)))
         z = rng.uniform(0.05, 0.95, len(states))
-        first, second = measures._slopes(measures._z_coefficients(states), 1.0 - z)
+        _, first, second = measures._slopes(measures._z_coefficients(states), 1.0 - z)
         fd_first, fd_second = self._kernel_slopes(states, z)
         assert (abs(first - fd_first) <= self.FD_TOL * (1.0 + abs(first))).all()
         assert (abs(second - fd_second) <= self.FD_TOL * (1.0 + abs(second))).all()
@@ -586,14 +617,26 @@ class TestEndPointRoute:
         states = XBatch.stack([*_sampled_states(seeded_rng(37).random((6, 500))),
                                *INTERIOR_STATES])
         coefficients = measures._z_coefficients(states)
-        _, curv0 = measures._slopes(coefficients, np.ones(len(states)))
-        slope1, _ = measures._slopes(coefficients, np.zeros(len(states)))
+        _, _, curv0 = measures._slopes(coefficients, np.ones(len(states)))
+        _, slope1, _ = measures._slopes(coefficients, np.zeros(len(states)))
         _, fd_curv0 = self._kernel_slopes(states, np.zeros(len(states)))
         h = self.STEPS[0]
         v = entropy_at_z(states, np.broadcast_to([1.0 - 2 * h, 1.0 - h, 1.0], (len(states), 3)))
         fd_slope1 = (3 * v[:, 2] - 4 * v[:, 1] + v[:, 0]) / (2 * h) * math.log(2.0)
         assert (abs(curv0 - fd_curv0) <= self.FD_TOL * (1.0 + abs(curv0))).all()
         assert (abs(slope1 - fd_slope1) <= self.FD_TOL * (1.0 + abs(slope1))).all()
+
+    def test_value_matches_the_theta_form(self):
+        # H of the z form against the theta form at the same z, exact in
+        # both, at the end points and inside; each form within its bound
+        rng = seeded_rng(46)
+        u = rng.random((6, 2000))
+        u[4] *= 0.85   # |c23|^2 <= 0.85 p22*p33, as Z_FORM_TOL assumes
+        states = _sampled_states(u)
+        z = np.concatenate([np.broadcast_to([0.0, 1.0], (len(states), 2)),
+                            rng.uniform(0.0, 1.0, (len(states), 6))], axis=1)
+        value, _, _ = measures._slopes(measures._z_coefficients(states), (1.0 - z).T)
+        assert (abs(value.T - entropy_at_z(states, z)) <= KERNEL_TOL + Z_FORM_TOL).all()
 
     def test_end_point_ties_go_to_theta_zero(self):
         # these states have the same kernel value, to the bit, at both ends
@@ -654,92 +697,29 @@ class TestMpmathMinimum:
         want = np.array([mp_min_conditional_entropy(s)[0] for s in states])
         assert (abs(m - want) <= KERNEL_TOL).all()
 
+    def test_nearly_pure_outcomes_within_the_z_form_bound(self):
+        # p11 or p44 from 1e-2 down to 1e-14 of its partner, and the state
+        # whose minimum hides behind H'(1) < 0
+        pytest.importorskip("mpmath")
+        states = XBatch.stack([*_purer_outcomes(), HIDDEN_MINIMUM])
+        assert (states.abs2_c23() <= 0.85 * states.p22 * states.p33).all()
+        m, _ = _min_conditional_entropy(states)
+        want = np.array([mp_min_conditional_entropy(s)[0] for s in states])
+        assert (abs(m - want) <= Z_FORM_TOL).all()
+
 
 def test_rare_outcome_counts():
     # B is found in its ground state with probability 1e-12 at theta = 0, and
     # that outcome adds 1e-12 bits: the 12th digit of a CSV field of order 1.
     # Below PROB_FLOOR = 1e-14 an outcome may add at most 1e-14 bits, so
-    # both routes must count it, as the dense oracle does.
+    # both routes must count it, as the dense oracle does: the brute force's
+    # z form at y = 1 - z = 0, and the closed form.
     s = make_xstate(0.5, 5e-13, 0.5 - 1e-12, 5e-13, 0)
     want = conditional_entropy_measured(s, 0.0, 0.0)
-    assert abs(measured_entropy(XBatch.of(s), [0.0])[0] - want) <= 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):   # H' and H'' there are not finite
+        value, _, _ = measures._slopes(measures._z_coefficients(XBatch.of(s)), np.zeros(1))
+    assert abs(value[0] - want) <= 1e-14
     assert abs(measures.closed_min_conditional_entropy(s) - want) <= 1e-14
-
-
-def _seeded_chunk() -> XBatch:
-    """The states of a seeded 1024-sample ``verify`` chunk."""
-    return next(verify._seeded_chunks(seeded_rng(24), 1024, 12, 20.0))[1]
-
-
-def _kernel_arguments(states: XBatch) -> dict[str, tuple]:
-    """``_entropy``'s arguments in the minimizer's two shapes: a grid block
-    (states x grid points), as in the grid oracle, and one angle per state,
-    as in the interior solve."""
-    pops, abs_c23 = measures._constants(states)
-    grid = np.linspace(0.0, measures.THETA_MAX, GRID_POINTS)
-    angles = seeded_rng(25).uniform(0.0, measures.THETA_MAX, len(states))
-    return {"grid": (pops[..., None], abs_c23[:, None], *measures._trig(grid[None])),
-            "one angle per state": (pops, abs_c23, *measures._trig(angles))}
-
-
-class TestInPlaceKernel:
-    """``_entropy`` and ``_h`` compute in place and give the bits of the
-    out-of-place reference in ``tests/conftest.py``, signed zeros included."""
-
-    BATCHES = {"seeded chunk": _seeded_chunk,
-               "degenerate states": lambda: XBatch.stack(list(DEGENERATE_STATES.values()))}
-
-    @pytest.mark.parametrize("batch", sorted(BATCHES))
-    def test_kernel_bits_match_reference(self, batch):
-        for shape, args in _kernel_arguments(self.BATCHES[batch]()).items():
-            assert (_bits(measures._entropy(*args)) == _bits(entropy_reference(*args))).all(), shape
-
-    @pytest.mark.parametrize("batch", sorted(BATCHES))
-    def test_minimizer_bits_match_reference(self, batch):
-        states = self.BATCHES[batch]()
-        got = _min_conditional_entropy(states)
-        with mock.patch.object(measures, "_entropy", entropy_reference):
-            want = _min_conditional_entropy(states)
-        for g, w in zip(got, want):
-            assert (_bits(g) == _bits(w)).all()
-
-    def test_h_bits_match_reference_at_the_edges(self):
-        x = np.array([-1e-13, -0.0, 0.0, 5e-324, 1e-15, 0.25, 0.5, 1.0 - 1e-16, 1.0,
-                      1.0 + 1e-13, math.nan])
-        assert (_bits(measures._h(x)) == _bits(h_reference(x))).all()
-
-    def test_kernel_leaves_its_inputs_unchanged(self):
-        # every grid block shares one set of trig arrays, so writing into
-        # them would corrupt the blocks after it
-        for shape, args in _kernel_arguments(_seeded_chunk()).items():
-            before = [_bits(a).copy() for a in args]
-            measures._entropy(*args)
-            assert all((_bits(a) == b).all() for a, b in zip(args, before)), shape
-        x = np.array([-1e-13, 0.3, 1.0 + 1e-13])
-        measures._h(x)
-        assert (_bits(x) == _bits([-1e-13, 0.3, 1.0 + 1e-13])).all()
-
-    def test_grid_block_working_set(self):
-        # A block of r states on the g-point grid computes in (2, r, g)
-        # float64 arrays of B = 2*r*g*8 bytes.  In place, the kernel holds
-        # at most the stacked diagonals (2B), p_k (B), 4*off^2 (B/2, freed
-        # before _h), _h's [x, 1 - x] (2B) and its log2 operand (2B), and a
-        # boolean mask (B/4): 7.25B.  The bound allows 8B.  The out-of-place
-        # kernel held about 13B.  The grid oracle's first block is the one
-        # measured here.
-        states = _sampled_states(seeded_rng(26).random((6, 60)))
-        block = 2 * len(states) * GRID_POINTS * 8
-        pops, abs_c23 = measures._constants(states)
-        thetas = np.linspace(0.0, measures.THETA_MAX, GRID_POINTS)
-        args = pops[..., None], abs_c23[:, None], thetas, measures._trig(thetas[None])
-        grid_min(*args)
-        tracemalloc.start()
-        try:
-            grid_min(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * block
 
 
 def test_discord_from_sets_only_roundoff_to_zero():
