@@ -234,7 +234,7 @@ def _slopes(coefficients, y, curvature: bool = True) -> tuple:
     rest = 1.0 - half
     z = 1.0 - y
     sin2 = np.concatenate([half, rest], axis=-2)
-    cos2 = sin2[..., ::-1, :]
+    cos2 = sin2[..., ::-1, :]   # the second outcome swaps sin^2 and cos^2
     quarter = half * rest   # sin^2 cos^2 = (1 - z^2)/4
     s11, s00 = sin2 * p11 + cos2 * p22, sin2 * p33 + cos2 * p44
     p, d = s11 + s00, s11 - s00
