@@ -147,6 +147,14 @@ CATALOGUE = (
            "if len(stream) < pos + 2:",
            "if len(stream) < pos + 1:",
            ("tests/test_verify.py::test_seeded_chunks_reproduce_the_per_sample_formula",)),
+    Mutant("cli-usage-exit-code", "src/cavitycorr/cli.py",
+           'self.exit(1, f"{self.prog}: error: {message}\\n")',
+           'self.exit(2, f"{self.prog}: error: {message}\\n")',
+           ("tests/test_cli.py::TestEvolve::test_bad_flag_value",)),
+    Mutant("cli-dispatched-arguments", "src/cavitycorr/cli.py",
+           "            add(self)",
+           "            pass",
+           ("tests/test_cli.py::TestParser::test_output_and_namespace_match_an_eager_parser",)),
     Mutant("csv-tie-gate", "src/cavitycorr/csvformat.py",
            "np.abs(y - m) < 0.5",
            "np.abs(y - m) <= 0.5",

@@ -6,8 +6,10 @@ failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
+import shutil
 import sys
 
 import numpy as np
@@ -52,20 +54,7 @@ def format_record(batch: SweepBatch, n: int, r: float) -> list[str]:
                          batch.classical_correlation, batch.mutual_information], n, r)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the CLI contract wants 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cavitycorr",
-                     description="Correlation dynamics of two atoms crossing "
-                                 "a lossless Fock-state cavity")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ev = sub.add_parser("evolve", help="CSV time series of one sweep")
+def _evolve_arguments(ev: argparse.ArgumentParser) -> None:
     ev.add_argument("--n", type=int, required=True, help="initial photon number")
     ev.add_argument("--r", type=float, required=True, help="Werner mixing parameter")
     ev.add_argument("--gt-max", type=float, required=True, help="largest Rabi angle")
@@ -74,7 +63,8 @@ def _build_parser() -> _Parser:
                     help="discord evaluation route (default: closed)")
     ev.add_argument("--out", help="output path (default: stdout)")
 
-    vf = sub.add_parser("verify", help="cross-check closed forms against oracles")
+
+def _verify_arguments(vf: argparse.ArgumentParser) -> None:
     vf.add_argument("--samples", type=int, required=True)
     vf.add_argument("--seed", type=int, required=True)
     # a flag not given stays out of args, and run_verification's default applies
@@ -83,7 +73,8 @@ def _build_parser() -> _Parser:
     vf.add_argument("--tol-evolve", type=float, default=argparse.SUPPRESS)
     vf.add_argument("--tol-discord", type=float, default=argparse.SUPPRESS)
 
-    en = sub.add_parser("envelope", help="CSV of collapse/revival events")
+
+def _envelope_arguments(en: argparse.ArgumentParser) -> None:
     en.add_argument("--n", type=int, required=True)
     en.add_argument("--r", type=float, required=True)
     en.add_argument("--gt-max", type=float, required=True)
@@ -93,6 +84,47 @@ def _build_parser() -> _Parser:
     en.add_argument("--threshold", type=float, default=0.02)
     en.add_argument("--min-duration", type=float, default=1.0)
     en.add_argument("--out", help="output path (default: stdout)")
+
+
+# each command's name, help and the function that adds its arguments
+_COMMANDS = (
+    ("evolve", "CSV time series of one sweep", _evolve_arguments),
+    ("verify", "cross-check closed forms against oracles", _verify_arguments),
+    ("envelope", "CSV of collapse/revival events", _envelope_arguments),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    # a subcommand's arguments, added when argparse dispatches to it
+    pending_arguments = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse's subparsers action calls this on the chosen command
+        # only, so a command that does not run adds no arguments
+        if self.pending_arguments is not None:
+            add, self.pending_arguments = self.pending_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+    # argparse exits 2 on usage errors by default; the CLI contract wants 1
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _build_parser() -> _Parser:
+    # argparse's HelpFormatter reads the terminal width each time one is
+    # made, once per add_argument among others; read its default width,
+    # the columns less 2, once per build
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="cavitycorr",
+                     description="Correlation dynamics of two atoms crossing "
+                                 "a lossless Fock-state cavity",
+                     formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text, add in _COMMANDS:
+        sub.add_parser(name, help=text, formatter_class=formatter).pending_arguments = add
     return parser
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -15,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 import cavitycorr
 from cavitycorr.cli import CSV_HEADER, _format_rows, format_record, main
 from cavitycorr.sweep import SweepConfig, time_series
-from cavitycorr import csvformat, measures, sweep, verify
+from cavitycorr import cli, csvformat, measures, sweep, verify
 from cavitycorr.verify import run_verification
 
 from conftest import csv_fields
@@ -221,6 +222,74 @@ class TestParsing:
             time_series(SweepConfig(n=0, r=1 / 3, gt_max=1.0, steps=1)), 0, 1 / 3))
         r_field = line.split(",")[2]
         assert r_field == "0.333333333333"
+
+
+# argument lists whose help, usage, error output and parsed namespace the
+# parser of cli.main must give as a parser built with every argument does
+PARSER_CASES = (
+    [], ["--help"], ["-h"],
+    ["evolve", "--help"], ["verify", "--help"], ["envelope", "--help"],
+    ["nope"],
+    ["evolve", "--n", "0"],
+    ["evolve", "--n", "x", "--r", "0", "--gt-max", "1", "--steps", "2"],
+    ["envelope", "--n", "1", "--r", "0", "--gt-max", "1", "--steps", "2",
+     "--measure", "entropy"],
+    ["verify", "--samples", "1", "--seed", "1", "--bogus"],
+    ["--n", "1", "evolve"],
+    ["evolve", "--n", "1", "--r", "0", "--gt", "1", "--st", "2"],
+    ["verify", "--samples", "1", "--seed", "1", "--tol-e", "1e-9"],
+)
+_BUILD_PARSER = cli._build_parser
+
+
+def _commands(parser):
+    """The subcommand parsers of ``parser`` by name."""
+    return next(a.choices for a in parser._actions if a.dest == "command")
+
+
+def _options(parser):
+    return [a.option_strings for a in parser._actions]
+
+
+def _eager_parser():
+    """The CLI's parser with every command's arguments added up front, and
+    argparse's own formatter, which reads the terminal width each time."""
+    parser = _BUILD_PARSER()
+    for command in _commands(parser).values():
+        add, command.pending_arguments = command.pending_arguments, None
+        add(command)
+    for p in (parser, *_commands(parser).values()):
+        p.formatter_class = argparse.HelpFormatter
+    return parser
+
+
+class TestParser:
+    @pytest.mark.parametrize("columns", ["50", "120"])
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda a: " ".join(a) or "none")
+    def test_output_and_namespace_match_an_eager_parser(self, capsys, monkeypatch,
+                                                        columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        parsed = []
+        for name in ("cmd_evolve", "cmd_verify", "cmd_envelope"):
+            monkeypatch.setattr(cli, name, lambda args: parsed.append(vars(args)) or 0)
+        results = []
+        for build in (_BUILD_PARSER, _eager_parser):
+            monkeypatch.setattr(cli, "_build_parser", build)
+            parsed.clear()
+            results.append((run(capsys, *argv), list(parsed)))
+        assert results[0] == results[1]
+
+    def test_commands_add_their_arguments_when_dispatched(self):
+        parser = cli._build_parser()
+        commands = _commands(parser)
+        assert list(commands) == ["evolve", "verify", "envelope"]
+        assert all(_options(c) == [["-h", "--help"]] for c in commands.values())
+        parser.parse_args(["verify", "--samples", "1", "--seed", "1"])
+        assert _options(commands["verify"]) == [
+            ["-h", "--help"], ["--samples"], ["--seed"], ["--n-max"], ["--gt-max"],
+            ["--tol-evolve"], ["--tol-discord"]]
+        assert _options(commands["evolve"]) == [["-h", "--help"]]
+        assert _options(commands["envelope"]) == [["-h", "--help"]]
 
 
 def _reference_rows(columns, n, r):
