@@ -224,8 +224,9 @@ class TestParsing:
         assert r_field == "0.333333333333"
 
 
-# argument lists whose help, usage, error output and parsed namespace the
-# parser of cli.main must give as a parser built with every argument does
+# argument lists for which cli.main must print the same help, usage and
+# error output, and parse the same namespace, as with every command's
+# arguments added up front
 PARSER_CASES = (
     [], ["--help"], ["-h"],
     ["evolve", "--help"], ["verify", "--help"], ["envelope", "--help"],
@@ -255,11 +256,11 @@ def _eager_parser():
     """The CLI's parser with every command's arguments added up front, and
     argparse's own formatter, which reads the terminal width each time."""
     parser = _BUILD_PARSER()
+    parser.formatter_class = argparse.HelpFormatter
     for command in _commands(parser).values():
+        command.formatter_class = argparse.HelpFormatter
         add, command.pending_arguments = command.pending_arguments, None
         add(command)
-    for p in (parser, *_commands(parser).values()):
-        p.formatter_class = argparse.HelpFormatter
     return parser
 
 
