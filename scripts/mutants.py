@@ -50,12 +50,13 @@ CATALOGUE = (
            "leaking = off_x >= OFF_X_TOL",
            "leaking = off_x >= np.inf",
            ("tests/test_fock.py::TestWindowOracle::test_off_x_leakage_is_caught_per_state",)),
-    Mutant("fock-photon-match-mask", "src/cavitycorr/fock.py",
-           "_SAME_PHOTONS = np.equal.outer(_EXCITED, _EXCITED)[..., None]",
-           "_SAME_PHOTONS = np.ones((4, 4, 1), dtype=bool)",
-           ("tests/test_fock.py::TestWindowOracle::test_off_x_leakage_is_caught_per_state",
+    Mutant("fock-x-form-entries", "src/cavitycorr/fock.py",
+           "_A, _B = [0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1]",
+           "_A, _B = [1, 0, 2, 3, 1, 2], [1, 0, 2, 3, 2, 1]",
+           ("tests/test_fock.py::TestWindowOracle"
+            "::test_window_trace_bits_match_five_window_reference",
             "tests/test_fock.py::TestWindowOracle"
-            "::test_window_trace_bits_match_five_window_reference")),
+            "::test_window_trace_bits_match_five_window_reference_on_a_seeded_chunk")),
     Mutant("sweep-steps-bound", "src/cavitycorr/sweep.py",
            '("steps", ew.scalar(self.steps, "steps", int, 1, MAX_STEPS)),',
            '("steps", ew.scalar(self.steps, "steps", int, 1)),',
@@ -152,8 +153,8 @@ CATALOGUE = (
            'self.exit(2, f"{self.prog}: error: {message}\\n")',
            ("tests/test_cli.py::TestEvolve::test_bad_flag_value",)),
     Mutant("cli-dispatched-arguments", "src/cavitycorr/cli.py",
-           "            add(self)",
-           "            pass",
+           "        self.add_arguments(parser)",
+           "        pass",
            ("tests/test_cli.py::TestParser::test_output_and_namespace_match_an_eager_parser",)),
     Mutant("csv-tie-gate", "src/cavitycorr/csvformat.py",
            "np.abs(y - m) < 0.5",

@@ -95,21 +95,23 @@ _COMMANDS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    # a subcommand's arguments, added when argparse dispatches to it
-    pending_arguments = None
-
-    def parse_known_args(self, args=None, namespace=None):
-        # argparse's subparsers action calls this on the chosen command
-        # only, so a command that does not run adds no arguments
-        if self.pending_arguments is not None:
-            add, self.pending_arguments = self.pending_arguments, None
-            add(self)
-        return super().parse_known_args(args, namespace)
-
     # argparse exits 2 on usage errors by default; the CLI contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _Command:
+    # argparse's subparsers action makes one per command from add_parser's
+    # keyword arguments and calls parse_known_args on the chosen one only,
+    # so only the command that runs builds its parser and arguments
+    def __init__(self, add_arguments, **kwargs):
+        self.add_arguments, self.kwargs = add_arguments, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        self.add_arguments(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 def _build_parser() -> _Parser:
@@ -122,9 +124,9 @@ def _build_parser() -> _Parser:
                      description="Correlation dynamics of two atoms crossing "
                                  "a lossless Fock-state cavity",
                      formatter_class=formatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, text, add in _COMMANDS:
-        sub.add_parser(name, help=text, formatter_class=formatter).pending_arguments = add
+        sub.add_parser(name, help=text, formatter_class=formatter, add_arguments=add)
     return parser
 
 

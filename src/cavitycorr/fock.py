@@ -12,13 +12,15 @@ The interaction conserves excitations (excited atoms plus photons), so a
 ket with e excited atoms holds in atom configuration a'b', with e' excited
 atoms, only the photon number n + e - e'.  Each ket is therefore carried
 as four amplitudes, one per configuration, and the field trace pairs two
-configurations only where their photon numbers are equal.  Only the pairs
-(i, i) and (1, 2) are traced: tr_field(U|2><1|U^dagger) is the adjoint of
-tr_field(U|1><2|U^dagger), its atom axes swapped and its imaginary part
-negated.  The populations weight their kets as reals.  Both shortcuts
-give the bits of the six-pair trace with complex weights: the terms they
-drop are exact zeros, and every sum starts from +0.0, so a dropped zero
-cannot change even a zero's sign.
+configurations only where their photon numbers are equal: at the X form's
+entries, the diagonal, (1, 2) and (2, 1).  Only these six are formed, and
+only for the pairs (i, i) and (1, 2): tr_field(U|2><1|U^dagger) is the
+adjoint of tr_field(U|1><2|U^dagger).  The populations weight their kets
+as reals.  These shortcuts give the bits of the full trace of all six
+pairs with complex weights: the terms they drop are exact zeros, and every
+sum starts from +0.0, so a dropped zero cannot change even a zero's sign.
+The leakage check covers what is formed: (2, 1) must be the adjoint of
+(1, 2), and the diagonal real.
 
 Complex amplitudes are kept as real and imaginary float arrays with one
 element per state, and every sum has a fixed operand order, so a state's
@@ -34,14 +36,15 @@ from .xstate import XBatch, XState, make_xbatch
 # Above this the X form is not preserved and something is wrong with the
 # implementation, not the input; the X form is closed under the dynamics.
 OFF_X_TOL = 1e-12
-# Where an X state may be nonzero: the diagonal and the |10>,|01> coherences.
-_X_FORM = np.eye(4, dtype=bool)
-_X_FORM[1, 2] = _X_FORM[2, 1] = True
 # Excited atoms in ket or configuration 2a + b: |ee>, |eg>, |ge>, |gg>.
 _EXCITED = np.array([2, 1, 1, 0])
-# The traced kets have equal excitations, so two configurations hold
-# equal photon numbers where their own excitations are equal.
-_SAME_PHOTONS = np.equal.outer(_EXCITED, _EXCITED)[..., None]
+# The traced kets have equal excitations, so two configurations hold equal
+# photon numbers where their own excitations are equal, at entries (_A, _B).
+_A, _B = [0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1]
+_TRANSPOSED = [0, 1, 2, 3, 5, 4]  # the entry (b, a) of each entry (a, b)
+# entry a of ket i and b of ket j for the traced pairs (i, j): the
+# populations' (i, i), then (1, 2)
+_I_A, _J_B = np.ix_([0, 1, 2, 3, 1], _A), np.ix_([0, 1, 2, 3, 2], _B)
 # _SHIFT[k, b] = e_k - e_b: the photon number of |g b> in ket k, less n.
 _SHIFT = np.subtract.outer(_EXCITED, [1, 0])[..., None]
 
@@ -80,35 +83,29 @@ def sequential_pass_batch(states: XBatch, n, gt) -> XBatch:
         re, im = (x.swapaxes(1, axis) for x in
                   _rotate(re.swapaxes(1, axis), im.swapaxes(1, axis), n, gt))
     re, im = re.reshape(4, 4, -1), im.reshape(4, 4, -1)
-
-    def traced(i, j):
-        """tr_field(U|i><j|U^dagger) as (re, im), each shaped (4, 4, state)."""
-        a_re, a_im, b_re, b_im = re[i, :, None], im[i, :, None], re[j, None], im[j, None]
-        return (np.where(_SAME_PHOTONS, a_re * b_re + a_im * b_im, 0.0),
-                np.where(_SAME_PHOTONS, a_im * b_re - a_re * b_im, 0.0))
-
-    rho_re, rho_im = 0.0, 0.0
-    for i, p in enumerate((states.p11, states.p22, states.p33, states.p44)):
-        o_re, o_im = traced(i, i)
-        rho_re = rho_re + p * o_re
-        rho_im = rho_im + p * o_im
+    # tr_field(U|i><j|U^dagger) at each entry (a, b), shaped (pair, entry, state)
+    a_re, a_im, b_re, b_im = re[_I_A], im[_I_A], re[_J_B], im[_J_B]
+    o_re, o_im = a_re * b_re + a_im * b_im, a_im * b_re - a_re * b_im
+    p = np.stack([states.p11, states.p22, states.p33, states.p44])[:, None]
+    # reduced over the pairs in their order, from +0.0
+    rho_re = np.add.reduce(p * o_re[:4], axis=0, initial=0.0)
+    rho_im = np.add.reduce(p * o_im[:4], axis=0, initial=0.0)
     # tr(U|2><1|U^dagger) is the adjoint of tr(U|1><2|U^dagger)
-    c_re, c_im = traced(1, 2)
-    for o_re, o_im, w_im in ((c_re, c_im, states.im_c23),
-                             (c_re.swapaxes(0, 1), -c_im.swapaxes(0, 1), -states.im_c23)):
-        rho_re = rho_re + (states.re_c23 * o_re - w_im * o_im)
-        rho_im = rho_im + (states.re_c23 * o_im + w_im * o_re)
+    c_re, c_im = o_re[4], o_im[4]
+    for t_re, t_im, w_im in ((c_re, c_im, states.im_c23),
+                             (c_re[_TRANSPOSED], -c_im[_TRANSPOSED], -states.im_c23)):
+        rho_re = rho_re + (states.re_c23 * t_re - w_im * t_im)
+        rho_im = rho_im + (states.re_c23 * t_im + w_im * t_re)
 
-    off_x = np.max([*np.hypot(rho_re, rho_im)[~_X_FORM],
-                    np.hypot(rho_re[1, 2] - rho_re[2, 1], rho_im[1, 2] + rho_im[2, 1]),
-                    *np.abs(rho_im[range(4), range(4)])], axis=0)
+    off_x = np.max([np.hypot(rho_re[4] - rho_re[5], rho_im[4] + rho_im[5]),
+                    *np.abs(rho_im[:4])], axis=0)
     leaking = off_x >= OFF_X_TOL
     if leaking.any():
         raise RuntimeError(
             f"off-X leakage {off_x[leaking][0]:g} exceeds {OFF_X_TOL:g}; "
             "the X form is preserved analytically, so this is a bug"
         )
-    return make_xbatch(*(rho_re[range(4), range(4)]), rho_re[1, 2], rho_im[1, 2])
+    return make_xbatch(*rho_re[:4], rho_re[4], rho_im[4])
 
 
 def sequential_pass(state: XState, params: EvolutionParams) -> XState:

@@ -241,27 +241,46 @@ PARSER_CASES = (
     ["verify", "--samples", "1", "--seed", "1", "--tol-e", "1e-9"],
 )
 _BUILD_PARSER = cli._build_parser
-
-
-def _commands(parser):
-    """The subcommand parsers of ``parser`` by name."""
-    return next(a.choices for a in parser._actions if a.dest == "command")
-
-
-def _options(parser):
-    return [a.option_strings for a in parser._actions]
+_COMMAND_STUBS = ("cmd_evolve", "cmd_verify", "cmd_envelope")
 
 
 def _eager_parser():
-    """The CLI's parser with every command's arguments added up front, and
-    argparse's own formatter, which reads the terminal width each time."""
-    parser = _BUILD_PARSER()
-    parser.formatter_class = argparse.HelpFormatter
-    for command in _commands(parser).values():
-        command.formatter_class = argparse.HelpFormatter
-        add, command.pending_arguments = command.pending_arguments, None
-        add(command)
+    """The CLI's parser built up front with plain argparse: every command's
+    parser with its arguments, and argparse's own formatter, which reads
+    the terminal width each time."""
+    parser = cli._Parser(prog="cavitycorr",
+                         description="Correlation dynamics of two atoms crossing "
+                                     "a lossless Fock-state cavity")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text, add in cli._COMMANDS:
+        add(sub.add_parser(name, help=text))
     return parser
+
+
+_VALUES = {int: st.integers(0, 10**6).map(str), float: st.floats(0.0, 1e6).map(repr),
+           None: st.just("out.csv")}
+
+
+@st.composite
+def _command_lines(draw):
+    """A valid argument list of one command: its required options and some
+    optional ones in any order, each as ``--opt value`` or ``--opt=value``
+    and spelled in full or as a unique prefix such as ``--gt`` or ``--st``."""
+    sub = next(a for a in _eager_parser()._actions if a.dest == "command")
+    name = draw(st.sampled_from(sorted(sub.choices)))
+    actions = [a for a in sub.choices[name]._actions if a.dest != "help"]
+    argv = [name]
+    for action in draw(st.permutations([a for a in actions
+                                        if a.required or draw(st.booleans())])):
+        full = action.option_strings[0]
+        others = [o for a in actions if a is not action for o in a.option_strings]
+        option = draw(st.sampled_from(
+            [full[:k] for k in range(3, len(full))
+             if not any(o.startswith(full[:k]) for o in others + ["--help"])] + [full]))
+        value = draw(st.sampled_from(action.choices) if action.choices
+                     else _VALUES[action.type])
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    return argv
 
 
 class TestParser:
@@ -271,7 +290,7 @@ class TestParser:
                                                         columns, argv):
         monkeypatch.setenv("COLUMNS", columns)
         parsed = []
-        for name in ("cmd_evolve", "cmd_verify", "cmd_envelope"):
+        for name in _COMMAND_STUBS:
             monkeypatch.setattr(cli, name, lambda args: parsed.append(vars(args)) or 0)
         results = []
         for build in (_BUILD_PARSER, _eager_parser):
@@ -280,17 +299,39 @@ class TestParser:
             results.append((run(capsys, *argv), list(parsed)))
         assert results[0] == results[1]
 
-    def test_commands_add_their_arguments_when_dispatched(self):
-        parser = cli._build_parser()
-        commands = _commands(parser)
-        assert list(commands) == ["evolve", "verify", "envelope"]
-        assert all(_options(c) == [["-h", "--help"]] for c in commands.values())
-        parser.parse_args(["verify", "--samples", "1", "--seed", "1"])
-        assert _options(commands["verify"]) == [
-            ["-h", "--help"], ["--samples"], ["--seed"], ["--n-max"], ["--gt-max"],
-            ["--tol-evolve"], ["--tol-discord"]]
-        assert _options(commands["evolve"]) == [["-h", "--help"]]
-        assert _options(commands["envelope"]) == [["-h", "--help"]]
+    @pytest.mark.parametrize("argv,built", [
+        (["--help"], ["cavitycorr"]),
+        (["nope"], ["cavitycorr"]),
+        (["verify", "--samples", "1", "--seed", "1"], ["cavitycorr", "cavitycorr verify"]),
+        (["evolve", "--n", "1", "--r", "0", "--gt-max", "1", "--steps", "2"],
+         ["cavitycorr", "cavitycorr evolve"]),
+        (["envelope", "--help"], ["cavitycorr", "cavitycorr envelope"]),
+    ], ids=lambda a: " ".join(a) if a and a[0] != "cavitycorr" else None)
+    def test_only_the_dispatched_command_builds_a_parser(self, capsys, monkeypatch,
+                                                         argv, built):
+        init, progs = argparse.ArgumentParser.__init__, []
+
+        def counted(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            assert type(parser) is cli._Parser
+            progs.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for name in _COMMAND_STUBS:
+            monkeypatch.setattr(cli, name, lambda args: 0)
+        run(capsys, *argv)
+        assert progs == built
+
+    @given(argv=_command_lines())
+    def test_valid_command_lines_parse_as_with_an_eager_parser(self, argv):
+        parsed = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in _COMMAND_STUBS:
+                patch.setattr(cli, name, lambda args: parsed.append(vars(args)) or 0)
+            assert main(argv) == 0
+            patch.setattr(cli, "_build_parser", _eager_parser)
+            assert main(argv) == 0
+        assert len(parsed) == 2 and parsed[0] == parsed[1]
 
 
 def _reference_rows(columns, n, r):

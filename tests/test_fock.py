@@ -329,13 +329,17 @@ class TestWindowOracle:
         assert report.passed
 
     def test_off_x_leakage_is_caught_per_state(self, monkeypatch):
-        # the right photon-match mask keeps the trace in the X form; a mask
-        # that pairs every two configurations in state 1 leaks out of it,
-        # while state 0 stays correct, so the check must look at every state
-        batch, n, gt = XBatch.stack([werner_state(0.5)] * 2), [3, 3], [0.7, 0.7]
+        # the oracle forms (2, 1) of tr(U|2><1|U^dagger) from (1, 2) of
+        # tr(U|1><2|U^dagger); a (b, a) table that takes (2, 1) instead
+        # breaks the adjoint in state 1, whose coherence weights that term,
+        # while state 0 has none and stays correct, so the check must look
+        # at every state
+        batch = XBatch.stack([make_xstate(0.4, 0.2, 0.3, 0.1, 0),
+                              make_xstate(0.4, 0.2, 0.3, 0.1, 0.1 + 0.05j)])
+        n, gt = [3, 3], [0.7, 0.7]
         sequential_pass_batch(batch, n, gt)
-        broken = np.concatenate([fock._SAME_PHOTONS, np.ones((4, 4, 1), dtype=bool)], axis=2)
-        monkeypatch.setattr(fock, "_SAME_PHOTONS", broken)
+        monkeypatch.setattr(fock, "_TRANSPOSED", list(range(6)))
+        sequential_pass_batch(batch[:1], n[:1], gt[:1])
         with pytest.raises(RuntimeError, match="off-X leakage"):
             sequential_pass_batch(batch, n, gt)
 
