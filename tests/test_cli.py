@@ -306,7 +306,7 @@ class TestParser:
         (["evolve", "--n", "1", "--r", "0", "--gt-max", "1", "--steps", "2"],
          ["cavitycorr", "cavitycorr evolve"]),
         (["envelope", "--help"], ["cavitycorr", "cavitycorr envelope"]),
-    ], ids=lambda a: " ".join(a) if a and a[0] != "cavitycorr" else None)
+    ], ids=["--help", "nope", "verify", "evolve", "envelope --help"])
     def test_only_the_dispatched_command_builds_a_parser(self, capsys, monkeypatch,
                                                          argv, built):
         init, progs = argparse.ArgumentParser.__init__, []
