@@ -140,9 +140,9 @@ CATALOGUE = (
            "if m & mask >= threshold:",
            "if True:",
            ("tests/test_verify.py::test_seeded_chunks_reproduce_the_per_sample_formula",)),
-    Mutant("verify-draw-read-ahead", "src/cavitycorr/verify.py",
-           "bitgen.advance(pos - len(stream))",
-           "bitgen.advance(pos - len(stream) + 1)",
+    Mutant("verify-draw-carry", "src/cavitycorr/verify.py",
+           "stream, pos = stream[pos:], 0",
+           "stream, pos = stream[pos + 1:], 0",
            ("tests/test_verify.py::test_seeded_chunks_reproduce_the_per_sample_formula",)),
     Mutant("verify-draw-run-short", "src/cavitycorr/verify.py",
            "if len(stream) < pos + 2:",

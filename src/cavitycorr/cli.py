@@ -104,14 +104,15 @@ class _Parser(argparse.ArgumentParser):
 class _Command:
     # argparse's subparsers action makes one per command from add_parser's
     # keyword arguments and calls parse_known_args on the chosen one only,
-    # so only the command that runs builds its parser and arguments
+    # so only the command that runs builds its parser and arguments; that
+    # parser parses them all, so it reports an unknown one under its usage
     def __init__(self, add_arguments, **kwargs):
         self.add_arguments, self.kwargs = add_arguments, kwargs
 
     def parse_known_args(self, args=None, namespace=None):
         parser = _Parser(**self.kwargs)
         self.add_arguments(parser)
-        return parser.parse_known_args(args, namespace)
+        return parser.parse_args(args, namespace), []
 
 
 def _build_parser() -> _Parser:

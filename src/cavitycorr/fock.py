@@ -49,15 +49,12 @@ _I_A, _J_B = np.ix_([0, 1, 2, 3, 1], _A), np.ix_([0, 1, 2, 3, 2], _B)
 _SHIFT = np.subtract.outer(_EXCITED, [1, 0])[..., None]
 
 
-def _rotate(re, im, n, gt):
+def _rotate(re, im, c, s):
     """The interaction of the atom on axis 1 of kets shaped (ket, atom, atom, state).
 
-    Level index 0 is excited.  In ket k, |g b> holds m = n + e_k - e_b
-    photons, so the pair {|e b>, |g b>} turns by sqrt(m)*gt, where m <= 0
-    turns by zero.
+    Level index 0 is excited.  The pair {|e b>, |g b>} of ket k turns by
+    the angle whose cosine and sine are ``c[k, b]`` and ``s[k, b]``.
     """
-    angle = np.sqrt(np.maximum(n + _SHIFT, 0)) * gt
-    c, s = np.cos(angle), np.sin(angle)
     e_re, e_im, g_re, g_im = re[:, 0], im[:, 0], re[:, 1], im[:, 1]
     # (e, g) -> (c e - i s g, -i s e + c g)
     return (np.stack([c * e_re + s * g_im, c * g_re + s * e_im], axis=1),
@@ -78,10 +75,14 @@ def sequential_pass_batch(states: XBatch, n, gt) -> XBatch:
     re = np.zeros((4, 2, 2, len(states)))
     re[range(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1.0
     im = np.zeros_like(re)
+    # in ket k, |g b> holds m = n + e_k - e_b photons: each atom turns the
+    # pair {|e b>, |g b>} by sqrt(m)*gt, where m <= 0 turns by zero
+    angle = np.sqrt(np.maximum(n + _SHIFT, 0)) * gt
+    c, s = np.cos(angle), np.sin(angle)
     # the flying atom's axis is swapped into slot 1, where _rotate acts
     for axis in (1, 2):
         re, im = (x.swapaxes(1, axis) for x in
-                  _rotate(re.swapaxes(1, axis), im.swapaxes(1, axis), n, gt))
+                  _rotate(re.swapaxes(1, axis), im.swapaxes(1, axis), c, s))
     re, im = re.reshape(4, 4, -1), im.reshape(4, 4, -1)
     # tr_field(U|i><j|U^dagger) at each entry (a, b), shaped (pair, entry, state)
     a_re, a_im, b_re, b_im = re[_I_A], im[_I_A], re[_J_B], im[_J_B]

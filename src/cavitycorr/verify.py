@@ -48,82 +48,61 @@ def _doubles(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(float) * 2.0**-53
 
 
-def _draw(rng: np.random.Generator, count: int, n_max: int, gt_max):
-    """The uniforms (6, count), n and gt of ``count`` samples, read from the raw stream.
+def _seeded_chunks(seed, samples, n_max, gt_max):
+    """Yield (first index, states, n, gt) for ``VERIFY_CHUNK`` samples at a time.
 
-    Bit for bit what ``rng.random(6)``, ``rng.integers(0, n_max + 1)`` and
-    ``rng.uniform(0.0, gt_max)`` per sample would give, and ``rng`` is left
-    in the same state, its 32-bit buffer included.  Each sample takes six
-    words for its uniforms, then n's draws, then one word for gt (``0.0 +
-    gt_max * d`` is ``gt_max * d``).  One loop over the words draws n by
-    Lemire's method on the word it uses, as a Python int: ``x * bound`` is
-    rejected while its low k bits fall below ``2**k % bound``, and n is its
-    high bits.  k = 64 for whole words when the bound is above 2**32;
-    otherwise k = 32 for the halves of PCG64's buffer, the low half of a
-    new word drawn and its high half held for the next draw.  numpy draws
-    nothing for n_max = 0 (bound 1), and neither does the loop.  The words
-    are read ahead, eight per sample left, and read again only when
-    rejected draws use them up.  The loop records where each sample starts,
-    and numpy gathers the uniforms and gt there.  The words read ahead and
-    not used are given back with a negative ``advance``, which empties the
-    32-bit buffer, so the buffer is written back: the loop's when k = 32,
-    as found when k = 64.
+    ``states`` is an :class:`XBatch`, ``n`` and ``gt`` are arrays.  The
+    samples are read from the raw stream of ``np.random.default_rng(seed)``,
+    bit for bit what ``rng.random(6)``, ``rng.integers(0, n_max + 1)`` and
+    ``rng.uniform(0.0, gt_max)`` per sample would give, so they do not
+    depend on the chunk size and each state is the one
+    :func:`sample_xstate` would draw.  Each sample takes six words for its
+    uniforms, then n's draws, then one word for gt (``0.0 + gt_max * d``
+    is ``gt_max * d``).  One loop over the words draws n by Lemire's
+    method on the word it uses, as a Python int: ``x * bound`` is rejected
+    while its low k bits fall below ``2**k % bound``, and n is its high
+    bits.  k = 64 for whole words when the bound is above 2**32; otherwise
+    k = 32 for the halves of PCG64's buffer, the low half of a new word
+    drawn and its high half held for the next draw.  numpy draws nothing
+    for n_max = 0 (bound 1), and neither does the loop.  The words are
+    read ahead, eight per sample left in the chunk, and read again only
+    when rejected draws use them up.  The loop records where each sample
+    starts, and numpy gathers the uniforms and gt there.  The words not
+    used and the held half carry over to the next chunk.
     """
-    bitgen = rng.bit_generator
+    bitgen = np.random.default_rng(seed).bit_generator
     bound = n_max + 1   # a Python int (run_verification's gate), so nothing overflows
     k = 64 if bound > 2**32 else 32
     mask, threshold = (1 << k) - 1, (1 << k) % bound
-    state = bitgen.state
-    buffer = state["has_uint32"], state["uinteger"]
-    held, half = buffer if k == 32 else (0, 0)
-    stream = bitgen.random_raw(8 * count)
-    at, n = [], []
-    pos = 0
-    for left in range(count, 0, -1):
-        if len(stream) < pos + 8:
-            stream = np.append(stream, bitgen.random_raw(8 * left))
-        at.append(pos)
-        pos += 6
-        m = 0
-        while bound > 1:
-            if held:
-                x, held = half, 0
-            else:
-                # this draw's word and the gt word after it
-                if len(stream) < pos + 2:
-                    stream = np.append(stream, bitgen.random_raw(8 * left))
-                x, pos = stream.item(pos), pos + 1
-                if k == 32:
-                    x, half, held = x & 0xFFFFFFFF, x >> 32, 1
-            m = x * bound
-            if m & mask >= threshold:
-                break
-        n.append(m >> k)
-        pos += 1
-    bitgen.advance(pos - len(stream))
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = (held, half) if k == 32 else buffer
-    bitgen.state = state
-    # a sample's gt is the word before the next sample's first
-    at = np.array(at + [pos])
-    return (_doubles(stream[at[:-1] + np.arange(6)[:, None]]), np.array(n, dtype=np.int64),
-            gt_max * _doubles(stream[at[1:] - 1]))
-
-
-def _seeded_chunks(rng, samples, n_max, gt_max):
-    """Yield (first index, states, n, gt) for ``VERIFY_CHUNK`` samples at a time.
-
-    ``states`` is an :class:`XBatch`, ``n`` and ``gt`` are arrays.  Each
-    sample is what its state's six uniforms, then n, then gt drawn from
-    ``rng`` would give: :func:`_draw` reads each chunk's raw words, and
-    leaves ``rng`` where those calls would, so the samples do not depend
-    on the chunk size and each state is the one :func:`sample_xstate`
-    would draw.
-    """
-    chunk = VERIFY_CHUNK
-    for start in range(0, samples, chunk):
-        u, n, gt = _draw(rng, min(chunk, samples - start), n_max, gt_max)
-        yield start, _sampled_states(u), n, gt
+    stream, pos, held, half = np.empty(0, dtype=np.uint64), 0, 0, 0
+    for start in range(0, samples, VERIFY_CHUNK):
+        stream, pos = stream[pos:], 0
+        at, n = [], []
+        for left in range(min(VERIFY_CHUNK, samples - start), 0, -1):
+            if len(stream) < pos + 8:
+                stream = np.append(stream, bitgen.random_raw(8 * left))
+            at.append(pos)
+            pos += 6
+            m = 0
+            while bound > 1:
+                if held:
+                    x, held = half, 0
+                else:
+                    # this draw's word and the gt word after it
+                    if len(stream) < pos + 2:
+                        stream = np.append(stream, bitgen.random_raw(8 * left))
+                    x, pos = stream.item(pos), pos + 1
+                    if k == 32:
+                        x, half, held = x & 0xFFFFFFFF, x >> 32, 1
+                m = x * bound
+                if m & mask >= threshold:
+                    break
+            n.append(m >> k)
+            pos += 1
+        # a sample's gt is the word before the next sample's first
+        at = np.array(at + [pos])
+        yield (start, _sampled_states(_doubles(stream[at[:-1] + np.arange(6)[:, None]])),
+               np.array(n, dtype=np.int64), gt_max * _doubles(stream[at[1:] - 1]))
 
 
 @dataclass
@@ -209,7 +188,6 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
     gt_max = ew.scalar(gt_max, "gt_max", float, 0, open_lower=True)
     tol_evolve = ew.scalar(tol_evolve, "tol_evolve", float, 0)
     tol_discord = ew.scalar(tol_discord, "tol_discord", float, 0)
-    rng = np.random.default_rng(seed)
     report = VerificationReport(samples, seed, n_max, gt_max,
                                 tol_evolve, tol_discord)
     report.min_population = math.inf
@@ -218,7 +196,7 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
         return (f"state=({state.p11:.12g}, {state.p22:.12g}, {state.p33:.12g}, "
                 f"{state.p44:.12g}, {state.c23.real:.12g}{state.c23.imag:+.12g}j)")
 
-    for start, states, ns, gts in _seeded_chunks(rng, samples, n_max, gt_max):
+    for start, states, ns, gts in _seeded_chunks(seed, samples, n_max, gt_max):
         brute = correlation_batch(gts, states, "brute")
         discord = discord_closed(states)
         ew.raise_first([(~np.isfinite(discord), lambda i: (

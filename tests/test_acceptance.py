@@ -252,13 +252,12 @@ def test_criterion_7_analytic_spot_values():
 
 def test_criterion_8_invariant_suite(capsys):
     start = time.perf_counter()
-    rng = np.random.default_rng(SEED)
     checks = 0
 
     # 1500 samples, each drawn as sample_xstate, rng.integers(0, 13) and
     # rng.uniform(0.0, 20.0) one after the other would draw it, checked a
     # chunk at a time; a check of k states counts as k assertions
-    for _, states, n, gt in _seeded_chunks(rng, 1500, 12, 20.0):
+    for _, states, n, gt in _seeded_chunks(SEED, 1500, 12, 20.0):
         size = len(states)
         trace = ((states.p11 + states.p22) + states.p33) + states.p44
         assert (abs(trace - 1.0) <= 1e-12).all()

@@ -235,7 +235,6 @@ PARSER_CASES = (
     ["evolve", "--n", "x", "--r", "0", "--gt-max", "1", "--steps", "2"],
     ["envelope", "--n", "1", "--r", "0", "--gt-max", "1", "--steps", "2",
      "--measure", "entropy"],
-    ["verify", "--samples", "1", "--seed", "1", "--bogus"],
     ["--n", "1", "evolve"],
     ["evolve", "--n", "1", "--r", "0", "--gt", "1", "--st", "2"],
     ["verify", "--samples", "1", "--seed", "1", "--tol-e", "1e-9"],
@@ -321,6 +320,16 @@ class TestParser:
             monkeypatch.setattr(cli, name, lambda args: 0)
         run(capsys, *argv)
         assert progs == built
+
+    def test_unknown_argument_gets_its_commands_usage(self, capsys, monkeypatch):
+        # the dispatched command's parser parses all of its arguments, so it,
+        # not the top-level parser, reports one it does not know
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, "verify", "--samples", "1", "--seed", "1", "--bogus") == (1, "", (
+            "usage: cavitycorr verify [-h] --samples SAMPLES --seed SEED [--n-max N_MAX]\n"
+            "                         [--gt-max GT_MAX] [--tol-evolve TOL_EVOLVE]\n"
+            "                         [--tol-discord TOL_DISCORD]\n"
+            "cavitycorr verify: error: unrecognized arguments: --bogus\n"))
 
     @given(argv=_command_lines())
     def test_valid_command_lines_parse_as_with_an_eager_parser(self, argv):
@@ -521,7 +530,7 @@ class TestGateHoles:
                             lambda states: np.where(states.p44 > 0.4, np.nan, real(states)))
         code, out, err = run(capsys, "verify", "--samples", "60", "--seed", "1")
         assert (code, out) == (1, "")
-        _, states, ns, _ = next(verify._seeded_chunks(np.random.default_rng(1), 60, 12, 20.0))
+        _, states, ns, _ = next(verify._seeded_chunks(1, 60, 12, 20.0))
         first = int(np.argmax(states.p44 > 0.4))
         assert states.p44[first] > 0.4
         assert err.startswith(f"cavitycorr: sample {first}: closed-form discord must be "

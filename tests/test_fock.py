@@ -380,7 +380,7 @@ class TestWindowOracle:
 
     @pytest.mark.parametrize("n_max,gt_max", [(12, 20.0), (0, 20.0), (2**53, 20.0), (12, 1e4)])
     def test_window_trace_bits_match_five_window_reference_on_a_seeded_chunk(self, n_max, gt_max):
-        _, states, ns, gts = next(_seeded_chunks(seeded_rng(24), 1024, n_max, gt_max))
+        _, states, ns, gts = next(_seeded_chunks(24, 1024, n_max, gt_max))
         _assert_same_bits(sequential_pass_batch(states, ns, gts),
                           sequential_pass_reference(states, ns, gts))
 
