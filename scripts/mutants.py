@@ -92,6 +92,14 @@ CATALOGUE = (
            "checks.append((abs2 - inner > ATOL, lambda i: (",
            "checks.append((abs2 - inner > 1e-6, lambda i: (",
            ("tests/test_xstate.py::TestMakeXstate::test_coherence_excess_beyond_atol_rejected",)),
+    Mutant("xbatch-screen-coherence", "src/cavitycorr/xstate.py",
+           "(abs2 - inner <= ATOL)).all():",
+           "(abs2 - inner <= 1e-6)).all():",
+           ("tests/test_xstate.py::TestOnePassScreen::test_screen_matches_the_full_check_list",)),
+    Mutant("xbatch-screen-populations", "src/cavitycorr/xstate.py",
+           " & (floor >= -ATOL) & ",
+           " & ",
+           ("tests/test_xstate.py::TestOnePassScreen::test_screen_matches_the_full_check_list",)),
     Mutant("xbatch-shape-check", "src/cavitycorr/xstate.py",
            "if cols[0].ndim != 1 or any(x.shape != cols[0].shape for x in cols):",
            "if cols[0].ndim != 1 or any(len(x) != len(cols[0]) for x in cols):",

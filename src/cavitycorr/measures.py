@@ -156,16 +156,19 @@ def closed_min_conditional_entropy(state: XState | XBatch) -> float | np.ndarray
     p11, p22, p33, p44 = state.p11, state.p22, state.p33, state.p44
     pol = np.sqrt(np.float_power(2.0 * p11 + 2.0 * p22 - 1.0, 2) + 4.0 * state.abs2_c23())
     equatorial = binary_entropy(np.minimum((1.0 + pol) / 2.0, 1.0))
-
-    def z_branch(weight, gap):
-        # weight * h((1 + gap/weight) / 2); outcomes below the floor add 0
-        live = weight > PROB_FLOOR
-        w = np.where(live, weight, 1.0)
-        return np.where(live, w * binary_entropy(np.minimum((1.0 + gap / w) / 2.0, 1.0)), 0.0)
-
-    z_value = (0.0 + z_branch(p22 + p44, abs(p22 - p44))
-               + z_branch(p11 + p33, abs(p11 - p33)))
-    return np.minimum(equatorial, z_value)
+    # The z measurement's two outcomes, B's ground state first, take one
+    # binary_entropy call: each adds weight * h((1 + gap/weight) / 2), or 0
+    # below the floor.  The equatorial value keeps its own call: with it in
+    # the same call, the larger temporaries of a 4096-point sweep chunk were
+    # given back to the system and faulted in again on every chunk, and
+    # `envelope --measure discord` ran 2-5 % slower.
+    weight = np.concatenate([p22 + p44, p11 + p33])
+    gap = np.concatenate([abs(p22 - p44), abs(p11 - p33)])
+    live = weight > PROB_FLOOR
+    w = np.where(live, weight, 1.0)
+    z_terms = np.where(live, w * binary_entropy(np.minimum((1.0 + gap / w) / 2.0, 1.0)), 0.0)
+    n = len(p11)
+    return np.minimum(equatorial, (0.0 + z_terms[:n]) + z_terms[n:])
 
 
 def discord_from(s_b, s_ab, m):

@@ -10,11 +10,10 @@ import numpy as np
 from . import elementwise as ew
 from .evolution import check_photon_number, evolve_batch
 from .measures import (
+    binary_entropy,
     closed_min_conditional_entropy,
     concurrence,
     discord_from,
-    entropy_a,
-    entropy_b,
     entropy_joint,
     mutual_information_from,
     _min_conditional_entropy,
@@ -126,9 +125,26 @@ def correlation_batch(gt, states: XBatch, method: str = "closed") -> SweepBatch:
     if gt.shape != (len(states),):
         raise ValueError(f"gt must be a 1-d array of one angle per state, shape "
                          f"({len(states)},), got shape {gt.shape}")
-    s_a, s_b, s_ab = entropy_a(states), entropy_b(states), entropy_joint(states)
+    s_a, s_b, s_ab = _entropies(states)
     m = (_min_conditional_entropy(states)[0] if method == "brute"
          else closed_min_conditional_entropy(states))
+    return _correlations(gt, states, s_a, s_b, s_ab, m)
+
+
+def _entropies(states: XBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_A, S_B and S_AB of each state of a batch.
+
+    One :func:`binary_entropy` call takes both marginals, A's arguments
+    (p11 + p22) first, so a bad argument of A is reported before any of
+    B's (p11 + p33), as by :func:`entropy_a` and then :func:`entropy_b`.
+    """
+    s = binary_entropy(np.concatenate([states.p11 + states.p22, states.p11 + states.p33]))
+    return s[:len(states)], s[len(states):], entropy_joint(states)
+
+
+def _correlations(gt, states: XBatch, s_a, s_b, s_ab, m) -> SweepBatch:
+    """The validated :class:`SweepBatch` of ``states`` at the checked angles
+    ``gt``, from their entropies and minimized conditional entropy m."""
     return SweepBatch(gt=gt, states=states,
                       concurrence=concurrence(states),
                       discord=discord_from(s_b, s_ab, m),

@@ -13,8 +13,8 @@ import numpy as np
 from . import elementwise as ew
 from .evolution import MAX_PHOTONS, evolve_batch
 from .fock import sequential_pass_batch
-from .measures import discord_closed
-from .sweep import correlation_batch
+from .measures import closed_min_conditional_entropy, discord_from, _min_conditional_entropy
+from .sweep import _correlations, _entropies
 from .xstate import ATOL, XBatch, XState, make_xbatch
 
 # Samples drawn and checked together.  Smaller than the sweep's chunk: a
@@ -177,10 +177,12 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
     minimization; preservation of the state invariants by the evolved
     state; and the identity D + C' = I.  Samples are drawn and checked
     ``VERIFY_CHUNK`` at a time, as arrays; the report does not depend on
-    that size.  The brute-force measures come from :func:`correlation_batch`,
-    as in a ``--discord brute`` sweep, so a non-finite or out-of-range
-    value raises ``ValueError``; so does a non-finite closed-form discord,
-    from one :func:`discord_closed` call per chunk, naming its sample.
+    that size.  Each chunk's entropies are computed once and serve both
+    discords.  The brute-force measures are checked as in a ``--discord
+    brute`` sweep (:func:`~cavitycorr.sweep.correlation_batch`), so a
+    non-finite or out-of-range value raises ``ValueError``; so does a
+    non-finite closed-form discord, formed by :func:`discord_from` from
+    :func:`closed_min_conditional_entropy`, naming its sample.
     """
     samples = ew.scalar(samples, "samples", int, 1)
     seed = ew.scalar(seed, "seed", int, 0)
@@ -197,8 +199,10 @@ def run_verification(samples: int, seed: int, n_max: int = 12,
                 f"{state.p44:.12g}, {state.c23.real:.12g}{state.c23.imag:+.12g}j)")
 
     for start, states, ns, gts in _seeded_chunks(seed, samples, n_max, gt_max):
-        brute = correlation_batch(gts, states, "brute")
-        discord = discord_closed(states)
+        s_a, s_b, s_ab = _entropies(states)
+        brute = _correlations(gts, states, s_a, s_b, s_ab,
+                              _min_conditional_entropy(states)[0])
+        discord = discord_from(s_b, s_ab, closed_min_conditional_entropy(states))
         ew.raise_first([(~np.isfinite(discord), lambda i: (
             f"sample {start + i}: closed-form discord must be finite, got "
             f"{float(discord[i])!r} at n={int(ns[i])} gt={float(gts[i]):.12g} "

@@ -151,6 +151,13 @@ def make_xbatch(p11, p22, p33, p44, re_c23, im_c23) -> XBatch:
         batch = XBatch(*(np.where(p < 0.0, 0.0, p) for p in pops), re_c23, im_c23)
         abs2 = batch.abs2_c23()   # fills the batch's cache
         inner = batch.p22 * batch.p33
+        # One pass that rejects exactly the states the checks below reject,
+        # which are built only then, for the first failure's text.  A NaN
+        # fails every comparison, a population that is not finite makes the
+        # trace so, and a c23 that is not finite makes |c23|^2 so.
+        floor = np.minimum(np.minimum(pops[0], pops[1]), np.minimum(pops[2], pops[3]))
+        if ((abs(trace - 1.0) <= ATOL) & (floor >= -ATOL) & (abs2 - inner <= ATOL)).all():
+            return batch
         checks = [(~np.isfinite(p), lambda i, name=name, p=p:
                    f"{name} must be finite, got {float(p[i])!r}")
                   for name, p in zip(names, pops)]

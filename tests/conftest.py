@@ -3,10 +3,10 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 
-from cavitycorr import make_xstate, measures
+from cavitycorr import elementwise as ew, make_xstate, measures
 from cavitycorr.evolution import check_params
 from cavitycorr.measures import PROB_FLOOR
-from cavitycorr.xstate import make_xbatch
+from cavitycorr.xstate import ATOL, XBatch, make_xbatch
 
 settings.register_profile(
     "default", deadline=None,
@@ -64,6 +64,37 @@ def csv_fields(line: str) -> list[float]:
     assert min(p11, p22, p33, p44) >= -1e-9
     assert abs(complex(re_c23, im_c23)) ** 2 <= p22 * p33 + 1e-9
     return fields
+
+
+def make_xbatch_reference(*columns) -> XBatch:
+    """``make_xbatch`` as it checked every batch: the full list of twelve checks.
+
+    The oracle of the one-pass screen that now decides whether that list is
+    built at all: the same batch for accepted columns, clamped zeros
+    included, and the same ``ValueError`` text for the first failure.
+    """
+    names = ("p11", "p22", "p33", "p44", "c23", "c23")
+    *pops, re_c23, im_c23 = [ew.real_array(x, name) for x, name in zip(columns, names)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        trace = ((pops[0] + pops[1]) + pops[2]) + pops[3]
+        batch = XBatch(*(np.where(p < 0.0, 0.0, p) for p in pops), re_c23, im_c23)
+        abs2 = batch.abs2_c23()
+        inner = batch.p22 * batch.p33
+        checks = [(~np.isfinite(p), lambda i, name=name, p=p:
+                   f"{name} must be finite, got {float(p[i])!r}")
+                  for name, p in zip(names, pops)]
+        checks.append((~np.isfinite(re_c23) | ~np.isfinite(im_c23), lambda i:
+                       f"c23 must be finite, got {complex(re_c23[i], im_c23[i])!r}"))
+        checks.append((abs(trace - 1.0) > ATOL, lambda i:
+                       f"trace must be 1 within {ATOL:g}, got trace = {float(trace[i])!r}"))
+        checks += [(p < -ATOL, lambda i, name=name, p=p:
+                    f"{name} must be nonnegative within {ATOL:g}, got {float(p[i])!r}")
+                   for name, p in zip(names, pops)]
+        checks.append((abs2 - inner > ATOL, lambda i: (
+            f"|c23|^2 must not exceed p22*p33 within {ATOL:g}: "
+            f"|c23|^2 = {float(abs2[i])!r}, p22*p33 = {float(inner[i])!r}")))
+    ew.raise_first(checks)
+    return batch
 
 
 # The dense projector oracle of the brute-force kernel: the state as a 4x4

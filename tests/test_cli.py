@@ -524,9 +524,10 @@ class TestGateHoles:
 
     def test_nan_closed_form_discord_fails(self, capsys, monkeypatch):
         # a NaN closed-form discord compares false against the tolerance, so
-        # it must stop verify before the report's maxima, naming its sample
-        real = verify.discord_closed
-        monkeypatch.setattr(verify, "discord_closed",
+        # it must stop verify before the report's maxima, naming its sample;
+        # the NaN enters through the closed-form minimum verify forms it from
+        real = verify.closed_min_conditional_entropy
+        monkeypatch.setattr(verify, "closed_min_conditional_entropy",
                             lambda states: np.where(states.p44 > 0.4, np.nan, real(states)))
         code, out, err = run(capsys, "verify", "--samples", "60", "--seed", "1")
         assert (code, out) == (1, "")

@@ -463,6 +463,17 @@ class TestSweepBatch:
             assert one.states[0] == batch.states[i]
             assert [getattr(one, f)[0] for f in fields] == [getattr(batch, f)[i] for f in fields]
 
+    @pytest.mark.parametrize("method", DISCORD_METHODS)
+    def test_marginal_entropies_report_atom_a_first(self, method):
+        # unchecked states: B's argument p11 + p33 = 1.25 is out of range in
+        # state 0, A's p11 + p22 = 1.5 in state 1; one binary-entropy call
+        # takes both marginals, and A's, checked first before, come first
+        states = XBatch(*(np.array(c) for c in ([0.5, 0.75], [0.0, 0.75], [0.75, 0.0],
+                                                [-0.25, -0.5], [0.0, 0.0], [0.0, 0.0])))
+        with pytest.raises(ValueError) as err:
+            correlation_batch([0.0, 1.0], states, method)
+        assert str(err.value) == "binary entropy argument must lie in [0, 1], got 1.5"
+
     @pytest.mark.parametrize("gt, message", [
         ([0.0, 1.0, 2.0], "gt must be a 1-d array of one angle per state, shape (1,), "
                           "got shape (3,)"),

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from cavitycorr import XBatch, make_xbatch, make_xstate, werner_state
 from cavitycorr.xstate import spectrum
 
-from conftest import as_matrix, xstates
+from conftest import as_matrix, make_xbatch_reference, xstates
 
 
 def _spectrum(state):
@@ -241,6 +241,83 @@ class TestMakeXbatch:
         assert batch.p22.dtype == batch.re_c23.dtype == float
         assert list(batch) == [make_xstate(0, 1, 0, 0, 0),
                                make_xstate(0.5, 0.25, 0.25, 0, 0.1 - 0.1j)]
+
+
+def _population(k, p, c23=0.0):
+    """A state whose population k (from 0) is ``p``, the one two places on
+    0.5 - p and the other two 0.25, with coherence ``c23``."""
+    pops = [0.25] * 4
+    pops[k], pops[(k + 2) % 4] = p, 0.5 - p
+    return (*pops, c23, 0.0)
+
+
+# Whether the last trace at or below 1 + ATOL and the first above it are kept:
+# the trace's spacing above 1 is 2**-52, and 4503 of it is 9.9987e-13.
+_ULP = 2.0 ** -52
+# (state 1 of a three-state batch, rejected?): one defect at a time, and
+# states at the bounds that must be kept
+SCREEN_CASES = {
+    **{f"{name} {v}": (tuple(v if j == col else x for j, x in
+                             enumerate((0.1, 0.2, 0.3, 0.4, 0.05, 0.1))), True)
+       for col, name in enumerate(("p11", "p22", "p33", "p44", "re c23", "im c23"))
+       for v in (math.nan, math.inf, -math.inf)},
+    **{f"p{k + 1}{k + 1} -2 ATOL": (_population(k, -2e-12), True) for k in range(4)},
+    **{f"p{k + 1}{k + 1} -ATOL": (_population(k, -1e-12), False) for k in range(4)},
+    "trace 1 + 2 ATOL": ((0.25, 0.25, 0.25, 0.25 + 2e-12, 0.0, 0.0), True),
+    "trace 1 - 2 ATOL": ((0.25, 0.25, 0.25, 0.25 - 2e-12, 0.0, 0.0), True),
+    "trace last kept above 1": ((0.25, 0.25, 0.25, 0.25 + 4503 * _ULP, 0.0, 0.0), False),
+    "trace first rejected above 1": ((0.25, 0.25, 0.25, 0.25 + 4504 * _ULP, 0.0, 0.0), True),
+    "trace last kept below 1": ((0.25, 0.25, 0.25, 0.25 - 4503 * _ULP, 0.0, 0.0), False),
+    "trace first rejected below 1": ((0.25, 0.25, 0.25, 0.25 - 4504 * _ULP, 0.0, 0.0), True),
+    "trace overflows": ((1e308, 1e308, 0.0, 0.0, 0.0, 0.0), True),
+    "|c23|^2 = p22*p33 + 2 ATOL": ((0.25, 0.25, 0.25, 0.25, math.sqrt(0.0625 + 2e-12), 0.0),
+                                    True),
+    # 1e-6 squares to 1e-12 = ATOL exactly
+    "|c23|^2 = p22*p33 + ATOL": ((0.5, 0.0, 0.5, 0.0, 0.0, 1e-6), False),
+    "|c23|^2 above p22*p33 + ATOL": ((0.5, 0.0, 0.5, 0.0, 0.0, np.nextafter(1e-6, 1.0)),
+                                     True),
+    "|c23|^2 overflows": ((0.25, 0.25, 0.25, 0.25, 1e200, 0.0), True),
+    "negative population and coherence excess": (_population(1, -2e-12, 0.1), True),
+}
+
+
+class TestOnePassScreen:
+    """``make_xbatch`` screens all states in one pass and builds its twelve
+    checks only for a batch the screen rejects; it must keep and reject what
+    the full list does (``make_xbatch_reference``), with the same text."""
+
+    GOOD = np.array([(0.25, 0.25, 0.25, 0.25, 0.1, 0.0), (0.1, 0.2, 0.3, 0.4, 0.05, 0.1),
+                     (0.4, 0.3, 0.2, 0.1, -0.1, 0.05)]).T
+
+    @pytest.mark.parametrize("case", SCREEN_CASES)
+    def test_screen_matches_the_full_check_list(self, case):
+        state, rejected = SCREEN_CASES[case]
+        cols = self.GOOD.copy()
+        cols[:, 1] = state
+        if rejected:
+            with pytest.raises(ValueError) as want:
+                make_xbatch_reference(*cols)
+            with pytest.raises(ValueError) as got:
+                make_xbatch(*cols)
+            assert str(got.value) == str(want.value)
+        else:
+            want, got = make_xbatch_reference(*cols), make_xbatch(*cols)
+            for name in ("p11", "p22", "p33", "p44", "re_c23", "im_c23"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.abs2_c23().tobytes() == want.abs2_c23().tobytes()
+
+    def test_first_failing_state_and_check_as_the_full_list(self):
+        # a later state's NaN and an earlier state's two failures: the
+        # earlier state's first check names it
+        cols = self.GOOD.copy()
+        cols[:, 2] = (math.nan, 0.5, 0.5, 0.0, 0.0, 0.0)
+        cols[:, 1] = _population(1, -2e-12, 0.1)
+        with pytest.raises(ValueError) as want:
+            make_xbatch_reference(*cols)
+        with pytest.raises(ValueError) as got:
+            make_xbatch(*cols)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("p22 must be nonnegative")
 
 
 class TestXBatchStack:
