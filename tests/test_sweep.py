@@ -467,7 +467,7 @@ class TestSweepBatch:
     def test_marginal_entropies_report_atom_a_first(self, method):
         # unchecked states: B's argument p11 + p33 = 1.25 is out of range in
         # state 0, A's p11 + p22 = 1.5 in state 1; one binary-entropy call
-        # takes both marginals, and A's, checked first before, come first
+        # takes both marginals, A's first, as entropy_a ran before entropy_b
         states = XBatch(*(np.array(c) for c in ([0.5, 0.75], [0.0, 0.75], [0.75, 0.0],
                                                 [-0.25, -0.5], [0.0, 0.0], [0.0, 0.0])))
         with pytest.raises(ValueError) as err:
