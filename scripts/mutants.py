@@ -58,8 +58,8 @@ CATALOGUE = (
             "tests/test_fock.py::TestWindowOracle"
             "::test_window_trace_bits_match_five_window_reference_on_a_seeded_chunk")),
     Mutant("sweep-steps-bound", "src/cavitycorr/sweep.py",
-           '("steps", ew.scalar(self.steps, "steps", int, 1, MAX_STEPS)),',
-           '("steps", ew.scalar(self.steps, "steps", int, 1)),',
+           'steps = ew.scalar(steps, "steps", int, 1, MAX_STEPS)',
+           'steps = ew.scalar(steps, "steps", int, 1)',
            ("tests/test_cli.py::TestGateHoles::test_huge_steps_rejected",)),
     Mutant("envelope-right-edge", "src/cavitycorr/sweep.py",
            'hi = np.searchsorted(gts, gts + half, side="right")',

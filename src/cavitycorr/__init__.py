@@ -2,6 +2,8 @@
 Fock-state cavity: closed-form X-state evolution with an exact oracle,
 concurrence, quantum discord, and collapse-revival analysis."""
 
+import importlib
+
 from .evolution import (
     EvolutionParams,
     PublishedFormReport,
@@ -9,7 +11,6 @@ from .evolution import (
     evolve_batch,
     published_form_report,
 )
-from .fock import sequential_pass, sequential_pass_batch
 from .measures import (
     binary_entropy,
     classical_correlation_bruteforce,
@@ -32,10 +33,22 @@ from .sweep import (
     sweep_batches,
     time_series,
 )
-from .verify import VerificationReport, run_verification, sample_xstate
 from .xstate import XBatch, XState, make_xbatch, make_xstate, werner_state
 
 __version__ = "0.1.0"
+
+# Served on first use (PEP 562), so that importing the package, as every
+# command does, loads the Fock oracle and the sampler only for ``verify``.
+_LAZY = {"sequential_pass": "fock", "sequential_pass_batch": "fock",
+         "VerificationReport": "verify", "run_verification": "verify",
+         "sample_xstate": "verify"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "EvolutionParams", "PublishedFormReport", "evolve", "evolve_batch",

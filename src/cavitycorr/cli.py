@@ -22,7 +22,6 @@ from .sweep import (
     envelope,
     sweep_batches,
 )
-from .verify import run_verification
 
 CSV_HEADER = ("gt,n,r,p11,p22,p33,p44,re_c23,im_c23,"
               "concurrence,discord,classical_corr,mutual_info")
@@ -158,6 +157,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, so that the other commands and --help do not load the
+    # Fock oracle and the sampler
+    from .verify import run_verification
     report = run_verification(**{k: v for k, v in vars(args).items() if k != "command"})
     sys.stdout.write(report.render())
     return 0 if report.passed else 2

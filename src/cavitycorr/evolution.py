@@ -17,12 +17,10 @@ for both and for the Fock oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import elementwise as ew
-from .xstate import XBatch, XState, make_xbatch
+from .xstate import Frozen, XBatch, XState, make_xbatch
 
 # Drift beyond this marks the published coefficient set as inconsistent
 # for a given input; well above round-off, well below the defect size.
@@ -72,15 +70,12 @@ def check_params(n, gt, size: int | None = None):
     return n, gt
 
 
-@dataclass(frozen=True)
-class EvolutionParams:
+class EvolutionParams(Frozen):
     """Initial photon number and Rabi angle of one double passage."""
 
-    n: int
-    gt: float
-
-    def __post_init__(self):
-        check_params(self.n, [self.gt])
+    def __init__(self, n: int, gt: float):
+        check_params(n, [gt])
+        vars(self).update(n=n, gt=gt)
 
 
 def _trig(m, gt):
@@ -155,15 +150,18 @@ def evolve(state: XState, params: EvolutionParams) -> XState:
     return evolve_batch(state, params.n, [params.gt])[0]
 
 
-@dataclass(frozen=True)
-class PublishedFormReport:
+class PublishedFormReport(Frozen):
     """Raw output of the published coefficient set and its invariant violations."""
 
-    state: XState            # unchecked; upper coherence taken from the c23 row
-    trace_drift: float       # |trace - 1|
-    hermiticity_drift: float  # |c32 row - conj(c23 row)|
-    min_population: float
-    coherence_excess: float  # max(0, |c23|^2 - p22*p33)
+    def __init__(self, state: XState, trace_drift: float, hermiticity_drift: float,
+                 min_population: float, coherence_excess: float):
+        vars(self).update(
+            state=state,                          # unchecked; upper coherence from the c23 row
+            trace_drift=trace_drift,              # |trace - 1|
+            hermiticity_drift=hermiticity_drift,  # |c32 row - conj(c23 row)|
+            min_population=min_population,
+            coherence_excess=coherence_excess,    # max(0, |c23|^2 - p22*p33)
+        )
 
     @property
     def flag(self) -> bool:

@@ -3,7 +3,6 @@ collapse-revival detection on their envelopes."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .measures import (
     mutual_information_from,
     _min_conditional_entropy,
 )
-from .xstate import XBatch, werner_state
+from .xstate import Frozen, XBatch, werner_state
 
 # Grid points evaluated together by sweep_batches.  The per-call overhead of
 # the array code fades with the chunk: in-process min times of ``envelope
@@ -61,51 +60,44 @@ def _check_correlations(concurrence, discord, classical_correlation,
     ])
 
 
-@dataclass(frozen=True)
-class SweepBatch:
+class SweepBatch(Frozen):
     """Correlation measures of consecutive grid points, as parallel arrays.
 
     Validated as a whole on construction.  Point ``i`` is element ``i`` of
     each array: ``batch.gt[i]``, ``batch.discord[i]``, ``batch.states[i]``.
     """
 
-    gt: np.ndarray
-    states: XBatch
-    concurrence: np.ndarray
-    discord: np.ndarray
-    classical_correlation: np.ndarray
-    mutual_information: np.ndarray
-
-    def __post_init__(self):
-        _check_correlations(self.concurrence, self.discord,
-                            self.classical_correlation, self.mutual_information)
+    def __init__(self, gt: np.ndarray, states: XBatch, concurrence: np.ndarray,
+                 discord: np.ndarray, classical_correlation: np.ndarray,
+                 mutual_information: np.ndarray):
+        _check_correlations(concurrence, discord, classical_correlation, mutual_information)
+        vars(self).update(gt=gt, states=states, concurrence=concurrence, discord=discord,
+                          classical_correlation=classical_correlation,
+                          mutual_information=mutual_information)
 
     def __len__(self) -> int:
         return len(self.gt)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n: int
-    r: float
-    gt_max: float
-    steps: int
-    discord_method: str = "closed"   # checked by correlation_batch, on the first chunk
+class SweepConfig(Frozen):
+    """One sweep's parameters, checked and kept as Python numbers.
 
-    def __post_init__(self):
-        # frozen: the checked values, as Python numbers, replace the given ones
-        for name, value in (("steps", ew.scalar(self.steps, "steps", int, 1, MAX_STEPS)),
-                            ("gt_max", ew.scalar(self.gt_max, "gt_max", float, 0,
-                                                 open_lower=True)),
-                            ("n", check_photon_number(self.n)),
-                            ("r", ew.scalar(self.r, "r", float, 0, 1))):
-            object.__setattr__(self, name, value)
+    ``discord_method`` is checked by :func:`correlation_batch`, on the first chunk.
+    """
+
+    def __init__(self, n: int, r: float, gt_max: float, steps: int,
+                 discord_method: str = "closed"):
+        steps = ew.scalar(steps, "steps", int, 1, MAX_STEPS)
+        gt_max = ew.scalar(gt_max, "gt_max", float, 0, open_lower=True)
+        n = check_photon_number(n)
+        r = ew.scalar(r, "r", float, 0, 1)
         # Checked up front, so that no grid point fails after output has begun.
         # The grid's largest angle is steps * gt_max / steps (inf when the
         # product overflows), and the Rabi angles reach sqrt(n + 2) times it.
-        last = self.steps * self.gt_max / self.steps
-        if not math.isfinite(math.sqrt(self.n + 2) * last):
-            raise ValueError(f"gt_max {self.gt_max!r} is too large: the Rabi angles overflow")
+        last = steps * gt_max / steps
+        if not math.isfinite(math.sqrt(n + 2) * last):
+            raise ValueError(f"gt_max {gt_max!r} is too large: the Rabi angles overflow")
+        vars(self).update(n=n, r=r, gt_max=gt_max, steps=steps, discord_method=discord_method)
 
 
 def correlation_batch(gt, states: XBatch, method: str = "closed") -> SweepBatch:

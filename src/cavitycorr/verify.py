@@ -6,7 +6,6 @@ every value that enters the report is checked finite first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,21 +104,22 @@ def _seeded_chunks(seed, samples, n_max, gt_max):
                np.array(n, dtype=np.int64), gt_max * _doubles(stream[at[1:] - 1]))
 
 
-@dataclass
 class VerificationReport:
-    samples: int
-    seed: int
-    n_max: int
-    gt_max: float
-    tol_evolve: float
-    tol_discord: float
-    max_evolve_dev: float = 0.0
-    max_discord_dev: float = 0.0
-    max_trace_drift: float = 0.0
-    min_population: float = 0.0
-    max_coherence_excess: float = 0.0
-    max_identity_gap: float = 0.0
-    failures: list[str] = field(default_factory=list)
+    """What :func:`run_verification` checked, the worst deviations it met and
+    its failure lines; it fills the report in as it goes."""
+
+    def __init__(self, samples: int, seed: int, n_max: int, gt_max: float,
+                 tol_evolve: float, tol_discord: float, max_evolve_dev: float = 0.0,
+                 max_discord_dev: float = 0.0, max_trace_drift: float = 0.0,
+                 min_population: float = 0.0, max_coherence_excess: float = 0.0,
+                 max_identity_gap: float = 0.0, failures: list[str] | None = None):
+        self.samples, self.seed, self.n_max, self.gt_max = samples, seed, n_max, gt_max
+        self.tol_evolve, self.tol_discord = tol_evolve, tol_discord
+        self.max_evolve_dev, self.max_discord_dev = max_evolve_dev, max_discord_dev
+        self.max_trace_drift, self.min_population = max_trace_drift, min_population
+        self.max_coherence_excess = max_coherence_excess
+        self.max_identity_gap = max_identity_gap
+        self.failures = [] if failures is None else failures
 
     # One verdict per check line; ``passed`` is their conjunction.  Every
     # deviation is checked finite before it enters a maximum (a non-finite

@@ -13,7 +13,6 @@ state of a batch at once, and :func:`make_xstate` is its batch of one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +24,37 @@ from . import elementwise as ew
 ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class XState:
+class Frozen:
+    """Base of the value classes: ``__init__`` sets each field once, in
+    ``vars(self)``, and rebinding or deleting one raises ``AttributeError``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class XState(Frozen):
     """Validated X-form two-qubit state.
 
     Use :func:`make_xstate` to construct one; direct construction skips
     every invariant check (the published-coefficient diagnostics rely on
-    this to represent their known-inconsistent output).
+    this to represent their known-inconsistent output).  Two states are
+    equal when their fields are.
     """
 
-    p11: float
-    p22: float
-    p33: float
-    p44: float
-    c23: complex
+    def __init__(self, p11: float, p22: float, p33: float, p44: float, c23: complex):
+        vars(self).update(p11=p11, p22=p22, p33=p33, p44=p44, c23=c23)
+
+    def __eq__(self, other):
+        if type(other) is not XState:
+            return NotImplemented
+        return (*self.populations(), self.c23) == (*other.populations(), other.c23)
+
+    def __repr__(self):
+        return (f"XState(p11={self.p11!r}, p22={self.p22!r}, p33={self.p33!r}, "
+                f"p44={self.p44!r}, c23={self.c23!r})")
 
     def populations(self) -> tuple[float, float, float, float]:
         return (self.p11, self.p22, self.p33, self.p44)
@@ -47,8 +63,7 @@ class XState:
         return self.p11 + self.p22 + self.p33 + self.p44
 
 
-@dataclass(frozen=True)
-class XBatch:
+class XBatch(Frozen):
     """X states as parallel 1-d arrays (struct of arrays), one index per state.
 
     Use :func:`make_xbatch` to build a validated batch, or
@@ -59,12 +74,9 @@ class XBatch:
     use (in :func:`make_xbatch`, by its check), and kept as read-only arrays.
     """
 
-    p11: np.ndarray
-    p22: np.ndarray
-    p33: np.ndarray
-    p44: np.ndarray
-    re_c23: np.ndarray
-    im_c23: np.ndarray
+    def __init__(self, p11: np.ndarray, p22: np.ndarray, p33: np.ndarray,
+                 p44: np.ndarray, re_c23: np.ndarray, im_c23: np.ndarray):
+        vars(self).update(p11=p11, p22=p22, p33=p33, p44=p44, re_c23=re_c23, im_c23=im_c23)
 
     @classmethod
     def of(cls, state: XState) -> "XBatch":

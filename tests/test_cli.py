@@ -420,6 +420,36 @@ class TestCsvKernel:
         assert out.stdout == "False\n"
 
 
+class TestStartup:
+    # what only `verify` or CSV rows need, and the dataclasses module
+    LAZY = {"dataclasses", "cavitycorr.fock", "cavitycorr.verify", "cavitycorr.csvformat"}
+
+    @staticmethod
+    def python(*args):
+        env = dict(os.environ, PYTHONPATH=str(Path(cavitycorr.__file__).parents[1]))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              check=True, env=env)
+
+    def imported(self, *args):
+        """The modules a fresh interpreter imports, by name, from ``-X importtime``."""
+        err = self.python("-X", "importtime", *args).stderr
+        return {line.rpartition("|")[2].strip() for line in err.splitlines()
+                if line.startswith("import time:")}
+
+    def test_a_command_loads_only_what_it_runs(self):
+        # compared with the calibration of start-up, since a Python's
+        # argparse or numpy may import dataclasses itself
+        baseline = self.imported("-c", "import numpy, argparse")
+        assert "numpy" in baseline
+        for args in (["-c", "import cavitycorr.cli"], ["-m", "cavitycorr", "--help"]):
+            assert (self.imported(*args) - baseline) & self.LAZY == set(), args
+        out = self.python("-m", "cavitycorr", "verify", "--samples", "3", "--seed", "1")
+        assert out.stdout.endswith("\noverall: PASS\n")
+        code = ("import cavitycorr; "
+                "print(all(getattr(cavitycorr, name) for name in cavitycorr.__all__))")
+        assert self.python("-c", code).stdout == "True\n"
+
+
 class TestGateHoles:
     def test_nan_tolerances_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--samples", "3", "--seed", "1",

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cavitycorr import XBatch, make_xbatch, make_xstate, werner_state
+from cavitycorr import (EvolutionParams, SweepConfig, XBatch, correlation_batch, make_xbatch,
+                        make_xstate, published_form_report, werner_state)
 from cavitycorr.xstate import spectrum
 
 from conftest import as_matrix, make_xbatch_reference, xstates
@@ -397,3 +398,35 @@ class TestCachedModuli:
         assert (batch.abs_c23().view(np.int64) == np.hypot(re, im).view(np.int64)).all()
         assert (batch.abs2_c23().view(np.int64)
                 == np.float_power(np.hypot(re, im), 2).view(np.int64)).all()
+
+
+def _frozen():
+    """One instance of each frozen value class, with its fields."""
+    state = werner_state(0.5)
+    batch = XBatch.of(state)
+    params = EvolutionParams(1, 0.5)
+    return {
+        "XState": (state, ("p11", "p22", "p33", "p44", "c23")),
+        "XBatch": (batch, ("p11", "p22", "p33", "p44", "re_c23", "im_c23")),
+        "SweepBatch": (correlation_batch([0.5], batch),
+                       ("gt", "states", "concurrence", "discord",
+                        "classical_correlation", "mutual_information")),
+        "SweepConfig": (SweepConfig(1, 0.5, 1.0, 2), ("n", "r", "gt_max", "steps",
+                                                       "discord_method")),
+        "EvolutionParams": (params, ("n", "gt")),
+        "PublishedFormReport": (published_form_report(state, params),
+                                ("state", "trace_drift", "hermiticity_drift",
+                                 "min_population", "coherence_excess")),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_frozen()))
+def test_fields_cannot_be_rebound(kind):
+    obj, fields = _frozen()[kind]
+    for name in fields:
+        value = getattr(obj, name)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, 0.5)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(obj, name)
+        assert getattr(obj, name) is value
